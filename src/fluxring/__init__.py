@@ -49,7 +49,6 @@ from .spectra import (
     ground,
     log_canonical_partition,
     lowest_sum,
-    one_particle_levels,
 )
 from .analysis import (
     VerificationReport,
@@ -84,7 +83,7 @@ __all__ = [
     "full_spectrum", "gen_fixture", "ground", "ground_manifold_spins",
     "hole_particle_down", "load_model", "log_canonical_partition",
     "lowest_sum", "make_spec", "necklace_period", "negative_envelope",
-    "one_particle_levels", "refine_argmin", "regauge", "save_model",
+    "refine_argmin", "regauge", "save_model",
     "scan_flux", "solve_sign_gauge", "spin_word", "spiral_state",
     "thermal_scan", "validate", "verify_block_lemma", "verify_doubling",
     "verify_even", "verify_odd", "verify_relation", "verify_singlet",

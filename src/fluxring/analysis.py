@@ -35,8 +35,8 @@ from .spectra import (
     GROUND_TOL,
     FluxCurve,
     GroundInfo,
-    canonical_partition,
     ground,
+    log_canonical_partition,
     lowest_sum,
 )
 
@@ -677,16 +677,6 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
                               tolerance, ok)
 
 
-def canonical_partition_scan(spec: ModelSpec, two_sz: int | None, beta: float,
-                             grid_size: int = 90) -> FluxCurve:
-    """Partition function of the sector over a uniform flux grid."""
-    basis = sector_basis_for(spec, two_sz)
-    family = flux_family(spec, basis)
-    grid = np.arange(grid_size) * (TWO_PI / grid_size)
-    values = [canonical_partition(family.hamiltonian(phi), beta) for phi in grid]
-    return FluxCurve(grid, np.asarray(values), f"P beta={beta:g}")
-
-
 #: Largest beta at which the absolute 1e-8 derivative window is meaningful:
 #: beyond it P itself is so large that machine noise in the central
 #: difference exceeds the window even for an exactly critical point.
@@ -700,9 +690,11 @@ def thermal_scan(spec: ModelSpec, two_sz: int | None = None,
 
     Odd free half filling: the quarter-turn fluxes are critical points of P;
     the central-difference derivative there is judged for beta up to
-    DERIVATIVE_BETA_CAP and recorded beyond (the maximizer may wander at
+    DERIVATIVE_BETA_CAP. Beyond it, where P may overflow a float, the
+    derivative of log P is recorded instead (the maximizer may wander at
     large beta, which is recorded but never judged). Even N: the maximizer
-    sits at the zero-temperature optimal flux for every beta.
+    sits at the zero-temperature optimal flux for every beta. Maximizers are
+    taken from log P, which has the argmax of P and stays finite at any beta.
     """
     if two_sz is None:
         two_sz = 1 if spec.N % 2 else 0
@@ -720,24 +712,28 @@ def thermal_scan(spec: ModelSpec, two_sz: int | None = None,
     ok = True
     argmax = {}
     for beta in betas:
-        values = np.asarray([canonical_partition(family.hamiltonian(phi), beta)
+        values = np.asarray([log_canonical_partition(family.hamiltonian(phi), beta)
                              for phi in grid])
         argmax[beta] = float(grid[int(np.argmax(values))])
 
     if odd_free_halffill:
         h = derivative_step
-        derivs = {}
+        derivs, log_derivs = {}, {}
         for beta in betas:
+            judged = beta <= DERIVATIVE_BETA_CAP
             worst = 0.0
             for c in (0.5 * math.pi, 1.5 * math.pi):
-                pp = canonical_partition(family.hamiltonian(fold_angle(c + h)), beta)
-                pm = canonical_partition(family.hamiltonian(fold_angle(c - h)), beta)
-                worst = max(worst, abs(pp - pm) / (2.0 * h))
-            derivs[beta] = worst
+                lp = log_canonical_partition(family.hamiltonian(fold_angle(c + h)), beta)
+                lm = log_canonical_partition(family.hamiltonian(fold_angle(c - h)), beta)
+                diff = math.exp(lp) - math.exp(lm) if judged else lp - lm
+                worst = max(worst, abs(diff) / (2.0 * h))
+            (derivs if judged else log_derivs)[beta] = worst
         measured["critical_point_derivative"] = derivs
+        if log_derivs:
+            measured["critical_point_log_derivative"] = log_derivs
         measured["argmax"] = argmax
         tolerance["critical_point_derivative"] = 1e-8
-        ok = all(d < 1e-8 for b, d in derivs.items() if b <= DERIVATIVE_BETA_CAP)
+        ok = all(d < 1e-8 for d in derivs.values())
     elif spec.N % 2 == 0:
         if spec.hardcore:
             expected = [fold_angle(TWO_PI * k / spec.N) for k in range(spec.N)]

@@ -38,10 +38,6 @@ def apply_hop(occ: int, m_to: int, m_from: int) -> tuple[int, int] | None:
     return cleared | (1 << m_to), -1 if (s1 + s2) & 1 else 1
 
 
-def occupied_sites(occ: int, L: int, sigma: int) -> tuple[int, ...]:
-    return tuple(x for x in range(L) if (occ >> mode(x, sigma)) & 1)
-
-
 def spin_word(occ: int, L: int) -> str:
     """Spins read along the ring in order of increasing occupied site.
 

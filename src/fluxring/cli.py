@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, scan, blocks, verify, thermo, gen-fixture.
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 usage or model errors. All output is deterministic for fixed arguments
-and seed (CSV: 12 significant digits, LF endings).
+2 usage, model or limit errors and any unexpected internal error. All
+output is deterministic for fixed arguments and seed (CSV: 12 significant
+digits, LF endings).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -229,6 +232,12 @@ def run(argv=None) -> int:
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"fluxring: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means the claim failed; a crash must not read as one
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"fluxring: internal error: {type(exc).__name__} at "
+              f"{os.path.basename(where.filename)}:{where.lineno}: {exc}", file=sys.stderr)
         return 2
 
 

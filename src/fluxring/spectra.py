@@ -1,11 +1,19 @@
 """Eigenvalue engines: ground states with degeneracy, lowest-level sums,
 full spectra and canonical partition functions.
 
-The dense path (numpy eigh) runs up to DENSE_LIMIT; above that a Lanczos
-iteration with full reorthogonalization and a deterministic start vector
-takes over. Degenerate ground levels are resolved by deflation: converged
-vectors are locked and the iteration restarts in their orthogonal
-complement until the next level clears the degeneracy gap.
+Ground states come from one of two solvers. The dense one diagonalizes
+the densified matrix (LAPACK, lowest levels only when vectors are wanted).
+The iterative one is a Lanczos iteration with full reorthogonalization and
+a deterministic start vector; degenerate ground levels are resolved by
+deflation: converged vectors are locked and the iteration restarts in
+their orthogonal complement until the next level clears the degeneracy gap.
+
+ground(method="auto") picks between them by sector dimension, at the
+crossover LANCZOS_CROSSOVER measured below: dense up to it, Lanczos above.
+Between the crossover and DENSE_LIMIT a Lanczos attempt that does not
+converge within about the cost of a dense solve, or whose deflation
+saturates, falls back to dense, so auto returns what dense would. Above
+DENSE_LIMIT nothing is densified and Lanczos failures raise.
 """
 
 from __future__ import annotations
@@ -19,8 +27,38 @@ from .errors import EmptySector, NoConvergence, TooLargeForDense
 from .model import ModelSpec, fold_angle
 from .operators import SparseHermitian, build_one_particle
 
-#: Largest dimension handled by the dense eigensolver.
+#: Largest matrix ever densified: by full_spectrum and by ground's dense
+#: path (method="dense" and the auto fallback).
 DENSE_LIMIT = 2000
+
+#: Dense/Lanczos crossover of ground(method="auto"): sectors up to this
+#: dimension are solved dense, larger ones by Lanczos first. Measured on
+#: 2 cores with 1 BLAS thread, best of 10 runs (3 at dimension 1225), in ms,
+#: on random models (U = 3 unless hard-core):
+#:
+#:    dim  sector               energy only        vectors + S^2
+#:                           dense / Lanczos    dense / Lanczos
+#:     49  L=7 N=2               0.17 /  1.36       0.40 /  2.99
+#:    100  L=5 N=4               0.85 /  2.10       1.06 /  3.71
+#:    147  L=7 N=3 2Sz=1         1.79 /  1.55       2.36 /  4.23
+#:    169  L=13 N=2              2.87 /  2.54       3.64 /  5.93
+#:    196  L=14 N=2              5.34 /  3.86       5.94 /  8.85
+#:    225  L=6 N=4               7.45 /  2.94       8.56 /  7.67
+#:    300  L=6 N=5 2Sz=1        17.28 /  3.25      15.50 /  7.40
+#:    400  L=6 N=6              26.26 /  3.13      27.67 /  7.01
+#:    560  hard-core L=8 N=6    71.96 /  5.61      61.95 / 32.31
+#:   1225  L=7 N=6             691.56 /  5.36     692.89 / 28.69
+#:
+#: Energy-only solves, the bulk of every flux scan, cross over near 160.
+#: Solves with vectors cross over nearer 220: the dense path computes only
+#: the lowest levels, and Lanczos needs a second pass to bound the
+#: degeneracy and a tighter residual for the vectors. One constant serves
+#: both; between the two, the iteration budget sends slow vector solves
+#: back to dense. That budget, dim // 3 iterations, comes from the same
+#: machine: one pass of k iterations costs as much as a dense eigvalsh at
+#: k = 55, 80, 233, 371, 505 and 774 for dimensions 169, 225, 560, 784,
+#: 1225 and 1568.
+LANCZOS_CROSSOVER = 160
 
 #: Relative width of the ground-level window: eigenvalues within
 #: GROUND_TOL * max(1, |E_min|) of E_min count as degenerate ground states.
@@ -88,46 +126,93 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
            method: str = "auto", s2: SparseHermitian | None = None) -> GroundInfo:
     """Lowest eigenvalue of H with degeneracy counting.
 
-    method is "dense", "lanczos" or "auto" (dense up to DENSE_LIMIT).
+    method is "dense", "lanczos" or "auto". Auto solves sectors up to
+    LANCZOS_CROSSOVER dense and larger ones by Lanczos; inside DENSE_LIMIT
+    it falls back to dense when Lanczos does not converge within a budget
+    that costs about one dense solve, or when the deflation saturates
+    (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so the
+    degeneracy found is only a lower bound). GroundInfo.method names the
+    solver whose answer is returned. The Lanczos path counts at most
+    max_degeneracy + 1 ground vectors; max_degeneracy=0 asks for the energy
+    alone and then reports degeneracy 1.
+
     When s2 is given (and vectors are computed), the spin content of the
     ground eigenspace is obtained by diagonalizing the projected S^2.
     """
     dim = H.dim
     if dim < 1:
         raise EmptySector("operator has dimension 0")
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT else "lanczos"
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
     want_vectors = want_vectors or s2 is not None
+    fallback = method == "auto" and dim <= DENSE_LIMIT
+    if method == "auto":
+        method = "dense" if dim <= LANCZOS_CROSSOVER else "lanczos"
 
-    if method == "dense":
-        dense = H.to_dense()
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(dense)
+    if method == "lanczos":
+        try:
+            # A pass of dim/3 iterations costs about one dense solve (see
+            # LANCZOS_CROSSOVER), so a fallback at most doubles the dense
+            # cost. Vectors go to verifiers that judge residuals down to 1e-9
+            # (spiral_state), so they are converged to a 1e-12 residual.
+            e0, vectors, gap = _lanczos_ground(
+                H, max_degeneracy, budget=dim // 3 if fallback else None,
+                resid_tol=1e-12 if want_vectors else 1e-8)
+        except NoConvergence:
+            if not fallback:
+                raise
+            method = "dense"
         else:
-            vals, vecs = np.linalg.eigvalsh(dense), None
-        e0 = float(vals[0])
-        window = GROUND_TOL * max(1.0, abs(e0))
-        deg = int(np.searchsorted(vals, e0 + window, side="right"))
-        deg = max(deg, 1)
-        gap = float(vals[deg] - e0) if deg < dim else math.inf
-        vectors = vecs[:, :deg] if vecs is not None else None
-    else:
-        e0, vectors, gap = _lanczos_ground(H, max_degeneracy=max_degeneracy)
-        deg = vectors.shape[1] if vectors is not None else 1
-        if not want_vectors:
-            vectors = None
+            deg = vectors.shape[1]
+            if fallback and 0 < max_degeneracy < deg:
+                method = "dense"
+            elif not want_vectors:
+                vectors = None
+    if method == "dense":
+        e0, deg, gap, vectors = _dense_ground(H, want_vectors, max_degeneracy)
 
     spin = _spin_content(vectors, s2) if (s2 is not None and vectors is not None) else None
     return GroundInfo(e0, deg, gap, vectors, spin, method)
 
 
+def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
+    """Energy, full degeneracy, gap and ground vectors of the densified H.
+
+    With vectors, only the lowest max_degeneracy + 2 levels are computed,
+    which costs about as much as eigvalsh; the full eigh (3.5x dearer at
+    dimension 1225) runs only when all of them fall in the ground window.
+    """
+    from scipy.linalg import eigh
+
+    dim = H.dim
+    dense = _densify(H)
+    if want_vectors:
+        top = min(dim, max_degeneracy + 2)
+        vals, vecs = eigh(dense, subset_by_index=(0, top - 1))
+        if top < dim and vals[-1] <= vals[0] + GROUND_TOL * max(1.0, abs(vals[0])):
+            vals, vecs = np.linalg.eigh(dense)
+    else:
+        vals, vecs = np.linalg.eigvalsh(dense), None
+    e0 = float(vals[0])
+    window = GROUND_TOL * max(1.0, abs(e0))
+    deg = max(1, int(np.searchsorted(vals, e0 + window, side="right")))
+    gap = float(vals[deg] - e0) if deg < len(vals) else math.inf
+    vectors = vecs[:, :deg] if vecs is not None else None
+    return e0, deg, gap, vectors
+
+
 def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
-                  value_tol: float = 1e-14, max_iter: int = 600):
-    """One deflated Lanczos run: lowest Ritz pair orthogonal to the locked rows.
+                  value_tol: float = 1e-14, max_iter: int = 600, resid_tol: float = 1e-8,
+                  gap_above: float = math.inf):
+    """One deflated Lanczos run: lowest Ritz pair orthogonal to the locked rows,
+    and the number of iterations it took.
 
     Full reorthogonalization against the whole Krylov basis and the locked
-    set. The start vector is pseudo-random from a fixed seed, so repeated
-    runs are bit-for-bit identical at a fixed thread count.
+    set. It stops once the Ritz value stalls and the Ritz residual is at
+    most resid_tol * max(1, |theta|); a Ritz value above gap_above only
+    bounds the ground level from above, and 1e-8 suffices for it. The start
+    vector is pseudo-random from a fixed seed, so repeated runs are
+    bit-for-bit identical at a fixed thread count.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -141,12 +226,13 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
     Q = np.empty((budget, dim), dtype=complex)
 
     def orthogonalize(w, k):
-        # two passes: classical Gram-Schmidt twice is numerically sufficient
+        # two passes: classical Gram-Schmidt twice is numerically sufficient.
+        # (B @ w.conj()).conj() equals B.conj() @ w without copying B.
         for _ in range(2):
             if locked is not None:
-                w -= locked.T @ (locked.conj() @ w)
+                w -= locked.T @ (locked @ w.conj()).conj()
             if k >= 0:
-                w -= Q[: k + 1].T @ (Q[: k + 1].conj() @ w)
+                w -= Q[: k + 1].T @ (Q[: k + 1] @ w.conj()).conj()
         return w
 
     v = orthogonalize(v, -1)
@@ -157,19 +243,20 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
 
     alphas: list[float] = []
     betas: list[float] = []
+    scale = 1.0
     theta_last = None
     for k in range(budget):
         Q[k] = v
         w = H.matvec(v)
         a = float(np.vdot(v, w).real)
         alphas.append(a)
+        scale = max(scale, abs(a))
         w -= a * v
         if k > 0:
             w -= betas[-1] * Q[k - 1]
         w = orthogonalize(w, k)
         b = float(np.linalg.norm(w))
 
-        scale = max(1.0, max(abs(x) for x in alphas))
         breakdown = b <= 1e-13 * scale
         if breakdown or k == budget - 1 or k % 5 == 4:
             vals, vecs = eigh_tridiagonal(
@@ -178,16 +265,17 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
             theta = float(vals[0])
             y = vecs[:, 0]
             resid = abs(b * y[-1])
+            tol = 1e-8 if theta > gap_above else resid_tol
             stalled = (
                 theta_last is not None
                 and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta))
-                and resid <= 1e-8 * max(1.0, abs(theta))
+                and resid <= tol * max(1.0, abs(theta))
             )
             if stalled or breakdown or (space_limited and k == budget - 1):
                 vec = Q[: k + 1].T @ y
                 vec = orthogonalize(vec, -1) if locked is not None else vec
                 vec /= np.linalg.norm(vec)
-                return theta, vec
+                return theta, vec, k + 1
             if k == budget - 1:
                 raise NoConvergence(
                     f"Lanczos exhausted {budget} iterations", residual=resid
@@ -199,25 +287,41 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
     raise NoConvergence("Lanczos failed to produce a Ritz pair")
 
 
-def _lanczos_ground(H: SparseHermitian, max_degeneracy: int):
+def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None = None,
+                    resid_tol: float = 1e-8):
     """Ground energy, ground vectors and gap via deflated Lanczos passes.
 
     After each converged vector the iteration restarts in the orthogonal
     complement; the loop stops once the next level clears the degeneracy
     window (or max_degeneracy + 1 vectors are locked, meaning the reported
-    degeneracy is a lower bound).
+    degeneracy is a lower bound). Each ground vector is converged to a
+    residual of resid_tol * max(1, |E|).
+
+    budget, when given, caps the whole run at the cost of one pass of that
+    many iterations. The reorthogonalization that dominates a pass grows as
+    the square of its length, so passes of k_1, k_2, ... iterations may
+    spend sum k_j**2 <= budget**2; NoConvergence is raised beyond that.
     """
     locked: list[np.ndarray] = []
+    left = None if budget is None else budget * budget
     e0 = None
-    gap = math.inf
+    cut = gap = math.inf
     for _ in range(max_degeneracy + 1):
         if len(locked) >= H.dim:
             break
+        max_iter = 600 if left is None else min(600, math.isqrt(left))
+        if max_iter < 1:
+            raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
+                                f"after {len(locked)} locked vectors")
         stack = np.vstack(locked) if locked else None
-        theta, vec = _lanczos_pass(H, stack)
+        theta, vec, steps = _lanczos_pass(H, stack, max_iter=max_iter,
+                                          resid_tol=resid_tol, gap_above=cut)
+        if left is not None:
+            left -= steps * steps
         if e0 is None:
             e0 = theta
-        elif theta > e0 + GROUND_TOL * max(1.0, abs(e0)):
+            cut = e0 + GROUND_TOL * max(1.0, abs(e0))
+        elif theta > cut:
             gap = theta - e0
             break
         locked.append(vec)
@@ -235,16 +339,15 @@ def lowest_sum(spec: ModelSpec, K: int, phi: float) -> float:
     return float(vals[:K].sum())
 
 
-def one_particle_levels(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
-    """All eigenvalues of h, ascending."""
-    return np.linalg.eigvalsh(build_one_particle(spec, phi=phi))
+def _densify(H: SparseHermitian) -> np.ndarray:
+    if H.dim > DENSE_LIMIT:
+        raise TooLargeForDense(f"dim {H.dim} exceeds dense limit {DENSE_LIMIT}")
+    return H.to_dense()
 
 
 def full_spectrum(H: SparseHermitian) -> np.ndarray:
     """All eigenvalues, ascending. Dense only."""
-    if H.dim > DENSE_LIMIT:
-        raise TooLargeForDense(f"dim {H.dim} exceeds dense limit {DENSE_LIMIT}")
-    return np.linalg.eigvalsh(H.to_dense())
+    return np.linalg.eigvalsh(_densify(H))
 
 
 def log_canonical_partition(H: SparseHermitian, beta: float) -> float:

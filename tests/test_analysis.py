@@ -278,6 +278,15 @@ def test_thermal_scan_large_beta_records_without_failing():
     assert 8.0 in r.measured["argmax"]
 
 
+def test_thermal_scan_odd_beyond_derivative_cap():
+    # P overflows at beta = 300; past the cap the log-P derivative is recorded
+    r = fr.thermal_scan(fr.make_spec(3, 3), betas=(2.0, 300.0), grid_size=36)
+    assert r.passed
+    assert list(r.measured["critical_point_derivative"]) == [2.0]
+    assert list(r.measured["critical_point_log_derivative"]) == [300.0]
+    assert math.isfinite(r.measured["critical_point_log_derivative"][300.0])
+
+
 def test_thermal_scan_even_argmax():
     r = fr.thermal_scan(fr.make_spec(4, 2, U=1.0), betas=(0.5, 1.0, 2.0), grid_size=36)
     assert r.passed

@@ -150,6 +150,28 @@ def test_usage_errors_exit_two(tmp_path, ring4):
     assert res.returncode == 2
 
 
+def test_verify_thermo_extreme_beta(ring4):
+    # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
+    res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["passed"] is True
+    assert payload["measured"]["argmax"] == {"300.0": 0.0}
+
+
+def test_unexpected_error_exits_two(ring4, monkeypatch, capsys):
+    from fluxring import analysis, cli
+
+    def broken(spec, grid_size):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(analysis, "verify_doubling", broken)
+    assert cli.run(["verify", "doubling", "--model", ring4]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "internal error: OverflowError" in err and "math range error" in err
+
+
 def test_verify_report_rerun_byte_identical(ring3, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("verify", "doubling", "--model", ring3, "--grid", "16", "--out", str(a))

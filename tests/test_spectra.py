@@ -5,9 +5,10 @@ import pytest
 from scipy import sparse
 
 import fluxring as fr
+from fluxring import spectra
 from fluxring.errors import NoConvergence, TooLargeForDense
 from fluxring.operators import SparseHermitian
-from fluxring.spectra import _lanczos_pass
+from fluxring.spectra import DENSE_LIMIT, LANCZOS_CROSSOVER, _lanczos_pass
 
 from oracles import uniform_slater_energy
 
@@ -116,6 +117,85 @@ def test_dense_vs_lanczos_agreement(seed):
     lanc = fr.ground(h, want_vectors=False, method="lanczos")
     assert abs(dense.energy - lanc.energy) < 1e-9
     assert dense.degeneracy == lanc.degeneracy
+
+
+def _same_ground(a, b):
+    assert abs(a.energy - b.energy) < 1e-10
+    assert a.degeneracy == b.degeneracy
+    assert a.spin_content == b.spin_content
+
+
+@pytest.mark.parametrize("L,N,two_sz", [(5, 4, 0), (7, 3, 1), (6, 5, 1), (6, 6, 0)])
+def test_auto_matches_dense_across_crossover(L, N, two_sz):
+    rng = np.random.default_rng(L * 10 + N)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0, 1, L), 2.0)
+    basis = fr.enumerate_sector(L, N, two_sz)
+    h = fr.build_hamiltonian(spec, basis)
+    s2 = fr.build_total_spin(basis)
+    auto = fr.ground(h, s2=s2)
+    _same_ground(auto, fr.ground(h, s2=s2, method="dense"))
+    assert auto.method == ("dense" if h.dim <= LANCZOS_CROSSOVER else "lanczos")
+    energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
+    assert abs(energy.energy - auto.energy) < 1e-10
+    assert energy.method == auto.method and energy.vectors is None
+
+
+def test_auto_degenerate_and_saturated_deflation():
+    # uniform free L=6, N=4 at flux 0: levels -2, -1, -1 per spin, so the
+    # Sz=0 ground level is 4-fold (dim 225, above the crossover)
+    basis = fr.enumerate_sector(6, 4, 0)
+    h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
+    s2 = fr.build_total_spin(basis)
+    assert h.dim > LANCZOS_CROSSOVER
+    dense = fr.ground(h, s2=s2, method="dense")
+    assert dense.degeneracy == 4
+
+    found = fr.ground(h, s2=s2)                    # deflation clears the level
+    _same_ground(found, dense)
+    assert found.method == "lanczos"
+
+    saturated = fr.ground(h, s2=s2, max_degeneracy=2)  # 3 vectors locked, gap unseen
+    _same_ground(saturated, dense)
+    assert saturated.method == "dense"
+    assert fr.ground(h, max_degeneracy=2, method="lanczos").degeneracy == 3
+
+
+def test_auto_falls_back_when_lanczos_fails_within_budget(monkeypatch):
+    # the U=1000 free sector of finite_coupling_overlap at L=7, N=6: the
+    # ground level converges, but the next one, 0.009 above it, does not
+    # within the budget (its gap is tiny against a spectral width ~3U)
+    spec = fr.with_flux(fr.make_spec(7, 6, U=1000.0), PI)
+    h = fr.build_hamiltonian(spec, fr.enumerate_sector(7, 6, 0))
+    passes = []
+
+    def recording_pass(H, locked, **kwargs):
+        try:
+            theta, vec, steps = _lanczos_pass(H, locked, **kwargs)
+        except NoConvergence:
+            passes.append(kwargs["max_iter"])
+            raise
+        passes.append(steps)
+        return theta, vec, steps
+
+    monkeypatch.setattr(spectra, "_lanczos_pass", recording_pass)
+    auto = fr.ground(h)
+    dense = fr.ground(h, method="dense")
+    assert auto.method == "dense"
+    assert (auto.energy, auto.degeneracy, auto.gap) == (dense.energy, dense.degeneracy,
+                                                        dense.gap)
+    # the second pass ran out of budget: the passes together cost no more
+    # than one pass of dim/3 iterations
+    assert len(passes) == 2
+    assert sum(k * k for k in passes) <= (h.dim // 3) ** 2
+
+
+def test_ground_method_argument_checked():
+    big = SparseHermitian(sparse.eye(DENSE_LIMIT + 1, dtype=complex, format="csr"))
+    with pytest.raises(TooLargeForDense):
+        fr.ground(big, method="dense")
+    with pytest.raises(ValueError):
+        fr.ground(_diag_op([1.0, 2.0]), method="arpack")
 
 
 def test_lanczos_deterministic():
