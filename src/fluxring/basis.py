@@ -1,20 +1,34 @@
-"""Occupation-number bases for (N, Sz) sectors and their hard-core block structure.
+"""Occupation-number bases for (N, Sz) sectors, their hopping table and
+their hard-core block structure.
 
 A configuration is an integer bitmask over 2L fermionic modes in site-major
 order, up before down: mode(x, sigma) = 2*x + sigma with x in 0..L-1 and
-sigma = 0 (up) / 1 (down). With this order a spin flip at a site touches
-adjacent modes and carries no fermionic sign, and hop signs reduce to a
-popcount over a contiguous mask.
+sigma = 0 (up) / 1 (down). A basis holds its configurations as an ascending
+uint64 array (`codes`) and finds one by binary search; the 64-bit codes
+limit rings to 2L <= 64, and longer rings raise RingTooLong.
+
+A hop c+_{m_to} c_{m_from} carries the sign (-1)**(occupied modes strictly
+between the two), the parity of a popcount over a contiguous mask; a spin
+flip at a site touches adjacent modes and carries no sign. The hopping
+table (`SectorBasis.hops`) holds every nearest-neighbour hop between the
+states of a basis, built once with array operations over all of them and
+shared by every operator on the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .errors import BasisMismatch, EmptySector
+import numpy as np
+
+from .errors import BasisMismatch, EmptySector, RingTooLong
 from .model import ModelSpec
+
+#: Largest ring whose 2L modes fit the uint64 configuration codes.
+MAX_SITES = 32
 
 
 def mode(site: int, sigma: int) -> int:
@@ -55,20 +69,32 @@ def spin_word(occ: int, L: int) -> str:
     return "".join(out)
 
 
+@dataclass(frozen=True)
+class HoppingTable:
+    """Every hop between the states of one basis, both directions: entry k is
+    <row| c+ c |col> = sign for the hop across bond (sites bond, bond + 1 mod
+    L), forward (direction +1, c+_{x+1} c_x) or backward (-1)."""
+
+    row: np.ndarray        # int32 target state index
+    col: np.ndarray        # int32 source state index
+    bond: np.ndarray       # int8
+    direction: np.ndarray  # int8
+    sign: np.ndarray       # int8
+
+
 @dataclass(eq=False)
 class SectorBasis:
-    """Canonically ordered list of configurations for fixed (N, 2Sz, hardcore)."""
+    """Canonically ordered configurations for fixed (N, 2Sz, hardcore)."""
 
     L: int
     N: int
     two_sz: int
     hardcore: bool
-    states: tuple[int, ...]
-    index: dict[int, int] = field(repr=False)
+    codes: np.ndarray = field(repr=False)  # ascending uint64
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.codes)
 
     @property
     def n_up(self) -> int:
@@ -78,6 +104,45 @@ class SectorBasis:
     def n_down(self) -> int:
         return (self.N - self.two_sz) // 2
 
+    @cached_property
+    def states(self) -> tuple[int, ...]:
+        return tuple(self.codes.tolist())
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """Index of each configuration code in this basis, -1 where absent."""
+        found = np.searchsorted(self.codes, codes)
+        found[found == self.dim] = 0
+        return np.where(self.codes[found] == codes, found, -1)
+
+    @cached_property
+    def hops(self) -> HoppingTable:
+        """The hopping table of the basis, built on first use."""
+        codes, parts = self.codes, []
+        for x in range(self.L):
+            for sigma in (0, 1):
+                a, b = mode(x, sigma), mode((x + 1) % self.L, sigma)
+                between = (1 << max(a, b)) - (1 << (min(a, b) + 1))
+                for direction, m_from, m_to in ((1, a, b), (-1, b, a)):
+                    src, moved = self.moved(m_to, m_from)
+                    dst = self.locate(moved)
+                    hit = dst >= 0
+                    odd = (np.bitwise_count(moved[hit] & between) & 1).astype(np.int8)
+                    n = len(odd)
+                    parts.append((dst[hit].astype(np.int32), src[hit].astype(np.int32),
+                                  np.full(n, x, np.int8), np.full(n, direction, np.int8),
+                                  1 - 2 * odd))
+        return HoppingTable(*(np.concatenate(p) for p in zip(*parts)))
+
+    def moved(self, m_to: int, m_from: int) -> tuple[np.ndarray, np.ndarray]:
+        """c+_{m_to} c_{m_from} on every state, sign aside: the indices of
+        the states it does not annihilate and the codes of their images."""
+        src = np.flatnonzero((self.codes >> m_from) & ~(self.codes >> m_to) & 1)
+        return src, self.codes[src] ^ ((1 << m_from) | (1 << m_to))
+
 
 def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> SectorBasis:
     """Enumerate all configurations of the (N, Sz) sector in canonical order.
@@ -85,6 +150,8 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
     Dimension is C(L, N_up) * C(L, N_down) for the free sector and
     C(L, N) * C(N, N_up) under the hard-core constraint.
     """
+    if L > MAX_SITES:
+        raise RingTooLong(f"L={L} exceeds {MAX_SITES} sites: 2L modes must fit 64-bit codes")
     if (N + two_sz) % 2 != 0 or abs(two_sz) > N:
         raise EmptySector(f"no states with N={N}, 2Sz={two_sz}")
     n_up = (N + two_sz) // 2
@@ -93,25 +160,18 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
         raise EmptySector(f"no states with N={N}, 2Sz={two_sz} on L={L}"
                           + (" (hard-core)" if hardcore else ""))
 
-    states = []
-    for ups in combinations(range(L), n_up):
-        up_mask = 0
-        for x in ups:
-            up_mask |= 1 << mode(x, 0)
-        up_sites = set(ups)
-        for dns in combinations(range(L), n_dn):
-            if hardcore and up_sites.intersection(dns):
-                continue
-            occ = up_mask
-            for x in dns:
-                occ |= 1 << mode(x, 1)
-            states.append(occ)
-    states.sort()
+    def masks(count: int, sigma: int) -> np.ndarray:
+        return np.array([sum(1 << mode(x, sigma) for x in sites)
+                         for sites in combinations(range(L), count)], dtype=np.uint64)
+
+    codes = (masks(n_up, 0)[:, None] | masks(n_dn, 1)[None, :]).ravel()
+    if hardcore:  # drop codes with both bits 2x and 2x+1 set
+        codes = codes[(codes & (codes >> 1) & 0x5555555555555555) == 0]
+    codes.sort()
 
     expected = comb(L, N) * comb(N, n_up) if hardcore else comb(L, n_up) * comb(L, n_dn)
-    assert len(states) == expected
-    return SectorBasis(L, N, two_sz, hardcore, tuple(states),
-                       {s: i for i, s in enumerate(states)})
+    assert len(codes) == expected
+    return SectorBasis(L, N, two_sz, hardcore, codes)
 
 
 def necklace_period(word) -> int:
@@ -127,10 +187,6 @@ def necklace_period(word) -> int:
         if n % p == 0 and w == w[p:] + w[:p]:
             return p
     return n
-
-
-def _cyclic_representative(word: str) -> str:
-    return min(word[k:] + word[:k] for k in range(len(word)))
 
 
 @dataclass(frozen=True)
@@ -150,77 +206,62 @@ class NecklaceBlock:
         return len(self.member_indices)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def hopping_moves(spec: ModelSpec, basis: SectorBasis):
-    """Yield (i, j, bond, direction, sign) for every hop connecting basis states.
+    """Yield (i, j, bond, direction, sign) for every hop from state i to state j,
+    read from the hopping table of the basis."""
+    t = basis.hops
+    yield from zip(t.col.tolist(), t.row.tolist(), t.bond.tolist(),
+                   t.direction.tolist(), t.sign.tolist())
 
-    direction +1 means c+_{x+1} c_x on bond x (forward around the ring);
-    -1 is the conjugate move. Both directions are generated so consumers
-    can build exactly Hermitian matrices.
-    """
-    L = basis.L
-    for i, occ in enumerate(basis.states):
-        for x in range(L):
-            y = (x + 1) % L
-            for sigma in (0, 1):
-                res = apply_hop(occ, mode(y, sigma), mode(x, sigma))
-                if res is not None:
-                    j = basis.index.get(res[0])
-                    if j is not None:
-                        yield i, j, x, +1, res[1]
-                res = apply_hop(occ, mode(x, sigma), mode(y, sigma))
-                if res is not None:
-                    j = basis.index.get(res[0])
-                    if j is not None:
-                        yield i, j, x, -1, res[1]
+
+def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
+    """Per state, the least rotation of its spin word (see spin_word) as an
+    N-bit integer, 'u' = 1, first letter most significant: integer order is
+    string order, so this is the cyclic-class representative."""
+    codes = basis.codes
+    word = np.zeros(basis.dim, dtype=np.uint64)
+    for x in range(basis.L):
+        up = (codes >> mode(x, 0)) & 1
+        occupied = up | ((codes >> mode(x, 1)) & 1)
+        word = np.where(occupied == 1, (word << 1) | up, word)
+    n, full = basis.N, (1 << basis.N) - 1
+    least = word
+    for k in range(1, n):
+        least = np.minimum(least, ((word << k) | (word >> (n - k))) & full)
+    return least
 
 
 def decompose_blocks(basis: SectorBasis, spec: ModelSpec) -> list[NecklaceBlock]:
     """Split a hard-core sector into connected components of the hopping graph.
 
-    Components are found by union-find over explicitly generated hopping
-    moves; the necklace period of each component's spin-word class is then
-    computed and cross-checked against every member. Membership depends
-    only on the sparsity pattern, so it is gauge invariant.
+    Components of the hopping table, ordered by their smallest member; the
+    spin-word cyclic class of every member is cross-checked to be the
+    component's, whose necklace period labels it. Membership depends only
+    on the sparsity pattern, so it is gauge invariant.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if not basis.hardcore:
         raise BasisMismatch("block decomposition is defined on hard-core sectors")
     if spec.L != basis.L or spec.N != basis.N:
         raise BasisMismatch(
             f"basis (L={basis.L}, N={basis.N}) does not match model (L={spec.L}, N={spec.N})"
         )
-    uf = _UnionFind(basis.dim)
-    for i, j, _bond, _direction, _sign in hopping_moves(spec, basis):
-        uf.union(i, j)
-
-    members: dict[int, list[int]] = {}
-    for i in range(basis.dim):
-        members.setdefault(uf.find(i), []).append(i)
+    t = basis.hops
+    graph = coo_matrix((np.ones(len(t.row), dtype=np.int8), (t.row, t.col)),
+                       shape=(basis.dim, basis.dim))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    classes = _cyclic_classes(basis)
 
     blocks = []
-    for root in sorted(members):
-        idx = members[root]
-        words = {spin_word(basis.states[i], basis.L) for i in idx}
-        reps = {_cyclic_representative(w) for w in words}
-        assert len(reps) == 1, "hopping connected distinct cyclic classes"
-        rep = reps.pop()
-        blocks.append(NecklaceBlock(necklace_period(rep), rep, tuple(idx)))
+    for root in np.sort(first):
+        idx = members[labels[root]]
+        assert np.all(classes[idx] == classes[root]), "hopping connected distinct cyclic classes"
+        word = int(classes[root])
+        rep = "".join("u" if (word >> k) & 1 else "d" for k in reversed(range(basis.N)))
+        blocks.append(NecklaceBlock(necklace_period(rep), rep, tuple(idx.tolist())))
     assert sum(b.dimension for b in blocks) == basis.dim
     return blocks

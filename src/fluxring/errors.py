@@ -65,6 +65,14 @@ class TooLargeForDense(FluxRingError):
     """Dense spectrum requested above the dense size limit."""
 
 
+class MultipletCut(FluxRingError):
+    """Saturated deflation: the locked ground vectors may cut a spin multiplet."""
+
+
+class RingTooLong(FluxRingError):
+    """Ring longer than the 64-bit configuration codes allow (2L > 64)."""
+
+
 class HypothesisViolated(FluxRingError):
     """A verifier was handed a model outside the hypotheses of its claim."""
 

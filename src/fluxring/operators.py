@@ -1,9 +1,10 @@
 """Sparse Hermitian operators on sector bases.
 
-Everything here is built symmetrically: for each generated hop the
-conjugate move is generated too, so matrices are exactly Hermitian (zero
-defect, not merely small). Fermionic signs follow the canonical mode order
-of :mod:`fluxring.basis`.
+Hopping operators are views of the basis hopping table
+(:attr:`fluxring.basis.SectorBasis.hops`), which holds the conjugate of
+every move, so matrices are exactly Hermitian (zero defect, not merely
+small). Fermionic signs follow the canonical mode order of
+:mod:`fluxring.basis`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .basis import SectorBasis, apply_hop, hopping_moves, mode
+from .basis import SectorBasis, mode
 from .errors import (
     BasisMismatch,
     FluxObstruction,
@@ -66,6 +67,20 @@ def _check_basis(spec: ModelSpec, basis: SectorBasis) -> None:
         )
 
 
+def _diagonal(spec: ModelSpec, basis: SectorBasis) -> np.ndarray:
+    """sum_x V_x n_x + U_x n_x,up n_x,dn per state, accumulated site by site."""
+    u = None if spec.hardcore else spec.u_values()
+    codes = basis.codes
+    d = np.zeros(basis.dim)
+    for x in range(spec.L):
+        n_up = ((codes >> mode(x, 0)) & 1).astype(float)
+        n_dn = ((codes >> mode(x, 1)) & 1).astype(float)
+        d += spec.V[x] * (n_up + n_dn)
+        if u is not None:
+            d += u[x] * n_up * n_dn
+    return d
+
+
 def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
     """Many-body Hamiltonian sum_x t_x c+c + h.c. + sum V n + sum U n_up n_dn.
 
@@ -74,28 +89,14 @@ def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
     P H P on the no-double-occupancy subspace.
     """
     _check_basis(spec, basis)
-    t = spec.amplitudes()
-    rows, cols, vals = [], [], []
-    for i, j, bond, direction, sign in hopping_moves(spec, basis):
-        amp = t[bond] if direction > 0 else np.conj(t[bond])
-        rows.append(j)
-        cols.append(i)
-        vals.append(sign * amp)
-
-    u = None if spec.hardcore else spec.u_values()
-    for i, occ in enumerate(basis.states):
-        d = 0.0
-        for x in range(spec.L):
-            n_up = (occ >> mode(x, 0)) & 1
-            n_dn = (occ >> mode(x, 1)) & 1
-            d += spec.V[x] * (n_up + n_dn)
-            if u is not None:
-                d += u[x] * n_up * n_dn
-        if d != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(d)
-    return _from_coo(basis.dim, rows, cols, vals)
+    hops = basis.hops
+    t = spec.amplitudes()[hops.bond]
+    amp = np.where(hops.direction > 0, t, np.conj(t))
+    diag = _diagonal(spec, basis)
+    on = np.flatnonzero(diag)
+    return _from_coo(basis.dim, np.concatenate([hops.row, on]),
+                     np.concatenate([hops.col, on]),
+                     np.concatenate([hops.sign * amp, diag[on]]))
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class FluxFamily:
 
     def dense(self, phi: float) -> np.ndarray:
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(h, (self.rows, self.cols), self.values(phi))
+        h[self.rows, self.cols] = self.values(phi)  # no (row, col) repeats
         h[np.arange(self.dim), np.arange(self.dim)] += self.diag
         return h
 
@@ -130,37 +131,25 @@ class FluxFamily:
         vals = np.concatenate([self.values(phi), self.diag.astype(complex)])
         return _from_coo(self.dim, rows, cols, vals)
 
+    def restrict(self, indices) -> FluxFamily:
+        """The family on a span of ascending state indices closed under
+        hopping (a hard-core block); terms leaving the span are dropped."""
+        idx = np.asarray(indices)
+        pos = np.full(self.dim, -1, dtype=np.int32)
+        pos[idx] = np.arange(len(idx), dtype=np.int32)
+        keep = (pos[self.rows] >= 0) & (pos[self.cols] >= 0)
+        return FluxFamily(len(idx), pos[self.rows[keep]], pos[self.cols[keep]],
+                          self.base[keep], self.winding[keep], self.diag[idx])
+
 
 def flux_family(spec: ModelSpec, basis: SectorBasis) -> FluxFamily:
     """Build the canonical-gauge flux family for a sector (phases discarded)."""
     _check_basis(spec, basis)
-    last = spec.L - 1
-    rows, cols, base, winding = [], [], [], []
-    for i, j, bond, direction, sign in hopping_moves(spec, basis):
-        rows.append(j)
-        cols.append(i)
-        base.append(sign * spec.hop_mag[bond])
-        winding.append(direction if bond == last else 0)
-
-    u = None if spec.hardcore else spec.u_values()
-    diag = np.zeros(basis.dim)
-    for i, occ in enumerate(basis.states):
-        d = 0.0
-        for x in range(spec.L):
-            n_up = (occ >> mode(x, 0)) & 1
-            n_dn = (occ >> mode(x, 1)) & 1
-            d += spec.V[x] * (n_up + n_dn)
-            if u is not None:
-                d += u[x] * n_up * n_dn
-        diag[i] = d
-    return FluxFamily(
-        basis.dim,
-        np.asarray(rows, dtype=np.int32),
-        np.asarray(cols, dtype=np.int32),
-        np.asarray(base, dtype=float),
-        np.asarray(winding, dtype=np.int8),
-        diag,
-    )
+    hops = basis.hops
+    winding = np.where(hops.bond == spec.L - 1, hops.direction, 0).astype(np.int8)
+    return FluxFamily(basis.dim, hops.row, hops.col,
+                      hops.sign * np.asarray(spec.hop_mag, dtype=float)[hops.bond],
+                      winding, _diagonal(spec, basis))
 
 
 def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
@@ -186,49 +175,37 @@ def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
 def build_total_spin(basis: SectorBasis) -> SparseHermitian:
     """Total-spin operator S^2 = Sz^2 + Sz + S- S+ with S+ = sum_x c+_{x,up} c_{x,dn}.
 
-    Commutes with every ring Hamiltonian on the same sector (spin-rotation
-    invariance survives the hard-core projection).
+    S- S+ = (S+)^dagger S+ is assembled from the one-site raising map into
+    the two_sz + 2 sector. Commutes with every ring Hamiltonian on the same
+    sector (spin-rotation invariance survives the hard-core projection).
     """
-    L = basis.L
-    rows, cols, vals = [], [], []
+    dim = basis.dim
     sz = 0.5 * basis.two_sz
-    for i, occ in enumerate(basis.states):
-        rows.append(i)
-        cols.append(i)
-        vals.append(sz * sz + sz)
-        for x in range(L):
-            raised = apply_hop(occ, mode(x, 0), mode(x, 1))  # S+ term at x
-            if raised is None:
-                continue
-            occ1, s1 = raised
-            for y in range(L):
-                lowered = apply_hop(occ1, mode(y, 1), mode(y, 0))  # S- term at y
-                if lowered is None:
-                    continue
-                occ2, s2 = lowered
-                j = basis.index.get(occ2)
-                if j is not None:
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(float(s1 * s2))
-    return _from_coo(basis.dim, rows, cols, vals)
+    src, images = zip(*(basis.moved(mode(x, 0), mode(x, 1)) for x in range(basis.L)))
+    targets, target = np.unique(np.concatenate(images), return_inverse=True)
+    raise_op = sparse.csr_matrix(
+        (np.ones(len(target)), (target, np.concatenate(src))), shape=(len(targets), dim))
+    lower_raise = (raise_op.T @ raise_op).tocoo()
+    diag = np.arange(dim)
+    return _from_coo(dim, np.concatenate([diag, lower_raise.row]),
+                     np.concatenate([diag, lower_raise.col]),
+                     np.concatenate([np.full(dim, sz * sz + sz), lower_raise.data]))
 
 
 def apply_lowering(vec: np.ndarray, src: SectorBasis, dst: SectorBasis) -> np.ndarray:
-    """Apply S- = sum_x c+_{x,dn} c_{x,up}, mapping two_sz -> two_sz - 2."""
+    """Apply S- = sum_x c+_{x,dn} c_{x,up}, mapping two_sz -> two_sz - 2.
+
+    S- is the adjoint of the raising map of dst. Terms are added into each
+    target in order of increasing source index, i.e. of decreasing site.
+    """
     if dst.two_sz != src.two_sz - 2 or dst.L != src.L or dst.N != src.N:
         raise BasisMismatch("destination basis is not the two_sz - 2 sector")
     out = np.zeros(dst.dim, dtype=complex)
-    for i, occ in enumerate(src.states):
-        a = vec[i]
-        if a == 0:
-            continue
-        for x in range(src.L):
-            res = apply_hop(occ, mode(x, 1), mode(x, 0))
-            if res is not None:
-                j = dst.index.get(res[0])
-                if j is not None:
-                    out[j] += a * res[1]
+    for x in reversed(range(dst.L)):
+        rows, images = dst.moved(mode(x, 0), mode(x, 1))  # S+ at x
+        found = src.locate(images)
+        hit = found >= 0
+        out[rows[hit]] += vec[found[hit]]
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySector, NoConvergence, TooLargeForDense
+from .errors import EmptySector, MultipletCut, NoConvergence, TooLargeForDense
 from .model import ModelSpec, fold_angle
 from .operators import SparseHermitian, build_one_particle
 
@@ -137,7 +137,9 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     alone and then reports degeneracy 1.
 
     When s2 is given (and vectors are computed), the spin content of the
-    ground eigenspace is obtained by diagonalizing the projected S^2.
+    ground eigenspace is obtained by diagonalizing the projected S^2. A
+    Lanczos answer whose deflation saturated, with no dense fallback taken,
+    raises MultipletCut instead: its vectors may span part of a multiplet.
     """
     dim = H.dim
     if dim < 1:
@@ -166,6 +168,11 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
             deg = vectors.shape[1]
             if fallback and 0 < max_degeneracy < deg:
                 method = "dense"
+            elif s2 is not None and max_degeneracy < deg < dim:
+                raise MultipletCut(
+                    f"Lanczos locked {deg} ground vectors (max_degeneracy="
+                    f"{max_degeneracy}) without clearing the ground level: the "
+                    "multiplet may be cut, so its spin content is undefined")
             elif not want_vectors:
                 vectors = None
     if method == "dense":

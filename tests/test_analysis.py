@@ -266,6 +266,28 @@ def test_verify_block_lemma_small_and_l7():
     assert sorted(b["period"] for b in r.measured["blocks"]) == [2, 6, 6, 6]
 
 
+def test_verify_block_lemma_shift_off_the_grid(monkeypatch):
+    # 64 grid steps: the period-2 shift is 32 steps, read from the curve;
+    # the period-6 shift is not a whole number of steps and is solved
+    phis = []
+    dense = fr.operators.FluxFamily.dense
+
+    def recording_dense(family, phi):
+        phis.append(phi)
+        return dense(family, phi)
+
+    monkeypatch.setattr(fr.operators.FluxFamily, "dense", recording_dense)
+    grid = 64
+    spec = fr.make_spec(7, 6, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9, 1.2), None, None, fr.INFINITY)
+    r = fr.verify_block_lemma(spec, grid_size=grid)
+    assert r.passed
+    assert sorted(b["period"] for b in r.measured["blocks"]) == [2, 6, 6, 6]
+    assert r.measured["period_residual"] < 1e-12
+    off_grid = [p for p in phis if abs(p * grid / (2 * PI) - round(p * grid / (2 * PI))) > 1e-6]
+    assert len(off_grid) == 3 * grid  # one solve per grid point for each period-6 block
+    assert len(phis) == 4 * grid + 3 * grid
+
+
 def test_thermal_scan_odd_critical_points():
     r = fr.thermal_scan(fr.make_spec(3, 3), betas=(0.5, 1.0, 2.0), grid_size=36)
     assert r.passed

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fluxring as fr
 from fluxring.basis import apply_hop, hopping_moves, mode, spin_word
-from fluxring.errors import EmptySector
+from fluxring.errors import EmptySector, RingTooLong
 
 
 def test_sector_dimensions():
@@ -159,3 +159,63 @@ def test_block_membership_gauge_invariant():
                          fr.INFINITY)
     b = fr.decompose_blocks(basis, moved)
     assert [x.member_indices for x in a] == [x.member_indices for x in b]
+
+
+def test_ring_beyond_64_modes_rejected():
+    with pytest.raises(RingTooLong):
+        fr.enumerate_sector(33, 1, 1)
+    assert fr.enumerate_sector(32, 1, 1).dim == 32
+
+
+def _walk_moves(basis):
+    """Every hop between basis states, found state by state with apply_hop."""
+    moves = set()
+    for i, occ in enumerate(basis.states):
+        for x in range(basis.L):
+            y = (x + 1) % basis.L
+            for sigma in (0, 1):
+                for direction, m_to, m_from in ((1, mode(y, sigma), mode(x, sigma)),
+                                                (-1, mode(x, sigma), mode(y, sigma))):
+                    res = apply_hop(occ, m_to, m_from)
+                    if res is not None and res[0] in basis.index:
+                        moves.add((i, basis.index[res[0]], x, direction, res[1]))
+    return moves
+
+
+@st.composite
+def hardcore_sectors(draw):
+    L = draw(st.integers(3, 7))
+    N = draw(st.integers(1, L))
+    two_sz = draw(st.sampled_from(range(-N, N + 1, 2)))
+    return L, N, two_sz
+
+
+@given(hardcore_sectors())
+@settings(max_examples=40, deadline=None)
+def test_table_and_blocks_match_state_walk(sector):
+    L, N, two_sz = sector
+    spec = fr.make_spec(L, N, U=fr.INFINITY)
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
+    walk = _walk_moves(basis)
+    moves = list(hopping_moves(spec, basis))
+    assert len(moves) == len(walk) and set(moves) == walk
+
+    parent = list(range(basis.dim))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j, *_ in walk:
+        parent[find(i)] = find(j)
+    components = {}
+    for i in range(basis.dim):
+        components.setdefault(find(i), []).append(i)
+    want = sorted(tuple(c) for c in components.values())
+    blocks = fr.decompose_blocks(basis, spec)
+    assert [b.member_indices for b in blocks] == want  # ordered by smallest member
+    for b in blocks:
+        w = spin_word(basis.states[b.member_indices[0]], L)
+        assert b.representative == min(w[k:] + w[:k] for k in range(len(w)))

@@ -198,3 +198,21 @@ def test_verify_spiral_and_thermo_claims(tmp_path):
     assert res.returncode == 0
     res = run_cli("verify", "relation", "--model", str(hc))
     assert res.returncode == 0
+
+
+def test_spectrum_cut_multiplet_exits_two(tmp_path):
+    # hard-core L = N = 6 has no allowed hop: all 20 Sz=0 states are ground
+    # states, more than the 9 vectors the Lanczos deflation locks
+    path = tmp_path / "full.json"
+    fr.save_model(fr.make_spec(6, 6, U=fr.INFINITY), path)
+    res = run_cli("spectrum", "--model", str(path), "--nup", "3", "--ndown", "3", "--lanczos")
+    assert res.returncode == 2
+    assert "multiplet may be cut" in res.stderr
+
+
+def test_ring_beyond_64_modes_exits_two(tmp_path):
+    path = tmp_path / "ring33.json"
+    fr.save_model(fr.make_spec(33, 1), path)
+    res = run_cli("spectrum", "--model", str(path), "--nup", "1", "--ndown", "0")
+    assert res.returncode == 2
+    assert "64-bit" in res.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import fluxring as fr
@@ -11,6 +13,7 @@ from fluxring.errors import (
     InteractionPresent,
     PotentialPresent,
 )
+from fluxring.basis import mode
 from fluxring.operators import SparseHermitian, conjugation_residual, dump_coo
 
 from oracles import DenseOracle, fourier_levels, filled_sum
@@ -280,3 +283,58 @@ def test_dump_coo_deterministic_and_one_indexed():
     assert int(first[0]) >= 1 and int(first[1]) >= 1
     rows = [tuple(map(int, line.split()[:2])) for line in a.splitlines()]
     assert rows == sorted(rows)
+
+
+def _oracle_frame(basis, oracle):
+    """Position of each basis state in the oracle basis, and the sign that
+    reorders its site-major modes into the oracle's spin-major order."""
+    L = basis.L
+    index = {s: i for i, s in enumerate(oracle.basis(basis.n_up, basis.n_down))}
+    pos, sign = [], []
+    for occ in basis.states:
+        ups = [x for x in range(L) if (occ >> mode(x, 0)) & 1]
+        dns = [x for x in range(L) if (occ >> mode(x, 1)) & 1]
+        pos.append(index[tuple(sorted(ups + [L + x for x in dns]))])
+        crossings = sum(1 for x in ups for y in dns if y < x)
+        sign.append(-1.0 if crossings % 2 else 1.0)
+    return np.asarray(pos), np.asarray(sign)
+
+
+@st.composite
+def sectors(draw):
+    L = draw(st.integers(3, 7))
+    hardcore = draw(st.booleans())
+    N = draw(st.integers(0, L if hardcore else 2 * L))
+    two_sz = draw(st.sampled_from([s for s in range(-N, N + 1, 2)
+                                   if abs(s) <= 2 * L - N or hardcore]))
+    return L, N, two_sz, hardcore, draw(st.integers(0, 2**32 - 1))
+
+
+@given(sectors(), st.floats(0.0, 2 * PI, exclude_max=True))
+@settings(max_examples=30, deadline=None)
+def test_operators_match_oracle_entry_by_entry(sector, phi):
+    L, N, two_sz, hardcore, seed = sector
+    rng = np.random.default_rng(seed)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L),
+                        fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore)
+    U = None if hardcore else spec.U
+    oracle = DenseOracle(L, spec.amplitudes(), spec.V, U, hardcore=hardcore)
+    pos, sign = _oracle_frame(basis, oracle)
+    frame = np.outer(sign, sign)
+
+    def in_frame(m):
+        return frame * m[np.ix_(pos, pos)]
+
+    h = in_frame(oracle.hamiltonian(basis.n_up, basis.n_down))
+    assert np.abs(fr.build_hamiltonian(spec, basis).to_dense() - h).max() < 1e-12
+
+    amps = np.asarray(spec.hop_mag, dtype=complex)  # canonical gauge at flux phi
+    amps[-1] *= np.exp(1j * phi)
+    h_phi = in_frame(DenseOracle(L, amps, spec.V, U, hardcore=hardcore)
+                     .hamiltonian(basis.n_up, basis.n_down))
+    assert np.abs(fr.flux_family(spec, basis).dense(phi) - h_phi).max() < 1e-12
+
+    s2 = in_frame(oracle.total_spin(basis.n_up, basis.n_down))
+    assert np.abs(fr.build_total_spin(basis).to_dense() - s2).max() < 1e-12

@@ -6,7 +6,7 @@ from scipy import sparse
 
 import fluxring as fr
 from fluxring import spectra
-from fluxring.errors import NoConvergence, TooLargeForDense
+from fluxring.errors import MultipletCut, NoConvergence, TooLargeForDense
 from fluxring.operators import SparseHermitian
 from fluxring.spectra import DENSE_LIMIT, LANCZOS_CROSSOVER, _lanczos_pass
 
@@ -247,3 +247,12 @@ def test_reflection_symmetry_of_energy_curve():
         b = fr.ground(fr.build_hamiltonian(fr.with_flux(spec, 2 * PI - phi), basis),
                       want_vectors=False).energy
         assert abs(a - b) < 1e-10
+
+
+def test_lanczos_saturated_deflation_with_s2_raises_typed_error():
+    # the 4-fold ground level of uniform L=6, N=4 at flux 0: three locked
+    # vectors span part of it, so projecting S^2 onto them is meaningless
+    basis = fr.enumerate_sector(6, 4, 0)
+    h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
+    with pytest.raises(MultipletCut):
+        fr.ground(h, method="lanczos", s2=fr.build_total_spin(basis), max_degeneracy=2)
