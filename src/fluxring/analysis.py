@@ -10,7 +10,6 @@ report is self-describing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -36,7 +35,7 @@ from .spectra import (
     FluxCurve,
     GroundInfo,
     ground,
-    log_canonical_partition,
+    log_partition_sweep,
     lowest_sum,
 )
 
@@ -109,26 +108,34 @@ def even_optimal_flux(L: int, N: int) -> float:
     return fold_angle((half + 1) * math.pi if L % 2 == 0 else half * math.pi)
 
 
+def flux_grid(grid_size: int) -> np.ndarray:
+    """The uniform grid of grid_size angles on [0, 2*pi); at least 8."""
+    if grid_size < 8:
+        raise ValueError(f"grid size must be at least 8, got {grid_size}")
+    return np.arange(grid_size) * (TWO_PI / grid_size)
+
+
 def _energy_at(family: FluxFamily, phi: float, method: str) -> float:
     info = ground(family.hamiltonian(fold_angle(phi)), want_vectors=False,
                   max_degeneracy=0, method=method)
     return info.energy
 
 
+def _shifted(values: np.ndarray, grid: np.ndarray, p: int, energy_at) -> np.ndarray:
+    """E(phi_i + 2*pi/p) at every grid angle: the curve G/p steps on when p
+    divides G (separate solves of other matrices), else energy_at there."""
+    if len(grid) % p == 0:
+        return np.roll(values, -(len(grid) // p))
+    return np.array([energy_at(phi + TWO_PI / p) for phi in grid])
+
+
 def scan_flux(spec: ModelSpec, two_sz: int | None = None, grid_size: int = 720,
-              method: str = "auto", jobs: int = 1, label: str = "") -> FluxCurve:
+              method: str = "auto") -> FluxCurve:
     """Ground energy over a uniform flux grid on [0, 2*pi)."""
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    basis = sector_basis_for(spec, two_sz)
-    family = flux_family(spec, basis)
-    grid = np.arange(grid_size) * (TWO_PI / grid_size)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda p: _energy_at(family, p, method), grid))
-    else:
-        values = [_energy_at(family, p, method) for p in grid]
-    return FluxCurve(grid, np.asarray(values), label or f"E_{spec.N}")
+    grid = flux_grid(grid_size)
+    family = flux_family(spec, sector_basis_for(spec, two_sz))
+    values = [_energy_at(family, p, method) for p in grid]
+    return FluxCurve(grid, np.asarray(values), f"E_{spec.N}")
 
 
 def _golden_minimize(f, a: float, b: float, xtol: float) -> tuple[float, float]:
@@ -151,17 +158,16 @@ def _golden_minimize(f, a: float, b: float, xtol: float) -> tuple[float, float]:
 
 
 def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
-                  method: str = "auto", xtol: float = REFINE_XTOL,
-                  value_tol: float = VALUE_TOL) -> list[float]:
-    """All global minimizers of the scanned energy, refined to xtol in angle.
+                  method: str = "auto") -> list[float]:
+    """All global minimizers of the scanned energy, refined to REFINE_XTOL in angle.
 
     Each grid-local minimum is polished by golden-section search on its
-    bracket; refined minima within value_tol of the global minimum are
+    bracket; refined minima within VALUE_TOL of the global minimum are
     returned (folded, deduplicated). A flat curve returns every grid angle.
     """
     values = curve.values
     n = len(values)
-    if float(values.max() - values.min()) <= value_tol:
+    if float(values.max() - values.min()) <= VALUE_TOL:
         return [float(g) for g in curve.grid]
 
     basis = sector_basis_for(spec, two_sz)
@@ -175,14 +181,14 @@ def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
         if values[i] <= left and values[i] <= right:
             a = curve.grid[i] - spacing
             b = curve.grid[i] + spacing
-            candidates.append(_golden_minimize(f, a, b, xtol))
+            candidates.append(_golden_minimize(f, a, b, REFINE_XTOL))
 
     best = min(v for _, v in candidates)
-    keep = sorted((fold_angle(x), v) for x, v in candidates if v <= best + value_tol)
+    keep = sorted((fold_angle(x), v) for x, v in candidates if v <= best + VALUE_TOL)
     out: list[tuple[float, float]] = []
     for x, v in keep:
         for k, (xo, vo) in enumerate(out):
-            if angle_dist(x, xo) <= 10 * xtol:
+            if angle_dist(x, xo) <= 10 * REFINE_XTOL:
                 if v < vo:
                     out[k] = (x, v)
                 break
@@ -209,31 +215,23 @@ def detect_period(curve: FluxCurve, tol: float = 1e-9) -> float:
     return best
 
 
-def shift_residual(family: FluxFamily, grid: np.ndarray, period: float,
-                   method: str = "auto") -> float:
-    """max over the grid of |E(phi + period) - E(phi)| by direct evaluation."""
-    resid = 0.0
-    for phi in grid:
-        resid = max(resid, abs(_energy_at(family, phi + period, method)
-                               - _energy_at(family, phi, method)))
-    return resid
-
-
 # ---------------------------------------------------------------------------
 # Theorem verifiers
 # ---------------------------------------------------------------------------
 
-def verify_even(spec: ModelSpec, grid_size: int = 240, method: str = "auto") -> VerificationReport:
+def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     """Even particle number: the optimal flux sits where the theory puts it.
 
     Finite coupling: the refined argmin equals (N/2+1)*pi (even ring) or
     N*pi/2 (odd ring). Hard-core: the argmin set is {2*pi*n/N} and the
-    curve has period 2*pi/N.
+    curve has period 2*pi/N, checked at every grid angle.
     """
     if spec.N % 2 or spec.N > spec.L:
         raise HypothesisViolated("requires even N <= L")
-    curve = scan_flux(spec, two_sz=0, grid_size=grid_size, method=method)
-    minima = refine_argmin(curve, spec, two_sz=0, method=method)
+    if spec.hardcore and spec.N == spec.L:
+        raise HypothesisViolated("requires N < L on hard-core rings: a filled ring cannot hop")
+    curve = scan_flux(spec, two_sz=0, grid_size=grid_size)
+    minima = refine_argmin(curve, spec, two_sz=0)
 
     if not spec.hardcore:
         expected = [even_optimal_flux(spec.L, spec.N)]
@@ -252,11 +250,11 @@ def verify_even(spec: ModelSpec, grid_size: int = 240, method: str = "auto") -> 
     ok = deviation <= ANGLE_MATCH_TOL
 
     if spec.hardcore:
-        basis = sector_basis_for(spec, 0)
-        family = flux_family(spec, basis)
-        period = TWO_PI / spec.N
-        resid = shift_residual(family, curve.grid[:: max(1, grid_size // 32)], period, method)
-        measured["period"] = period
+        family = flux_family(spec, sector_basis_for(spec, 0))
+        shifted = _shifted(curve.values, curve.grid, spec.N,
+                           lambda phi: _energy_at(family, phi, "auto"))
+        resid = float(np.abs(shifted - curve.values).max())
+        measured["period"] = TWO_PI / spec.N
         measured["period_residual"] = resid
         measured["argmin_coverage"] = covered
         tolerance["period_residual"] = 1e-10
@@ -267,8 +265,7 @@ def verify_even(spec: ModelSpec, grid_size: int = 240, method: str = "auto") -> 
         instance=describe(spec), measured=measured, tolerance=tolerance, passed=ok)
 
 
-def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto",
-               identity_points: int = 8) -> VerificationReport:
+def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> VerificationReport:
     """Odd half filling, free case: period pi, minima at pi/2 and 3*pi/2,
     and the reduction of the ground energy to one-particle level sums.
 
@@ -284,7 +281,8 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto",
 
     grid_size += grid_size % 2  # need the half-turn shift on the grid
     curve = scan_flux(spec, two_sz=1, grid_size=grid_size, method=method)
-    period_resid = float(np.abs(curve.values - np.roll(curve.values, -grid_size // 2)).max())
+    half_turn = _shifted(curve.values, curve.grid, 2, None)  # grid_size is even
+    period_resid = float(np.abs(curve.values - half_turn).max())
     minima = refine_argmin(curve, spec, two_sz=1, method=method)
     expected = [0.5 * math.pi, 1.5 * math.pi]
     deviation = max(min(angle_dist(x, e) for e in expected) for x in minima)
@@ -292,7 +290,7 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto",
 
     n = spec.N // 2
     chain_resid = 0.0
-    for k in range(0, grid_size, max(1, grid_size // identity_points)):
+    for k in range(0, grid_size, max(1, grid_size // 8)):
         phi, e_many = float(curve.grid[k]), float(curve.values[k])
         split = lowest_sum(spec, n, phi) + lowest_sum(spec, n + 1, phi)
         halfshift = lowest_sum(spec, n, phi) + lowest_sum(spec, n, phi + math.pi)
@@ -318,11 +316,12 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto",
 def verify_doubling(spec: ModelSpec, grid_size: int = 64) -> VerificationReport:
     """Sum of n lowest levels at phi and phi+pi equals the sum of 2n lowest
     levels of the periodically doubled ring at 2*phi, pointwise on a grid."""
-    doubled = extend_ring(spec, factor=2)
+    grid = flux_grid(grid_size)
+    doubled = extend_ring(spec)
     n = spec.N // 2 if spec.N >= 2 else 1
     n = min(max(n, 1), spec.L)
     resid = 0.0
-    for phi in np.arange(grid_size) * (TWO_PI / grid_size):
+    for phi in grid:
         lhs = lowest_sum(spec, n, phi) + lowest_sum(spec, n, phi + math.pi)
         rhs = lowest_sum(doubled, 2 * n, 2.0 * phi)
         resid = max(resid, abs(lhs - rhs))
@@ -331,7 +330,7 @@ def verify_doubling(spec: ModelSpec, grid_size: int = 64) -> VerificationReport:
                               {"max_residual": 1e-10}, resid < 1e-10)
 
 
-def ground_manifold_spins(spec: ModelSpec, method: str = "auto") -> dict[int, GroundInfo]:
+def ground_manifold_spins(spec: ModelSpec) -> dict[int, GroundInfo]:
     """Ground data per two_sz >= minimal sector (negative sectors mirror by
     the up-down exchange symmetry of the Hamiltonian)."""
     out = {}
@@ -339,11 +338,11 @@ def ground_manifold_spins(spec: ModelSpec, method: str = "auto") -> dict[int, Gr
         basis = enumerate_sector(spec.L, spec.N, two_sz, spec.hardcore)
         h = build_hamiltonian(spec, basis)
         s2 = build_total_spin(basis)
-        out[two_sz] = ground(h, method=method, s2=s2)
+        out[two_sz] = ground(h, s2=s2)
     return out
 
 
-def verify_singlet(spec: ModelSpec, method: str = "auto") -> VerificationReport:
+def verify_singlet(spec: ModelSpec) -> VerificationReport:
     """Uniqueness and spin of the ground state at the model's own flux.
 
     Sweeps every Sz sector: passes when the global ground state is a single
@@ -351,7 +350,7 @@ def verify_singlet(spec: ModelSpec, method: str = "auto") -> VerificationReport:
     in the minimal sector, the expected spin there, and every sector with
     |2Sz| > 2S strictly above the ground energy.
     """
-    sectors = ground_manifold_spins(spec, method=method)
+    sectors = ground_manifold_spins(spec)
     two_sz_min = minimal_two_sz(spec.N)
     expected_spin = 0.0 if spec.N % 2 == 0 else 0.5
     base = sectors[two_sz_min]
@@ -385,7 +384,7 @@ def _flux_roles(L: int) -> tuple[float, float]:
     return (0.0, math.pi) if L % 2 == 0 else (math.pi, 0.0)
 
 
-def verify_relation(spec: ModelSpec, method: str = "auto") -> VerificationReport:
+def verify_relation(spec: ModelSpec) -> VerificationReport:
     """Hard-core even N < L: absence of a maximal-spin ground state at the
     zero-role flux is equivalent to a strict drop of the N-level sum at the
     pi-role flux, and that absence in fact always holds; the hard-core
@@ -402,8 +401,8 @@ def verify_relation(spec: ModelSpec, method: str = "auto") -> VerificationReport
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
     s2 = build_total_spin(basis)
-    g0 = ground(build_hamiltonian(with_flux(spec, phi0), basis), method=method, s2=s2)
-    g1 = ground(build_hamiltonian(with_flux(spec, phi1), basis), method=method, s2=s2)
+    g0 = ground(build_hamiltonian(with_flux(spec, phi0), basis), s2=s2)
+    g1 = ground(build_hamiltonian(with_flux(spec, phi1), basis), s2=s2)
 
     s_max = spec.N / 2.0
     has_ferro_0 = s_max in g0.spins()
@@ -441,7 +440,7 @@ def _sign_fixed_spec(spec: ModelSpec) -> ModelSpec:
     return validate(ModelSpec(spec.L, spec.N, spec.hop_mag, phases, spec.V, spec.U))
 
 
-def ferromagnetic_state(spec: ModelSpec, method: str = "auto") -> np.ndarray:
+def ferromagnetic_state(spec: ModelSpec) -> np.ndarray:
     """Sz = 0 member of the maximal-spin ground multiplet at the pi-role flux.
 
     Built as the ground vector of the fully polarized (spinless) sector in
@@ -452,7 +451,7 @@ def ferromagnetic_state(spec: ModelSpec, method: str = "auto") -> np.ndarray:
         raise HypothesisViolated("requires the hard-core interaction")
     spec_ferro = _sign_fixed_spec(spec)
     basis_pol = enumerate_sector(spec.L, spec.N, spec.N, hardcore=True)
-    info = ground(build_hamiltonian(spec_ferro, basis_pol), method=method)
+    info = ground(build_hamiltonian(spec_ferro, basis_pol))
     assert info.degeneracy == 1  # Perron-Frobenius in the sign-fixed gauge
     vec = info.vectors[:, 0]
     src = basis_pol
@@ -464,7 +463,7 @@ def ferromagnetic_state(spec: ModelSpec, method: str = "auto") -> np.ndarray:
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
 
 
-def spiral_state(spec: ModelSpec, method: str = "auto"):
+def spiral_state(spec: ModelSpec):
     """Gauge the ferromagnetic hard-core ground state into a singlet.
 
     For N = 4n+2, the maximal-spin ground state at the pi-role flux (built
@@ -499,7 +498,7 @@ def spiral_state(spec: ModelSpec, method: str = "auto"):
     envelope = h_ferro.mat - negative_envelope(h_zero).mat
     envelope_gap = float(np.abs(envelope.data).max()) if envelope.nnz else 0.0
 
-    ferro = ferromagnetic_state(spec, method=method)
+    ferro = ferromagnetic_state(spec)
     pf_min_entry = float(ferro.real.min())
     pf_imag = float(np.abs(ferro.imag).max())
 
@@ -540,7 +539,7 @@ def spiral_state(spec: ModelSpec, method: str = "auto"):
     state = best_state
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
-    e0 = ground(h_zero, want_vectors=False, max_degeneracy=0, method=method).energy
+    e0 = ground(h_zero, want_vectors=False, max_degeneracy=0).energy
     residual = float(np.linalg.norm(h_zero.matvec(state) - e0 * state))
     s2_exp = best_s2
     norm_drift = abs(float(np.linalg.norm(state)) - 1.0)
@@ -633,7 +632,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     blocks = decompose_blocks(basis, spec)
     family = flux_family(spec, basis)
     subs = [family.restrict(b.member_indices) for b in blocks]
-    grid = np.arange(grid_size) * (TWO_PI / grid_size)
+    grid = flux_grid(grid_size)
 
     def lowest(sub: FluxFamily, phi: float) -> float:
         return float(np.linalg.eigvalsh(sub.dense(phi))[0])
@@ -641,10 +640,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     curves = np.array([[lowest(sub, phi) for sub in subs] for phi in grid])  # (G, K)
     period_resid = 0.0
     for k, (b, sub) in enumerate(zip(blocks, subs)):
-        if grid_size % b.period == 0:
-            shifted = np.roll(curves[:, k], -(grid_size // b.period))
-        else:
-            shifted = np.array([lowest(sub, phi + TWO_PI / b.period) for phi in grid])
+        shifted = _shifted(curves[:, k], grid, b.period, lambda phi: lowest(sub, phi))
         period_resid = max(period_resid, float(np.abs(shifted - curves[:, k]).max()))
 
     full = [k for k, b in enumerate(blocks) if b.period == spec.N]
@@ -684,9 +680,8 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
 DERIVATIVE_BETA_CAP = 4.0
 
 
-def thermal_scan(spec: ModelSpec, two_sz: int | None = None,
-                 betas=(0.5, 1.0, 2.0), grid_size: int = 90,
-                 derivative_step: float = 1e-2) -> VerificationReport:
+def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
+                 grid_size: int = 90) -> VerificationReport:
     """Finite-temperature behaviour of the sector partition function.
 
     Odd free half filling: the quarter-turn fluxes are critical points of P;
@@ -697,35 +692,30 @@ def thermal_scan(spec: ModelSpec, two_sz: int | None = None,
     sits at the zero-temperature optimal flux for every beta. Maximizers are
     taken from log P, which has the argmax of P and stays finite at any beta.
     """
-    if two_sz is None:
-        two_sz = 1 if spec.N % 2 else 0
-    basis = sector_basis_for(spec, two_sz)
-    family = flux_family(spec, basis)
+    two_sz = minimal_two_sz(spec.N)
+    family = flux_family(spec, sector_basis_for(spec, two_sz))
 
     odd_free_halffill = (
         spec.N == spec.L and spec.N % 2 == 1 and not spec.hardcore
         and all(u == 0.0 for u in spec.U) and all(v == 0.0 for v in spec.V)
     )
-    grid = np.arange(grid_size) * (TWO_PI / grid_size)
+    grid = flux_grid(grid_size)
 
     measured: dict = {"betas": list(betas), "two_sz": two_sz}
     tolerance: dict = {}
     ok = True
-    argmax = {}
-    for beta in betas:
-        values = np.asarray([log_canonical_partition(family.hamiltonian(phi), beta)
-                             for phi in grid])
-        argmax[beta] = float(grid[int(np.argmax(values))])
+    log_p = log_partition_sweep((family.hamiltonian(phi) for phi in grid), betas)
+    argmax = {beta: float(grid[int(np.argmax(row))]) for beta, row in zip(betas, log_p)}
 
     if odd_free_halffill:
-        h = derivative_step
+        h = 1e-2  # half-width of the central difference
+        ends = [fold_angle(c + s * h) for c in (0.5 * math.pi, 1.5 * math.pi) for s in (1, -1)]
+        log_p = log_partition_sweep((family.hamiltonian(phi) for phi in ends), betas)
         derivs, log_derivs = {}, {}
-        for beta in betas:
+        for beta, row in zip(betas, log_p):
             judged = beta <= DERIVATIVE_BETA_CAP
             worst = 0.0
-            for c in (0.5 * math.pi, 1.5 * math.pi):
-                lp = log_canonical_partition(family.hamiltonian(fold_angle(c + h)), beta)
-                lm = log_canonical_partition(family.hamiltonian(fold_angle(c - h)), beta)
+            for lp, lm in zip(row[0::2], row[1::2]):
                 diff = math.exp(lp) - math.exp(lm) if judged else lp - lm
                 worst = max(worst, abs(diff) / (2.0 * h))
             (derivs if judged else log_derivs)[beta] = worst

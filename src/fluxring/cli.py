@@ -16,8 +16,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import analysis
 from .analysis import VerificationReport
 from .basis import decompose_blocks, enumerate_sector
@@ -25,7 +23,7 @@ from .errors import FluxRingError
 from .fixtures import FIXTURE_NAMES, base_seed, gen_fixture, reseed_hoppings
 from .model import ModelSpec, load_model, parse_angle, save_model, with_flux
 from .operators import build_hamiltonian, build_total_spin, flux_family
-from .spectra import ground, log_canonical_partition
+from .spectra import ground, log_partition_sweep
 
 
 def _fmt(x: float) -> str:
@@ -80,8 +78,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = _load(args)
-    curve = analysis.scan_flux(spec, two_sz=args.two_sz, grid_size=args.grid,
-                               jobs=args.jobs)
+    curve = analysis.scan_flux(spec, two_sz=args.two_sz, grid_size=args.grid)
     lines = ["phi,energy"]
     lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(curve.grid, curve.values)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -135,14 +132,12 @@ def cmd_thermo(args) -> int:
     spec = _load(args)
     betas = tuple(args.beta) if args.beta else (0.5, 1.0, 2.0)
     two_sz = args.two_sz if args.two_sz is not None else spec.N % 2
-    basis = enumerate_sector(spec.L, spec.N, two_sz, spec.hardcore)
-    family = flux_family(spec, basis)
+    grid = analysis.flux_grid(args.grid)
+    family = flux_family(spec, enumerate_sector(spec.L, spec.N, two_sz, spec.hardcore))
+    log_p = log_partition_sweep((family.hamiltonian(phi) for phi in grid), betas)
     lines = ["phi,beta,log_partition"]
-    grid = np.arange(args.grid) * (2.0 * math.pi / args.grid)
-    for beta in betas:
-        for phi in grid:
-            lp = log_canonical_partition(family.hamiltonian(phi), beta)
-            lines.append(f"{_fmt(phi)},{_fmt(beta)},{_fmt(lp)}")
+    for beta, row in zip(betas, log_p):
+        lines += [f"{_fmt(phi)},{_fmt(beta)},{_fmt(lp)}" for phi, lp in zip(grid, row)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -183,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(sp, phi=False)
     sp.add_argument("--grid", type=int, default=720)
     sp.add_argument("--two-sz", type=int, default=None, dest="two_sz")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_scan)
 

@@ -240,9 +240,6 @@ class DiagonalGauge:
         ginv = sparse.diags(np.conj(self.phases))
         return SparseHermitian((g @ H.mat @ ginv).tocsr())
 
-    def apply_state(self, v: np.ndarray) -> np.ndarray:
-        return self.phases * v
-
 
 def conjugation_residual(g: DiagonalGauge, H: SparseHermitian,
                          target: SparseHermitian) -> float:
@@ -254,11 +251,11 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
                      tol: float = 1e-10) -> DiagonalGauge:
     """Find the diagonal unitary g with g H g^{-1} = target.
 
-    Phases are fixed along a spanning tree of the connectivity graph (root
-    phase 1 per component) and every remaining edge is checked; a cycle
-    carrying mismatched flux raises FluxObstruction, which certifies the
-    two operators are not gauge equivalent. Requires matching sparsity
-    patterns and entry moduli.
+    Phases are fixed along a breadth-first spanning tree of the connectivity
+    graph (phase 1 at each component's smallest index) and every remaining
+    edge is checked; a cycle carrying mismatched flux raises FluxObstruction,
+    which certifies the two operators are not gauge equivalent. Requires
+    matching sparsity patterns and entry moduli.
     """
     if H.dim != target.dim:
         raise FluxObstruction("operators act on different dimensions")
@@ -275,23 +272,27 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
     if diag_gap > tol:
         raise FluxObstruction(f"diagonals differ by {diag_gap:.3e}")
 
+    from scipy.sparse import csgraph
+
     dim = H.dim
-    g = np.zeros(dim, dtype=complex)
-    for root in range(dim):
-        if g[root] != 0:
-            continue
-        g[root] = 1.0
-        stack = [root]
-        while stack:
-            j = stack.pop()
-            for k in range(a.indptr[j], a.indptr[j + 1]):
-                i = a.indices[k]
-                if i == j or g[i] != 0 or abs(a.data[k]) <= tol:
-                    continue
-                # row j holds H[j, i]; g_i = conj(T[j,i]) / conj(H[j,i]) * g_j
-                ratio = np.conj(b.data[k]) / np.conj(a.data[k])
-                g[i] = ratio * g[j] / abs(ratio)
-                stack.append(i)
+    rows = np.repeat(np.arange(dim), np.diff(a.indptr))
+    live = (rows != a.indices) & (np.abs(a.data) > tol)
+    shape = (dim + 1, dim + 1)  # vertex dim: a hub for one breadth-first search
+    graph = sparse.csr_matrix((np.ones(live.sum()), (rows[live], a.indices[live])), shape=shape)
+    labels = csgraph.connected_components(graph, directed=False)[1][:dim]
+    _, roots = np.unique(labels, return_index=True)  # smallest index per component
+    hub = sparse.csr_matrix((np.ones(len(roots)), (np.full(len(roots), dim), roots)), shape=shape)
+    parent = csgraph.breadth_first_order(graph + hub, dim, return_predecessors=True)[1]
+    parent = parent[:dim].astype(np.int64)
+    node, tree = np.arange(dim), parent != dim
+    # row j holds H[j, i]; along tree edge j -> i, g_i = conj(T[j,i]) / conj(H[j,i]) * g_j
+    k = np.searchsorted(rows * dim + a.indices, parent[tree] * dim + node[tree])
+    ratio = np.conj(b.data[k]) / np.conj(a.data[k])
+    g = np.ones(dim, dtype=complex)
+    g[tree] = ratio / np.abs(ratio)
+    up = np.where(tree, parent, node)
+    while not np.array_equal(up, up[up]):  # pointer doubling up to each root
+        g, up = g * g[up], up[up]
 
     check = DiagonalGauge(g)
     resid = conjugation_residual(check, H, target)
@@ -317,10 +318,10 @@ def hole_particle_down(spec: ModelSpec) -> ModelSpec:
     return validate(replace(spec, hop_phase=phases))
 
 
-def extend_ring(spec: ModelSpec, factor: int = 2) -> ModelSpec:
-    """Periodically repeat the hoppings on a ring of factor*L sites.
+def extend_ring(spec: ModelSpec) -> ModelSpec:
+    """Periodically repeat the hoppings on a ring of 2L sites.
 
-    The extended flux is factor times the original. Requires U = V = 0, as
+    The doubled ring carries twice the original flux. Requires U = V = 0, as
     in the doubling identity this feeds.
     """
     if spec.hardcore or any(u != 0.0 for u in spec.U):
@@ -329,12 +330,12 @@ def extend_ring(spec: ModelSpec, factor: int = 2) -> ModelSpec:
         raise PotentialPresent("ring extension requires V = 0")
     return validate(
         ModelSpec(
-            L=spec.L * factor,
-            N=min(spec.N * factor, 2 * spec.L * factor),
-            hop_mag=spec.hop_mag * factor,
-            hop_phase=spec.hop_phase * factor,
-            V=(0.0,) * (spec.L * factor),
-            U=(0.0,) * (spec.L * factor),
+            L=spec.L * 2,
+            N=min(spec.N * 2, 2 * spec.L * 2),
+            hop_mag=spec.hop_mag * 2,
+            hop_phase=spec.hop_phase * 2,
+            V=(0.0,) * (spec.L * 2),
+            U=(0.0,) * (spec.L * 2),
         )
     )
 

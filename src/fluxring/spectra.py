@@ -357,17 +357,26 @@ def full_spectrum(H: SparseHermitian) -> np.ndarray:
     return np.linalg.eigvalsh(_densify(H))
 
 
-def log_canonical_partition(H: SparseHermitian, beta: float) -> float:
-    """log Tr exp(-beta H), evaluated as -beta*E_min + log sum exp(-beta (E - E_min)).
+def log_partition_sweep(hamiltonians, betas) -> np.ndarray:
+    """log Tr exp(-beta H), one row per beta and one column per operator,
+    evaluated as -beta*E_min + log sum exp(-beta (E - E_min)).
 
+    Each operator is diagonalized once and its spectrum serves every beta.
     The shift keeps the sum representable at any beta >= 0.
     """
-    if beta < 0:
+    if any(beta < 0 for beta in betas):
         raise ValueError("beta must be non-negative")
-    vals = full_spectrum(H)
-    e_min = float(vals[0])
-    shifted = np.exp(-beta * (vals - e_min))
-    return float(-beta * e_min + math.log(shifted.sum()))
+    columns = []
+    for H in hamiltonians:
+        vals = full_spectrum(H)
+        columns.append([float(-beta * vals[0] + math.log(np.exp(-beta * (vals - vals[0])).sum()))
+                        for beta in betas])
+    return np.reshape(columns, (len(columns), len(betas))).T
+
+
+def log_canonical_partition(H: SparseHermitian, beta: float) -> float:
+    """log Tr exp(-beta H) over the sector."""
+    return float(log_partition_sweep([H], [beta])[0, 0])
 
 
 def canonical_partition(H: SparseHermitian, beta: float) -> float:

@@ -49,11 +49,18 @@ def test_scan_flux_rejects_tiny_grid():
         fr.scan_flux(fr.make_spec(3, 1), grid_size=4)
 
 
-def test_scan_flux_jobs_match_serial():
-    spec = fr.make_spec(5, 3, (1.2, 0.8, 1.1, 0.9, 1.3), None, None, 2.0)
-    serial = fr.scan_flux(spec, grid_size=24, jobs=1)
-    threaded = fr.scan_flux(spec, grid_size=24, jobs=3)
-    assert np.array_equal(serial.values, threaded.values)
+def test_grids_below_eight_points_raise():
+    assert np.array_equal(fr.analysis.flux_grid(8), np.arange(8) * (2 * PI / 8))
+    hc = fr.make_spec(4, 2, U=fr.INFINITY)
+    for size in (-3, 0, 7):
+        with pytest.raises(ValueError):
+            fr.verify_doubling(fr.make_spec(4, 2), grid_size=size)
+        with pytest.raises(ValueError):
+            fr.verify_block_lemma(hc, grid_size=size)
+        with pytest.raises(ValueError):
+            fr.thermal_scan(fr.make_spec(4, 2), grid_size=size)
+        with pytest.raises(ValueError):
+            fr.verify_even(hc, grid_size=size)
 
 
 def test_scan_matches_arbitrary_gauge_point():
@@ -113,6 +120,31 @@ def test_verify_even_hardcore():
     assert len(mins) == 2
     for want in (0.0, PI):
         assert min(angle_dist(m, want) for m in mins) < 1e-6
+
+
+def test_verify_even_hardcore_period_on_every_grid_point(monkeypatch):
+    # N = 4 divides 64: E(phi + pi/2) is the curve 16 steps on, no extra solve;
+    # at 66 points the shifted angles are solved, one per grid point
+    spec = fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None, fr.INFINITY)
+    calls = []
+    energy_at = fr.analysis._energy_at
+    monkeypatch.setattr(fr.analysis, "_energy_at",
+                        lambda *a, **k: calls.append(a[1]) or energy_at(*a, **k))
+    for grid, solved in ((64, 0), (66, 66)):
+        calls.clear()
+        r = fr.verify_even(spec, grid_size=grid)
+        assert r.passed
+        assert r.measured["period_residual"] < 1e-12
+        shifted = list(fr.analysis.flux_grid(grid) + PI / 2)
+        assert list(calls[:grid]) == list(fr.analysis.flux_grid(grid))  # the scan
+        assert [p for p in calls[grid:] if p in shifted] == shifted[:solved]
+
+
+def test_verify_even_rejects_filled_hardcore_ring():
+    # N = L hard-core: no particle can hop, the curve is flat
+    for L in (4, 6):
+        with pytest.raises(HypothesisViolated):
+            fr.verify_even(fr.make_spec(L, L, U=fr.INFINITY))
 
 
 def test_verify_even_rejects_odd_n():
@@ -313,6 +345,43 @@ def test_thermal_scan_even_argmax():
     r = fr.thermal_scan(fr.make_spec(4, 2, U=1.0), betas=(0.5, 1.0, 2.0), grid_size=36)
     assert r.passed
     assert all(angle_dist(a, 0.0) < 1e-9 for a in r.measured["argmax"].values())
+
+
+def test_thermal_sweep_matches_single_matrix_entry_and_cli(monkeypatch, tmp_path):
+    from fluxring import cli
+
+    # thermal_scan and `fluxring thermo` read log P from one sweep, and both
+    # equal log_canonical_partition point by point, bit for bit
+    spec = fr.make_spec(4, 2, (1.2, 0.7, 1.5, 0.9), None, (0.3, -0.2, 0.0, 0.1), 1.0)
+    betas, grid = (0.5, 1.0, 2.0), 24
+    sweeps = []
+    sweep = fr.spectra.log_partition_sweep
+    record = lambda *a: sweeps.append(sweep(*a)) or sweeps[-1]
+    monkeypatch.setattr(fr.analysis, "log_partition_sweep", record)
+    monkeypatch.setattr(cli, "log_partition_sweep", record)
+    fr.thermal_scan(spec, betas=betas, grid_size=grid)
+    model = tmp_path / "m.json"
+    fr.save_model(spec, model)
+    argv = ["thermo", "--model", str(model), "--grid", str(grid), "--out", str(tmp_path / "t.csv")]
+    for b in betas:
+        argv += ["--beta", str(b)]
+    assert cli.run(argv) == 0
+    library, command = sweeps
+    assert library.shape == (3, grid) and np.array_equal(library, command)
+    family = fr.flux_family(spec, sector_basis_for(spec, 0))
+    direct = [[fr.log_canonical_partition(family.hamiltonian(phi), b)
+               for phi in fr.analysis.flux_grid(grid)] for b in betas]
+    assert np.array_equal(library, np.array(direct))
+
+
+def test_thermal_scan_one_spectrum_per_flux_point(monkeypatch):
+    calls = []
+    full_spectrum = fr.spectra.full_spectrum
+    monkeypatch.setattr(fr.spectra, "full_spectrum",
+                        lambda h: calls.append(h.dim) or full_spectrum(h))
+    r = fr.thermal_scan(fr.make_spec(3, 3), betas=(0.5, 1.0, 2.0), grid_size=36)
+    assert r.passed
+    assert len(calls) == 36 + 4  # grid, then c +- h at the two critical points
 
 
 def test_ferromagnetic_state_properties():

@@ -150,6 +150,30 @@ def test_usage_errors_exit_two(tmp_path, ring4):
     assert res.returncode == 2
 
 
+def test_grids_below_eight_points_exit_two(tmp_path, ring4):
+    hc = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(4, 2, U=fr.INFINITY), hc)
+    # -3 used to pass with no point checked, 0 to end in ZeroDivisionError
+    for argv in (("verify", "doubling", "--model", ring4, "--grid", "-3"),
+                 ("verify", "doubling", "--model", ring4, "--grid", "0"),
+                 ("verify", "blocks", "--model", str(hc), "--grid", "0"),
+                 ("verify", "thermo", "--model", ring4, "--grid", "0"),
+                 ("thermo", "--model", ring4, "--grid", "0")):
+        res = run_cli(*argv)
+        assert res.returncode == 2, (argv, res.stdout)
+        assert "at least 8" in res.stderr and "internal error" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_verify_even_filled_hardcore_ring_exits_two(tmp_path):
+    for L in (4, 6):
+        path = tmp_path / f"full{L}.json"
+        fr.save_model(fr.make_spec(L, L, U=fr.INFINITY), path)
+        res = run_cli("verify", "even", "--model", str(path))
+        assert res.returncode == 2
+        assert "N < L" in res.stderr
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")

@@ -162,6 +162,29 @@ def test_hardcore_zero_and_pi_gauge_equivalent():
     assert conjugation_residual(g, hpi, h0) < 1e-10
 
 
+def test_solve_sign_gauge_multi_block_random_phases():
+    # hard-core L=7 N=6 splits into four blocks; a random complex diagonal
+    # gauge is recovered up to one constant per block, which the solver
+    # fixes to 1 at the block's smallest member
+    rng = np.random.default_rng(3)
+    spec = fr.make_spec(7, 6, rng.uniform(0.5, 2.0, 7), rng.uniform(0, 2 * PI, 7),
+                        None, fr.INFINITY)
+    basis = fr.enumerate_sector(7, 6, 0, hardcore=True)
+    blocks = fr.decompose_blocks(basis, spec)
+    assert len(blocks) > 1
+    h = fr.build_hamiltonian(spec, basis)
+    phases = np.exp(1j * rng.uniform(0, 2 * PI, basis.dim))
+    target = fr.DiagonalGauge(phases).apply(h)
+    g = fr.solve_sign_gauge(h, target)
+    assert conjugation_residual(g, h, target) < 1e-12
+    for b in blocks:
+        idx = np.asarray(b.member_indices)
+        root = idx.min()
+        assert g.phases[root] == 1.0
+        want = phases[idx] * np.conj(phases[root])
+        assert np.abs(g.phases[idx] - want).max() < 1e-12
+
+
 def test_solve_sign_gauge_rejects_different_moduli():
     spec = fr.make_spec(4, 2, U=2.0)
     basis = fr.enumerate_sector(4, 2, 0)
