@@ -219,6 +219,13 @@ def detect_period(curve: FluxCurve, tol: float = 1e-9) -> float:
 # Theorem verifiers
 # ---------------------------------------------------------------------------
 
+def _require_hopping(spec: ModelSpec) -> None:
+    """A filled hard-core ring cannot hop: every flux curve on it is flat,
+    so no claim about where it peaks or dips can be checked."""
+    if spec.hardcore and spec.N == spec.L:
+        raise HypothesisViolated("requires N < L on hard-core rings: a filled ring cannot hop")
+
+
 def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     """Even particle number: the optimal flux sits where the theory puts it.
 
@@ -228,8 +235,7 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     """
     if spec.N % 2 or spec.N > spec.L:
         raise HypothesisViolated("requires even N <= L")
-    if spec.hardcore and spec.N == spec.L:
-        raise HypothesisViolated("requires N < L on hard-core rings: a filled ring cannot hop")
+    _require_hopping(spec)
     curve = scan_flux(spec, two_sz=0, grid_size=grid_size)
     minima = refine_argmin(curve, spec, two_sz=0)
 
@@ -692,6 +698,7 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
     sits at the zero-temperature optimal flux for every beta. Maximizers are
     taken from log P, which has the argmax of P and stays finite at any beta.
     """
+    _require_hopping(spec)
     two_sz = minimal_two_sz(spec.N)
     family = flux_family(spec, sector_basis_for(spec, two_sz))
 

@@ -8,7 +8,6 @@ per-bond distribution is a gauge choice.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -253,7 +252,8 @@ def parse_angle(text: str) -> float:
 
 def format_angle(phi: float) -> str:
     """Render simple rational multiples of pi symbolically, else as a float."""
-    frac = fold_angle(phi) / math.pi
+    folded = fold_angle(phi)
+    frac = folded / math.pi
     for q in (1, 2, 3, 4, 6):
         p = frac * q
         if abs(p - round(p)) < 1e-9:
@@ -263,4 +263,4 @@ def format_angle(phi: float) -> str:
             if q == 1:
                 return "pi" if p == 1 else f"{p}pi"
             return f"{p}/{q}pi" if p != 1 else f"1/{q}pi"
-    return f"{cmath.pi * frac / math.pi:.12g}"
+    return f"{folded:.12g}"

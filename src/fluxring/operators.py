@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -99,14 +100,40 @@ def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
                      np.concatenate([hops.sign * amp, diag[on]]))
 
 
+#: Windings of the terms that cross the last bond, in the order of
+#: FluxFamily._layout's up and down positions.
+_WINDINGS = np.array([1, -1], dtype=np.int8)
+
+
+@dataclass(frozen=True)
+class _CSRLayout:
+    """The CSR pattern of a flux family and its entries at phi = 0.
+
+    Entries are in (row, column) order with every diagonal entry stored,
+    as the COO assembly of the same terms leaves them (no (row, col)
+    repeats, so nothing is summed). up and down are the positions of the
+    terms with winding +1 and -1.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    row: np.ndarray       # row of each entry
+    data: np.ndarray      # complex; the winding entries are overwritten per phi
+    up: np.ndarray
+    down: np.ndarray
+    base_up: np.ndarray
+    base_down: np.ndarray
+
+
 @dataclass(frozen=True)
 class FluxFamily:
     """phi-parametrized Hamiltonian family in the canonical gauge.
 
     The hopping structure (indices, magnitudes, fermion signs, diagonal) is
-    generated once; only the terms that cross the last bond pick up the
-    phase exp(+-i phi). Used by flux scans to avoid re-walking the basis at
-    every grid point.
+    generated once, and so is its CSR pattern, on first evaluation; at each
+    phi only the terms that cross the last bond pick up the phase
+    exp(+-i phi). Used by flux scans to avoid re-walking the basis at every
+    grid point.
     """
 
     dim: int
@@ -116,20 +143,41 @@ class FluxFamily:
     winding: np.ndarray   # +1 / -1 for terms crossing the last bond, else 0
     diag: np.ndarray
 
-    def values(self, phi: float) -> np.ndarray:
-        return self.base * np.exp(1j * phi * self.winding)
+    @cached_property
+    def _layout(self) -> _CSRLayout:
+        on = np.arange(self.dim)
+        rows = np.concatenate([self.rows, on])
+        cols = np.concatenate([self.cols, on])
+        order = np.lexsort((cols, rows))          # CSR entry -> term
+        entry = np.empty_like(order)              # term -> CSR entry
+        entry[order] = np.arange(len(order))
+        hop = entry[: len(self.rows)]
+        index = np.int32 if len(order) < 2**31 else np.int64
+        indptr = np.zeros(self.dim + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        up, down = self.winding > 0, self.winding < 0
+        return _CSRLayout(indptr, cols[order].astype(index), rows[order],
+                          np.concatenate([self.base, self.diag]).astype(complex)[order],
+                          hop[up], hop[down], self.base[up], self.base[down])
+
+    def _data(self, phi: float) -> np.ndarray:
+        layout = self._layout
+        phase = np.exp(1j * phi * _WINDINGS)
+        data = layout.data.copy()
+        data[layout.up] = layout.base_up * phase[0]
+        data[layout.down] = layout.base_down * phase[1]
+        return data
 
     def dense(self, phi: float) -> np.ndarray:
+        layout = self._layout
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[self.rows, self.cols] = self.values(phi)  # no (row, col) repeats
-        h[np.arange(self.dim), np.arange(self.dim)] += self.diag
+        h[layout.row, layout.indices] = self._data(phi)
         return h
 
     def hamiltonian(self, phi: float) -> SparseHermitian:
-        rows = np.concatenate([self.rows, np.arange(self.dim)])
-        cols = np.concatenate([self.cols, np.arange(self.dim)])
-        vals = np.concatenate([self.values(phi), self.diag.astype(complex)])
-        return _from_coo(self.dim, rows, cols, vals)
+        layout = self._layout
+        return SparseHermitian(sparse.csr_matrix(
+            (self._data(phi), layout.indices, layout.indptr), shape=(self.dim, self.dim)))
 
     def restrict(self, indices) -> FluxFamily:
         """The family on a span of ascending state indices closed under

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySector, MultipletCut, NoConvergence, TooLargeForDense
+from .errors import (
+    EmptySector,
+    MultipletCut,
+    NoConvergence,
+    PartitionOverflow,
+    TooLargeForDense,
+)
 from .model import ModelSpec, fold_angle
 from .operators import SparseHermitian, build_one_particle
 
@@ -66,6 +72,14 @@ GROUND_TOL = 1e-9
 
 #: Seed for the deterministic Lanczos start vector.
 LANCZOS_SEED = 0x5EED
+
+#: Rows by which the Lanczos Krylov basis grows, in place, as a pass runs,
+#: so that it never holds more than the rows used plus this many (a full
+#: 600-row basis at dimension 63,504 would be 610 MB). Growing by doubling
+#: instead raised the peak memory of verify_singlet at L=10 half filling,
+#: whose passes stop after 75-90 steps, from 232 MB to 263 MB in place and
+#: to 294 MB with a copy; growing by 32 kept it at 232 MB.
+_KRYLOV_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -221,8 +235,6 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
     vector is pseudo-random from a fixed seed, so repeated runs are
     bit-for-bit identical at a fixed thread count.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     dim = H.dim
     n_locked = 0 if locked is None else locked.shape[0]
     rng = np.random.default_rng(LANCZOS_SEED + n_locked)
@@ -230,7 +242,7 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
 
     budget = min(max_iter, dim - n_locked)
     space_limited = budget == dim - n_locked
-    Q = np.empty((budget, dim), dtype=complex)
+    Q = np.empty((min(_KRYLOV_ROWS, budget), dim), dtype=complex)
 
     def orthogonalize(w, k):
         # two passes: classical Gram-Schmidt twice is numerically sufficient.
@@ -248,29 +260,27 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
         raise NoConvergence("start vector lies entirely in the locked space")
     v /= nv
 
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas = np.empty(budget)
+    betas = np.empty(budget)
     scale = 1.0
     theta_last = None
     for k in range(budget):
+        if k == len(Q):  # in place; no view of Q outlives a step
+            Q.resize((min(k + _KRYLOV_ROWS, budget), dim), refcheck=False)
         Q[k] = v
         w = H.matvec(v)
         a = float(np.vdot(v, w).real)
-        alphas.append(a)
+        alphas[k] = a
         scale = max(scale, abs(a))
         w -= a * v
         if k > 0:
-            w -= betas[-1] * Q[k - 1]
+            w -= betas[k - 1] * Q[k - 1]
         w = orthogonalize(w, k)
         b = float(np.linalg.norm(w))
 
         breakdown = b <= 1e-13 * scale
         if breakdown or k == budget - 1 or k % 5 == 4:
-            vals, vecs = eigh_tridiagonal(
-                alphas, betas, select="i", select_range=(0, 0)
-            )
-            theta = float(vals[0])
-            y = vecs[:, 0]
+            theta, y = _lowest_ritz(alphas[: k + 1], betas[:k])
             resid = abs(b * y[-1])
             tol = 1e-8 if theta > gap_above else resid_tol
             stalled = (
@@ -288,10 +298,30 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
                     f"Lanczos exhausted {budget} iterations", residual=resid
                 )
             theta_last = theta
-        betas.append(b)
+        betas[k] = b
         v = w / b
 
     raise NoConvergence("Lanczos failed to produce a Ritz pair")
+
+
+def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e.
+
+    LAPACK dstebz (bisection, block order) then dstein (inverse
+    iteration): the calls scipy.linalg.eigh_tridiagonal(select="i") makes,
+    with the same 1 x 1 shortcut, bit for bit, without its argument checks.
+    """
+    if len(d) == 1:
+        return float(d[0]), np.ones(1)
+    from scipy.linalg.lapack import dstebz, dstein
+
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        y, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise NoConvergence(f"LAPACK tridiagonal eigensolver returned info={info}")
+    return float(w[0]), y[:, 0]
 
 
 def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None = None,
@@ -380,5 +410,12 @@ def log_canonical_partition(H: SparseHermitian, beta: float) -> float:
 
 
 def canonical_partition(H: SparseHermitian, beta: float) -> float:
-    """Tr exp(-beta H) over the sector, via the shifted (overflow-safe) sum."""
-    return math.exp(log_canonical_partition(H, beta))
+    """Tr exp(-beta H) over the sector, via the shifted sum. Raises
+    PartitionOverflow when the value exceeds the float range (log Tr above
+    about 709), where log_canonical_partition still answers."""
+    log_z = log_canonical_partition(H, beta)
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise PartitionOverflow(f"Tr exp(-beta H) = exp({log_z:.6g}) overflows a float; "
+                                "use log_canonical_partition") from None

@@ -147,6 +147,14 @@ def test_verify_even_rejects_filled_hardcore_ring():
             fr.verify_even(fr.make_spec(L, L, U=fr.INFINITY))
 
 
+def test_thermal_scan_rejects_filled_hardcore_ring():
+    # N = L hard-core: log P is flat in phi, so its argmax says nothing
+    for L, N in ((6, 6), (4, 4), (5, 5)):
+        with pytest.raises(HypothesisViolated, match="N < L"):
+            fr.thermal_scan(fr.make_spec(L, N, U=fr.INFINITY), grid_size=12)
+    assert fr.thermal_scan(fr.make_spec(6, 4, U=fr.INFINITY), grid_size=12).passed
+
+
 def test_verify_even_rejects_odd_n():
     with pytest.raises(HypothesisViolated):
         fr.verify_even(fr.make_spec(4, 3))

@@ -174,6 +174,15 @@ def test_verify_even_filled_hardcore_ring_exits_two(tmp_path):
         assert "N < L" in res.stderr
 
 
+def test_verify_thermo_filled_hardcore_ring_exits_two(tmp_path):
+    path = tmp_path / "full6.json"
+    fr.save_model(fr.make_spec(6, 6, U=fr.INFINITY), path)
+    res = run_cli("verify", "thermo", "--model", str(path), "--grid", "12")
+    assert res.returncode == 2
+    assert "N < L" in res.stderr and "internal error" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")

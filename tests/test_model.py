@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxring as fr
@@ -16,6 +16,7 @@ from fluxring.errors import (
     ZeroHopping,
 )
 from fluxring.model import (
+    angle_dist,
     dumps_model,
     fold_angle,
     format_angle,
@@ -158,3 +159,51 @@ def test_format_angle_round_values():
     assert format_angle(PI / 2) == "1/2pi"
     assert format_angle(0.0) == "0"
     assert format_angle(PI) == "pi"
+
+
+@given(st.floats(-100.0, 100.0))
+@settings(max_examples=200, deadline=None)
+def test_angle_fold_parse_round_trip(theta):
+    folded = fold_angle(theta)
+    assert 0.0 <= folded < 2 * PI
+    assert fold_angle(folded) == folded
+    assert angle_dist(folded, theta) <= 1e-13 * max(1.0, abs(theta))
+    assert parse_angle(repr(folded)) == folded
+    # format_angle keeps 12 significant digits, or snaps to a multiple p/q pi
+    # within 1e-9 / q of p/q in units of pi
+    assert angle_dist(parse_angle(format_angle(theta)), folded) <= 1e-9 * PI + 1e-11
+
+
+@given(st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6]))
+@settings(max_examples=100, deadline=None)
+def test_rational_multiples_of_pi_round_trip(p, q):
+    phi = parse_angle(f"{p}/{q}pi")
+    assert phi == p / q * PI
+    text = format_angle(phi)
+    assert "pi" in text or text == "0"
+    assert angle_dist(parse_angle(text), phi) <= 1e-12
+
+
+@st.composite
+def gauged_models(draw):
+    L = draw(st.integers(3, 6))
+    hardcore = draw(st.booleans())
+    N = draw(st.integers(1, L if hardcore else 2 * L - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L),
+                        fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
+    basis = fr.enumerate_sector(L, N, N % 2, hardcore)
+    assume(basis.dim <= 400)
+    shifts = rng.uniform(-2 * PI, 2 * PI, L - 1)
+    return spec, basis, tuple(shifts) + (spec.flux - shifts.sum(),)
+
+
+@given(gauged_models())
+@settings(max_examples=25, deadline=None)
+def test_spectra_invariant_under_regauge(model):
+    spec, basis, phases = model
+    moved = fr.regauge(spec, fr.GaugeAssignment(phases))
+    a = fr.full_spectrum(fr.build_hamiltonian(spec, basis))
+    b = fr.full_spectrum(fr.build_hamiltonian(moved, basis))
+    assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())

@@ -14,7 +14,7 @@ from fluxring.errors import (
     PotentialPresent,
 )
 from fluxring.basis import mode
-from fluxring.operators import SparseHermitian, conjugation_residual, dump_coo
+from fluxring.operators import SparseHermitian, _from_coo, conjugation_residual, dump_coo
 
 from oracles import DenseOracle, fourier_levels, filled_sum
 
@@ -361,3 +361,43 @@ def test_operators_match_oracle_entry_by_entry(sector, phi):
 
     s2 = in_frame(oracle.total_spin(basis.n_up, basis.n_down))
     assert np.abs(fr.build_total_spin(basis).to_dense() - s2).max() < 1e-12
+
+
+def _coo_assembly(family, phi):
+    """The family at phi with every term sent through COO -> CSR conversion,
+    which sorts each row and sums repeats: the reference for the cached
+    CSR pattern of FluxFamily."""
+    on = np.arange(family.dim)
+    vals = family.base * np.exp(1j * phi * family.winding)
+    return _from_coo(family.dim, np.concatenate([family.rows, on]),
+                     np.concatenate([family.cols, on]),
+                     np.concatenate([vals, family.diag.astype(complex)])).mat
+
+
+def _bits(a):
+    return a.dtype, a.tobytes()
+
+
+@given(sectors(), st.floats(-20.0, 20.0), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
+    L, N, two_sz, hardcore, seed = sector
+    rng = np.random.default_rng(seed)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L),
+                        fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore)
+    family = fr.flux_family(spec, basis)
+    if restrict and hardcore and N > 0:
+        blocks = fr.decompose_blocks(basis, spec)
+        family = family.restrict(blocks[int(rng.integers(len(blocks)))].member_indices)
+    elif restrict:
+        keep = np.flatnonzero(rng.random(basis.dim) < 0.5)
+        family = family.restrict(keep if len(keep) else [0])
+    for angle in (phi, np.float64(phi), phi + 2 * PI, -phi):
+        ref = _coo_assembly(family, angle)
+        got = family.hamiltonian(angle).mat
+        assert _bits(got.indptr) == _bits(ref.indptr)
+        assert _bits(got.indices) == _bits(ref.indices)
+        assert _bits(got.data) == _bits(ref.data)
+        assert _bits(family.dense(angle)) == _bits(ref.toarray())

@@ -1,12 +1,17 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import fluxring as fr
 from fluxring import spectra
-from fluxring.errors import MultipletCut, NoConvergence, TooLargeForDense
+from fluxring.errors import MultipletCut, NoConvergence, PartitionOverflow, TooLargeForDense
 from fluxring.operators import SparseHermitian
 from fluxring.spectra import DENSE_LIMIT, LANCZOS_CROSSOVER, _lanczos_pass
 
@@ -79,6 +84,18 @@ def test_full_spectrum_gauge_invariance():
     b = fr.full_spectrum(fr.build_hamiltonian(
         fr.regauge(spec, fr.GaugeAssignment((1.0, -1.0, 2.0, -2.0))), basis))
     assert np.abs(a - b).max() < 1e-10
+
+
+def test_canonical_partition_overflow_is_typed():
+    # P = Tr exp(-beta H) leaves the float range near log P = 709
+    basis = fr.enumerate_sector(4, 2, 0)
+    h = fr.build_hamiltonian(fr.make_spec(4, 2), basis)
+    e0 = fr.ground(h, want_vectors=False).energy
+    with pytest.raises(PartitionOverflow) as err:
+        fr.canonical_partition(h, 800.0)
+    assert isinstance(err.value, fr.FluxRingError)
+    assert fr.log_canonical_partition(h, 800.0) == pytest.approx(-800.0 * e0, rel=1e-12)
+    assert math.isfinite(fr.canonical_partition(h, 100.0))
 
 
 def test_full_spectrum_size_guard():
@@ -256,3 +273,83 @@ def test_lanczos_saturated_deflation_with_s2_raises_typed_error():
     h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
     with pytest.raises(MultipletCut):
         fr.ground(h, method="lanczos", s2=fr.build_total_spin(basis), max_degeneracy=2)
+
+
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 0, False)
+@example(2, 0, False)
+@example(3, 0, True)
+@settings(max_examples=80, deadline=None)
+def test_lowest_ritz_equals_eigh_tridiagonal_bit_for_bit(n, seed, split):
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * rng.uniform(0.1, 100.0)
+    e = rng.normal(size=n - 1)
+    if split and n > 2:
+        e[rng.integers(n - 1)] = 0.0       # two decoupled blocks
+    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    theta, y = spectra._lowest_ritz(d, e)
+    assert theta == float(vals[0])
+    assert y.dtype == vecs.dtype and y.tobytes() == vecs[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("low", [-10.0, -0.01])
+def test_lanczos_krylov_basis_grows_with_the_iteration(low):
+    # a pass holds the rows it has used plus at most one growth step, far
+    # below the max_iter x dim basis it could grow to (600 rows here)
+    from scipy.linalg import lapack  # noqa: F401  (its import is not the pass's)
+
+    dim = 6000
+    values = np.linspace(0.0, 1.0, dim)
+    values[0] = low
+    h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
+    tracemalloc.start()
+    try:
+        theta, vec, steps = _lanczos_pass(h, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta == pytest.approx(low, abs=1e-12)
+    assert steps < 200
+    rows = peak / (dim * 16)
+    assert rows < steps + spectra._KRYLOV_ROWS + 8, (steps, rows)
+
+
+@st.composite
+def small_models(draw, max_dim=400):
+    L = draw(st.integers(3, 6))
+    hardcore = draw(st.booleans())
+    N = draw(st.integers(1, L if hardcore else 2 * L - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L),
+                        fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
+    basis = fr.enumerate_sector(L, N, N % 2, hardcore)
+    assume(basis.dim <= max_dim)
+    return spec, basis
+
+
+@given(small_models())
+@settings(max_examples=25, deadline=None)
+def test_dense_and_lanczos_ground_agree(model):
+    spec, basis = model
+    h = fr.build_hamiltonian(spec, basis)
+    # room for every level: a filled hard-core ring is one degenerate level
+    dense = fr.ground(h, method="dense", max_degeneracy=basis.dim)
+    lanc = fr.ground(h, method="lanczos", max_degeneracy=basis.dim)
+    scale = max(1.0, abs(dense.energy))
+    assert abs(dense.energy - lanc.energy) <= 1e-10 * scale
+    assert dense.degeneracy == lanc.degeneracy
+    resid = h.matvec(lanc.vectors) - lanc.energy * lanc.vectors
+    assert np.abs(resid).max() <= 1e-9 * scale
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the LAPACK and csgraph imports sit inside the functions that use them:
+    # at module level they add about 0.1 s to every `import fluxring`
+    code = ("import sys, fluxring; "
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
