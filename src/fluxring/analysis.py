@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .basis import SectorBasis, decompose_blocks, enumerate_sector
-from .errors import HypothesisViolated, NotFourNPlusTwo
+from .errors import HypothesisViolated, NotFourNPlusTwo, PartitionOverflow
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
@@ -197,33 +197,17 @@ def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
     return [x for x, _ in sorted(out)]
 
 
-def detect_period(curve: FluxCurve, tol: float = 1e-9) -> float:
-    """Smallest period 2*pi/m (m dividing the grid size) with shift residual < tol.
-
-    Returns 2*pi when no proper divisor qualifies.
-    """
-    n = len(curve.values)
-    best = TWO_PI
-    for m in range(n, 1, -1):
-        if n % m:
-            continue
-        shift = n // m
-        resid = float(np.abs(curve.values - np.roll(curve.values, -shift)).max())
-        if resid < tol:
-            best = TWO_PI / m
-            break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Theorem verifiers
 # ---------------------------------------------------------------------------
 
 def _require_hopping(spec: ModelSpec) -> None:
-    """A filled hard-core ring cannot hop: every flux curve on it is flat,
-    so no claim about where it peaks or dips can be checked."""
-    if spec.hardcore and spec.N == spec.L:
-        raise HypothesisViolated("requires N < L on hard-core rings: a filled ring cannot hop")
+    """A sector without hops (N = 0, a filled hard-core ring, or N = 2L)
+    has a flat flux curve, so no claim about where it peaks or dips can be
+    checked."""
+    full, bound = (spec.L, "L on hard-core rings") if spec.hardcore else (2 * spec.L, "2L")
+    if not 0 < spec.N < full:
+        raise HypothesisViolated(f"requires 0 < N < {bound}: no particle can hop")
 
 
 def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
@@ -570,57 +554,6 @@ def spiral_state(spec: ModelSpec):
     return state, report
 
 
-def finite_coupling_overlap(spec: ModelSpec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
-    """Limit-tracing diagnostic for the spiral construction (no verdict).
-
-    For each finite coupling u, diagonalizes the free-sector problem at the
-    zero-role flux and its negative envelope, projects both ground states
-    onto the no-double-occupancy subspace, and reports overlaps with the
-    exact hard-core objects: the weight of the projected singlet inside
-    the hard-core singlet subspace, its overlap with the spiral state, and
-    the overlap of the projected envelope ground state with the
-    ferromagnet. On sectors with a single hard-core block the latter tends
-    to 1; with several blocks it converges to a different positive
-    combination, which is why the spiral gauge needs its per-block signs
-    solved rather than assumed.
-    """
-    if not spec.hardcore or spec.N % 4 != 2:
-        raise HypothesisViolated("diagnostic applies to hard-core N = 4n+2 models")
-    L, N = spec.L, spec.N
-    phi_zero, _ = _flux_roles(L)
-    basis0 = sector_basis_for(spec, 0)
-    s2 = build_total_spin(basis0)
-
-    h_zero = build_hamiltonian(with_flux(spec, phi_zero), basis0)
-    g0 = ground(h_zero, max_degeneracy=16, s2=s2)
-    manifold = g0.vectors
-    block = manifold.conj().T @ s2.matvec(manifold)
-    s2_vals, s2_vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    singlets = manifold @ s2_vecs[:, np.abs(s2_vals) < 1e-8]
-
-    spiral, _ = spiral_state(spec)
-    ferro = ferromagnetic_state(spec)
-
-    free_basis = enumerate_sector(L, N, 0, hardcore=False)
-    idx = free_basis.locate(basis0.codes)
-    out = {}
-    for u in couplings:
-        free_spec = validate(ModelSpec(L, N, spec.hop_mag,
-                                       with_flux(spec, phi_zero).hop_phase,
-                                       spec.V, (float(u),) * L))
-        h_free = build_hamiltonian(free_spec, free_basis)
-        psi_g = ground(h_free).vectors[:, 0][idx]
-        psi_g = psi_g / np.linalg.norm(psi_g)
-        env_g = ground(negative_envelope(h_free)).vectors[:, 0][idx]
-        env_g = env_g / np.linalg.norm(env_g)
-        out[float(u)] = {
-            "singlet_subspace_weight": float(np.linalg.norm(singlets.conj().T @ psi_g) ** 2),
-            "spiral_overlap": float(abs(np.vdot(spiral, psi_g))),
-            "ferro_overlap": float(abs(np.vdot(ferro, env_g))),
-        }
-    return out
-
-
 def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationReport:
     """Hard-core block structure: every block's energy curve has period
     2*pi/p, and the minimum over blocks is attained on a full-period block
@@ -634,6 +567,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     """
     if not spec.hardcore:
         raise HypothesisViolated("requires the hard-core interaction")
+    _require_hopping(spec)
     basis = sector_basis_for(spec, 0)
     blocks = decompose_blocks(basis, spec)
     family = flux_family(spec, basis)
@@ -686,6 +620,15 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
 DERIVATIVE_BETA_CAP = 4.0
 
 
+def _partition(log_p: float, beta: float) -> float:
+    """P = exp(log P), or PartitionOverflow where P leaves the float range."""
+    try:
+        return math.exp(log_p)
+    except OverflowError:
+        raise PartitionOverflow(f"P = exp({log_p:.6g}) at beta={beta:g} overflows a float; "
+                                "its flux derivative cannot be judged") from None
+
+
 def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
                  grid_size: int = 90) -> VerificationReport:
     """Finite-temperature behaviour of the sector partition function.
@@ -723,7 +666,7 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
             judged = beta <= DERIVATIVE_BETA_CAP
             worst = 0.0
             for lp, lm in zip(row[0::2], row[1::2]):
-                diff = math.exp(lp) - math.exp(lm) if judged else lp - lm
+                diff = _partition(lp, beta) - _partition(lm, beta) if judged else lp - lm
                 worst = max(worst, abs(diff) / (2.0 * h))
             (derivs if judged else log_derivs)[beta] = worst
         measured["critical_point_derivative"] = derivs

@@ -35,40 +35,6 @@ def mode(site: int, sigma: int) -> int:
     return 2 * site + sigma
 
 
-def apply_hop(occ: int, m_to: int, m_from: int) -> tuple[int, int] | None:
-    """Apply c+_{m_to} c_{m_from} to a configuration.
-
-    Returns (new_occ, sign) or None when the move annihilates the state.
-    The sign is (-1)**(number of occupied modes strictly between the two),
-    the composition of the two Jordan-Wigner parities.
-    """
-    if not (occ >> m_from) & 1:
-        return None
-    cleared = occ ^ (1 << m_from)
-    if (cleared >> m_to) & 1:
-        return None
-    s1 = (occ & ((1 << m_from) - 1)).bit_count()
-    s2 = (cleared & ((1 << m_to) - 1)).bit_count()
-    return cleared | (1 << m_to), -1 if (s1 + s2) & 1 else 1
-
-
-def spin_word(occ: int, L: int) -> str:
-    """Spins read along the ring in order of increasing occupied site.
-
-    Only meaningful for hard-core configurations (one particle per site);
-    'u'/'d' per occupied site.
-    """
-    out = []
-    for x in range(L):
-        up = (occ >> mode(x, 0)) & 1
-        dn = (occ >> mode(x, 1)) & 1
-        if up:
-            out.append("u")
-        if dn:
-            out.append("d")
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class HoppingTable:
     """Every hop between the states of one basis, both directions: entry k is
@@ -103,14 +69,6 @@ class SectorBasis:
     @property
     def n_down(self) -> int:
         return (self.N - self.two_sz) // 2
-
-    @cached_property
-    def states(self) -> tuple[int, ...]:
-        return tuple(self.codes.tolist())
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     def locate(self, codes: np.ndarray) -> np.ndarray:
         """Index of each configuration code in this basis, -1 where absent."""
@@ -177,24 +135,23 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
 def necklace_period(word) -> int:
     """Minimal p > 0 such that the word is invariant under a p-fold cyclic shift.
 
-    Always divides len(word).
+    Always divides len(word); the empty word has period 1.
     """
     w = tuple(word)
     n = len(w)
-    if n == 0:
-        raise ValueError("empty word")
     for p in range(1, n + 1):
         if n % p == 0 and w == w[p:] + w[:p]:
             return p
-    return n
+    return 1
 
 
 @dataclass(frozen=True)
 class NecklaceBlock:
     """One irreducible hard-core block, labeled by its spin-word cyclic class.
 
-    In the Sz = 0 sector the period is always even; other sectors may
-    produce odd periods (e.g. the fully polarized word has period 1).
+    In the Sz = 0 sector the period is always even, except for the empty
+    word of N = 0 (period 1); other sectors may produce odd periods (e.g.
+    the fully polarized word has period 1).
     """
 
     period: int
@@ -206,18 +163,11 @@ class NecklaceBlock:
         return len(self.member_indices)
 
 
-def hopping_moves(spec: ModelSpec, basis: SectorBasis):
-    """Yield (i, j, bond, direction, sign) for every hop from state i to state j,
-    read from the hopping table of the basis."""
-    t = basis.hops
-    yield from zip(t.col.tolist(), t.row.tolist(), t.bond.tolist(),
-                   t.direction.tolist(), t.sign.tolist())
-
-
 def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
-    """Per state, the least rotation of its spin word (see spin_word) as an
-    N-bit integer, 'u' = 1, first letter most significant: integer order is
-    string order, so this is the cyclic-class representative."""
+    """Per state, the least rotation of its spin word (the spins read along
+    the ring in order of increasing occupied site) as an N-bit integer,
+    'u' = 1, first letter most significant: integer order is string order,
+    so this is the cyclic-class representative."""
     codes = basis.codes
     word = np.zeros(basis.dim, dtype=np.uint64)
     for x in range(basis.L):

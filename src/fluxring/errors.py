@@ -29,10 +29,6 @@ class MixedInteraction(ModelError):
     """Per-site interaction mixes finite and infinite values."""
 
 
-class FluxMismatch(ModelError):
-    """Gauge target does not sum to the model flux mod 2*pi."""
-
-
 class EmptySector(FluxRingError):
     """Sector constraints are unsatisfiable."""
 

@@ -1,4 +1,4 @@
-"""Ring model definition: hoppings with phases, potentials, interaction, gauge moves.
+"""Ring model definition: hoppings with phases, potentials, interaction, flux retuning.
 
 A model lives on the ring {1, .., L} (site L+1 == site 1). Bond x connects
 sites x and x+1 and carries a hopping amplitude |t_x| * exp(i theta_x).
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadLength,
-    FluxMismatch,
     HardCoreOverfill,
     MixedInteraction,
     ModelError,
@@ -28,9 +27,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Sentinel for the hard-core (projected) interaction.
 INFINITY = float("inf")
-
-#: Tolerance for angle comparisons mod 2*pi.
-ANGLE_TOL = 1e-12
 
 
 def fold_angle(theta: float) -> float:
@@ -47,10 +43,6 @@ def angle_dist(a: float, b: float) -> float:
     """Distance between two angles on the circle, in [0, pi]."""
     d = fold_angle(a - b)
     return min(d, TWO_PI - d)
-
-
-def angles_equal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    return angle_dist(a, b) <= tol
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,6 @@ class ModelSpec:
         if self.hardcore:
             raise MixedInteraction("hard-core model has no finite U values")
         return np.asarray(self.U, dtype=float)
-
-
-@dataclass(frozen=True)
-class GaugeAssignment:
-    """A length-L redistribution of bond phases with a fixed total."""
-
-    phases: tuple[float, ...]
-
-    @property
-    def flux(self) -> float:
-        return fold_angle(math.fsum(self.phases))
 
 
 def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
@@ -158,27 +139,6 @@ def validate(raw: ModelSpec) -> ModelSpec:
 
     phases = tuple(fold_angle(p) for p in raw.hop_phase)
     return replace(raw, hop_phase=phases, U=u)
-
-
-def regauge(spec: ModelSpec, target: GaugeAssignment) -> ModelSpec:
-    """Redistribute bond phases without changing the flux.
-
-    Raises FluxMismatch when the target phases do not sum to the model flux
-    mod 2*pi (tolerance ANGLE_TOL). Spectra are invariant under this move.
-    """
-    if len(target.phases) != spec.L:
-        raise BadLength(f"gauge has {len(target.phases)} phases, expected {spec.L}")
-    if not angles_equal(target.flux, spec.flux):
-        raise FluxMismatch(
-            f"gauge sums to {target.flux:.15g}, model flux is {spec.flux:.15g}"
-        )
-    return validate(replace(spec, hop_phase=tuple(target.phases)))
-
-
-def canonical_gauge(spec: ModelSpec) -> ModelSpec:
-    """Move the whole flux onto the last bond: theta = (0, .., 0, flux)."""
-    phases = (0.0,) * (spec.L - 1) + (spec.flux,)
-    return replace(spec, hop_phase=phases)
 
 
 def with_flux(spec: ModelSpec, phi: float) -> ModelSpec:
@@ -248,19 +208,3 @@ def parse_angle(text: str) -> float:
     else:
         num = float(head)
     return num * math.pi
-
-
-def format_angle(phi: float) -> str:
-    """Render simple rational multiples of pi symbolically, else as a float."""
-    folded = fold_angle(phi)
-    frac = folded / math.pi
-    for q in (1, 2, 3, 4, 6):
-        p = frac * q
-        if abs(p - round(p)) < 1e-9:
-            p = int(round(p))
-            if p == 0:
-                return "0"
-            if q == 1:
-                return "pi" if p == 1 else f"{p}pi"
-            return f"{p}/{q}pi" if p != 1 else f"1/{q}pi"
-    return f"{folded:.12g}"

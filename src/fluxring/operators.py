@@ -9,8 +9,7 @@ small). Fermionic signs follow the canonical mode order of
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,14 +40,6 @@ class SparseHermitian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.mat.dot(v)
-
-    def hermiticity_defect(self) -> float:
-        """max |H - H^dagger|; zero for anything built by this module."""
-        d = self.mat - self.mat.getH()
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-    def diagonal(self) -> np.ndarray:
-        return self.mat.diagonal()
 
 
 def _from_coo(dim: int, rows, cols, vals) -> SparseHermitian:
@@ -352,20 +343,6 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
     return check
 
 
-def hole_particle_down(spec: ModelSpec) -> ModelSpec:
-    """Model whose one-particle spectrum is the negation of the original's.
-
-    Realizes the hole-particle transform for the down species: every bond
-    phase shifts by pi (t -> -t), which sends flux to flux + L*pi. Feeds
-    the identity between complementary lowest-eigenvalue sums checked in
-    :mod:`fluxring.analysis`. Requires V = 0.
-    """
-    if any(v != 0.0 for v in spec.V):
-        raise PotentialPresent("hole-particle transform requires V = 0")
-    phases = tuple(fold_angle(p + math.pi) for p in spec.hop_phase)
-    return validate(replace(spec, hop_phase=phases))
-
-
 def extend_ring(spec: ModelSpec) -> ModelSpec:
     """Periodically repeat the hoppings on a ring of 2L sites.
 
@@ -386,14 +363,3 @@ def extend_ring(spec: ModelSpec) -> ModelSpec:
             U=(0.0,) * (spec.L * 2),
         )
     )
-
-
-def dump_coo(H: SparseHermitian) -> str:
-    """Coordinate-format text dump: 'row col re im', 1-indexed, row-major."""
-    coo = H.mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k] + 1} {coo.col[k] + 1} {coo.data[k].real!r} {coo.data[k].imag!r}"
-        for k in order
-    ]
-    return "\n".join(lines) + "\n"

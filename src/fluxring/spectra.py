@@ -1,5 +1,5 @@
 """Eigenvalue engines: ground states with degeneracy, lowest-level sums,
-full spectra and canonical partition functions.
+full spectra and log partition functions.
 
 Ground states come from one of two solvers. The dense one diagonalizes
 the densified matrix (LAPACK, lowest levels only when vectors are wanted).
@@ -27,7 +27,6 @@ from .errors import (
     EmptySector,
     MultipletCut,
     NoConvergence,
-    PartitionOverflow,
     TooLargeForDense,
 )
 from .model import ModelSpec, fold_angle
@@ -402,20 +401,3 @@ def log_partition_sweep(hamiltonians, betas) -> np.ndarray:
         columns.append([float(-beta * vals[0] + math.log(np.exp(-beta * (vals - vals[0])).sum()))
                         for beta in betas])
     return np.reshape(columns, (len(columns), len(betas))).T
-
-
-def log_canonical_partition(H: SparseHermitian, beta: float) -> float:
-    """log Tr exp(-beta H) over the sector."""
-    return float(log_partition_sweep([H], [beta])[0, 0])
-
-
-def canonical_partition(H: SparseHermitian, beta: float) -> float:
-    """Tr exp(-beta H) over the sector, via the shifted sum. Raises
-    PartitionOverflow when the value exceeds the float range (log Tr above
-    about 709), where log_canonical_partition still answers."""
-    log_z = log_canonical_partition(H, beta)
-    try:
-        return math.exp(log_z)
-    except OverflowError:
-        raise PartitionOverflow(f"Tr exp(-beta H) = exp({log_z:.6g}) overflows a float; "
-                                "use log_canonical_partition") from None

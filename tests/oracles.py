@@ -5,14 +5,21 @@ builder: spin-major mode order (all up modes before all down modes),
 states as sorted tuples, fermion parities from list positions. It shares
 no code or conventions with fluxring.operators beyond the physics, so
 agreement between the two is evidence, not tautology.
+
+regauge and hermiticity_defect are reference checks on package objects
+that several test modules share and the package itself never calls.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+
+from fluxring.model import angle_dist, fold_angle, validate
 
 
 def fourier_levels(L: int, phi: float) -> np.ndarray:
@@ -133,3 +140,16 @@ class DenseOracle:
 
 def spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
+
+
+def regauge(spec, phases):
+    """spec with its bond phases replaced by phases, which must carry the
+    same flux mod 2*pi (to 1e-12): a pure gauge move."""
+    assert angle_dist(fold_angle(math.fsum(phases)), spec.flux) <= 1e-12
+    return validate(replace(spec, hop_phase=tuple(phases)))
+
+
+def hermiticity_defect(H) -> float:
+    """max |H - H^dagger| of a SparseHermitian."""
+    d = H.mat - H.mat.getH()
+    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import fluxring as fr
-from fluxring.analysis import sector_basis_for
-from fluxring.errors import HypothesisViolated, NotFourNPlusTwo
+from fluxring.analysis import _flux_roles, sector_basis_for
+from fluxring.errors import HypothesisViolated, NotFourNPlusTwo, PartitionOverflow
 from fluxring.model import angle_dist
 
-from oracles import filled_sum
+from oracles import filled_sum, regauge
 
 PI = math.pi
 
@@ -72,8 +72,7 @@ def test_scan_matches_arbitrary_gauge_point():
     for i in (0, 5, 11):
         phi = float(curve.grid[i])
         parts = rng.uniform(0, 2 * PI, 4)
-        gauge = fr.GaugeAssignment(tuple(parts) + (phi - parts.sum(),))
-        moved = fr.regauge(fr.with_flux(spec, phi), gauge)
+        moved = regauge(fr.with_flux(spec, phi), tuple(parts) + (phi - parts.sum(),))
         e = fr.ground(fr.build_hamiltonian(moved, basis), want_vectors=False).energy
         assert abs(e - curve.values[i]) < 1e-10
 
@@ -82,21 +81,6 @@ def test_refine_argmin_flat_curve():
     curve = fr.FluxCurve(np.arange(12) * (2 * PI / 12), np.zeros(12))
     out = fr.refine_argmin(curve, fr.make_spec(4, 0))
     assert len(out) == 12
-
-
-def test_detect_period():
-    rng = np.random.default_rng(4)
-    spec = fr.make_spec(5, 5, rng.uniform(0.5, 2, 5))
-    curve = fr.scan_flux(spec, two_sz=1, grid_size=40)
-    assert fr.detect_period(curve, tol=1e-9) == pytest.approx(PI, abs=1e-15)
-
-    hc = fr.make_spec(4, 2, U=fr.INFINITY)
-    curve = fr.scan_flux(hc, two_sz=0, grid_size=40)
-    assert fr.detect_period(curve, tol=1e-9) == pytest.approx(PI, abs=1e-15)
-
-    generic = fr.make_spec(4, 2, V=(0.4, -0.1, 0.2, 0.0), U=2.0)
-    curve = fr.scan_flux(generic, two_sz=0, grid_size=40)
-    assert fr.detect_period(curve, tol=1e-9) == pytest.approx(2 * PI, abs=1e-15)
 
 
 def test_verify_even_finite_u():
@@ -153,6 +137,31 @@ def test_thermal_scan_rejects_filled_hardcore_ring():
         with pytest.raises(HypothesisViolated, match="N < L"):
             fr.thermal_scan(fr.make_spec(L, N, U=fr.INFINITY), grid_size=12)
     assert fr.thermal_scan(fr.make_spec(6, 4, U=fr.INFINITY), grid_size=12).passed
+
+
+HOP_FREE = (fr.make_spec(4, 0), fr.make_spec(4, 0, U=fr.INFINITY), fr.make_spec(4, 8))
+
+
+def test_verifiers_reject_hop_free_sectors():
+    # N = 0, hard-core N = L and free N = 2L: every flux curve is flat
+    for spec in HOP_FREE:
+        with pytest.raises(HypothesisViolated):
+            fr.verify_even(spec)
+        with pytest.raises(HypothesisViolated, match="no particle can hop"):
+            fr.thermal_scan(spec, grid_size=12)
+    for spec in (fr.make_spec(4, 0, U=fr.INFINITY), fr.make_spec(4, 4, U=fr.INFINITY)):
+        with pytest.raises(HypothesisViolated, match="N < L"):
+            fr.verify_block_lemma(spec, grid_size=12)
+
+
+def test_thermal_scan_judged_partition_overflow_is_typed():
+    # |t| = 300: P overflows a float at beta = 4, where its derivative is judged
+    spec = fr.make_spec(3, 3, hop_mag=300.0)
+    with pytest.raises(PartitionOverflow, match="overflows"):
+        fr.thermal_scan(spec, betas=(4.0,), grid_size=12)
+    # where P is finite, its derivative is judged as before
+    r = fr.thermal_scan(spec, betas=(0.5,), grid_size=12)
+    assert math.isfinite(r.measured["critical_point_derivative"][0.5])
 
 
 def test_verify_even_rejects_odd_n():
@@ -282,7 +291,9 @@ def test_spiral_gauge_alternates_sign_on_cyclic_spin_shifts():
         occ = 0
         for site, ch in zip(positions, w):
             occ |= 1 << mode(site, 0 if ch == "u" else 1)
-        return basis.index[occ]
+        (i,) = basis.locate(np.array([occ], dtype=np.uint64))
+        assert i >= 0
+        return i
 
     for k in range(5):
         a = g.phases[state_of(word[k:] + word[:k])]
@@ -359,7 +370,7 @@ def test_thermal_sweep_matches_single_matrix_entry_and_cli(monkeypatch, tmp_path
     from fluxring import cli
 
     # thermal_scan and `fluxring thermo` read log P from one sweep, and both
-    # equal log_canonical_partition point by point, bit for bit
+    # equal a one-matrix log_partition_sweep point by point, bit for bit
     spec = fr.make_spec(4, 2, (1.2, 0.7, 1.5, 0.9), None, (0.3, -0.2, 0.0, 0.1), 1.0)
     betas, grid = (0.5, 1.0, 2.0), 24
     sweeps = []
@@ -377,7 +388,7 @@ def test_thermal_sweep_matches_single_matrix_entry_and_cli(monkeypatch, tmp_path
     library, command = sweeps
     assert library.shape == (3, grid) and np.array_equal(library, command)
     family = fr.flux_family(spec, sector_basis_for(spec, 0))
-    direct = [[fr.log_canonical_partition(family.hamiltonian(phi), b)
+    direct = [[float(sweep([family.hamiltonian(phi)], [b])[0, 0])
                for phi in fr.analysis.flux_grid(grid)] for b in betas]
     assert np.array_equal(library, np.array(direct))
 
@@ -405,18 +416,67 @@ def test_ferromagnetic_state_properties():
     assert ferro.real.min() > 0  # positive in the sign-fixed gauge
 
 
+def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
+    """Limit-tracing diagnostic for the spiral construction (no verdict).
+
+    For each finite coupling u, diagonalizes the free-sector problem at the
+    zero-role flux and its negative envelope, projects both ground states
+    onto the no-double-occupancy subspace, and reports overlaps with the
+    exact hard-core objects: the weight of the projected singlet inside
+    the hard-core singlet subspace, its overlap with the spiral state, and
+    the overlap of the projected envelope ground state with the
+    ferromagnet. On sectors with a single hard-core block the latter tends
+    to 1; with several blocks it converges to a different positive
+    combination, which is why the spiral gauge needs its per-block signs
+    solved rather than assumed.
+    """
+    if not spec.hardcore or spec.N % 4 != 2:
+        raise HypothesisViolated("diagnostic applies to hard-core N = 4n+2 models")
+    L, N = spec.L, spec.N
+    phi_zero, _ = _flux_roles(L)
+    basis0 = sector_basis_for(spec, 0)
+    s2 = fr.build_total_spin(basis0)
+
+    h_zero = fr.build_hamiltonian(fr.with_flux(spec, phi_zero), basis0)
+    g0 = fr.ground(h_zero, max_degeneracy=16, s2=s2)
+    manifold = g0.vectors
+    block = manifold.conj().T @ s2.matvec(manifold)
+    s2_vals, s2_vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+    singlets = manifold @ s2_vecs[:, np.abs(s2_vals) < 1e-8]
+
+    spiral, _ = fr.spiral_state(spec)
+    ferro = fr.ferromagnetic_state(spec)
+
+    free_basis = fr.enumerate_sector(L, N, 0, hardcore=False)
+    idx = free_basis.locate(basis0.codes)
+    out = {}
+    for u in couplings:
+        free_spec = fr.validate(fr.ModelSpec(L, N, spec.hop_mag,
+                                             fr.with_flux(spec, phi_zero).hop_phase,
+                                             spec.V, (float(u),) * L))
+        h_free = fr.build_hamiltonian(free_spec, free_basis)
+        psi_g = fr.ground(h_free).vectors[:, 0][idx]
+        psi_g = psi_g / np.linalg.norm(psi_g)
+        env_g = fr.ground(fr.negative_envelope(h_free)).vectors[:, 0][idx]
+        env_g = env_g / np.linalg.norm(env_g)
+        out[float(u)] = {
+            "singlet_subspace_weight": float(np.linalg.norm(singlets.conj().T @ psi_g) ** 2),
+            "spiral_overlap": float(abs(np.vdot(spiral, psi_g))),
+            "ferro_overlap": float(abs(np.vdot(ferro, env_g))),
+        }
+    return out
+
+
 def test_finite_coupling_overlap_converges():
     # single-block sector: the envelope ground state tends to the ferromagnet
-    d = fr.finite_coupling_overlap(fr.make_spec(5, 2, U=fr.INFINITY),
-                                   couplings=(10.0, 1000.0))
+    d = finite_coupling_overlap(fr.make_spec(5, 2, U=fr.INFINITY), couplings=(10.0, 1000.0))
     assert d[1000.0]["singlet_subspace_weight"] > 1 - 1e-5
     assert d[1000.0]["ferro_overlap"] > 1 - 1e-5
     assert d[1000.0]["spiral_overlap"] > d[10.0]["spiral_overlap"] - 1e-9
 
     # several blocks: the limit is a different positive combination, which
     # is exactly why the spiral gauge solves its per-block signs
-    d = fr.finite_coupling_overlap(fr.make_spec(7, 6, U=fr.INFINITY),
-                                   couplings=(1000.0,))
+    d = finite_coupling_overlap(fr.make_spec(7, 6, U=fr.INFINITY), couplings=(1000.0,))
     assert d[1000.0]["singlet_subspace_weight"] > 1 - 1e-5
     assert d[1000.0]["ferro_overlap"] < 0.9
 

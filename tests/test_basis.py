@@ -2,13 +2,51 @@ import math
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxring as fr
-from fluxring.basis import apply_hop, hopping_moves, mode, spin_word
+from fluxring.basis import mode
 from fluxring.errors import EmptySector, RingTooLong
+
+
+def apply_hop(occ: int, m_to: int, m_from: int) -> tuple[int, int] | None:
+    """Apply c+_{m_to} c_{m_from} to a configuration, state by state.
+
+    Returns (new_occ, sign) or None when the move annihilates the state.
+    The sign is (-1)**(number of occupied modes strictly between the two),
+    the composition of the two Jordan-Wigner parities.
+    """
+    if not (occ >> m_from) & 1:
+        return None
+    cleared = occ ^ (1 << m_from)
+    if (cleared >> m_to) & 1:
+        return None
+    s1 = (occ & ((1 << m_from) - 1)).bit_count()
+    s2 = (cleared & ((1 << m_to) - 1)).bit_count()
+    return cleared | (1 << m_to), -1 if (s1 + s2) & 1 else 1
+
+
+def spin_word(occ: int, L: int) -> str:
+    """Spins read along the ring in order of increasing occupied site,
+    'u'/'d' per occupied site of a hard-core configuration."""
+    out = []
+    for x in range(L):
+        if (occ >> mode(x, 0)) & 1:
+            out.append("u")
+        if (occ >> mode(x, 1)) & 1:
+            out.append("d")
+    return "".join(out)
+
+
+def table_moves(basis):
+    """(i, j, bond, direction, sign) for every hop from state i to state j,
+    read from the hopping table of the basis."""
+    t = basis.hops
+    return list(zip(t.col.tolist(), t.row.tolist(), t.bond.tolist(),
+                    t.direction.tolist(), t.sign.tolist()))
 
 
 def test_sector_dimensions():
@@ -42,9 +80,10 @@ def test_empty_sector():
 
 def test_states_sorted_and_indexed():
     basis = fr.enumerate_sector(5, 3, 1, hardcore=True)
-    assert list(basis.states) == sorted(basis.states)
-    for i, s in enumerate(basis.states):
-        assert basis.index[s] == i
+    states = basis.codes.tolist()
+    assert states == sorted(states)
+    for i, s in enumerate(states):
+        assert basis.locate(np.array([s], dtype=np.uint64)).tolist() == [i]
         assert s.bit_count() == 3
 
 
@@ -139,18 +178,17 @@ def test_blocks_closed_under_hopping_and_partition(L, N):
     for k, b in enumerate(blocks):
         for i in b.member_indices:
             owner[i] = k
-    for i, j, *_ in hopping_moves(spec, basis):
+    for i, j, *_ in table_moves(basis):
         assert owner[i] == owner[j]
     # every member's spin word is a rotation of the block representative
+    states = basis.codes.tolist()
     for b in blocks:
         for i in b.member_indices:
-            w = spin_word(basis.states[i], L)
+            w = spin_word(states[i], L)
             assert min(w[k:] + w[:k] for k in range(len(w))) == b.representative
 
 
 def test_block_membership_gauge_invariant():
-    import numpy as np
-
     base = fr.make_spec(6, 4, U=fr.INFINITY)
     basis = fr.enumerate_sector(6, 4, 0, hardcore=True)
     a = fr.decompose_blocks(basis, base)
@@ -169,16 +207,18 @@ def test_ring_beyond_64_modes_rejected():
 
 def _walk_moves(basis):
     """Every hop between basis states, found state by state with apply_hop."""
+    states = basis.codes.tolist()
+    index = {s: i for i, s in enumerate(states)}
     moves = set()
-    for i, occ in enumerate(basis.states):
+    for i, occ in enumerate(states):
         for x in range(basis.L):
             y = (x + 1) % basis.L
             for sigma in (0, 1):
                 for direction, m_to, m_from in ((1, mode(y, sigma), mode(x, sigma)),
                                                 (-1, mode(x, sigma), mode(y, sigma))):
                     res = apply_hop(occ, m_to, m_from)
-                    if res is not None and res[0] in basis.index:
-                        moves.add((i, basis.index[res[0]], x, direction, res[1]))
+                    if res is not None and res[0] in index:
+                        moves.add((i, index[res[0]], x, direction, res[1]))
     return moves
 
 
@@ -197,7 +237,7 @@ def test_table_and_blocks_match_state_walk(sector):
     spec = fr.make_spec(L, N, U=fr.INFINITY)
     basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
     walk = _walk_moves(basis)
-    moves = list(hopping_moves(spec, basis))
+    moves = table_moves(basis)
     assert len(moves) == len(walk) and set(moves) == walk
 
     parent = list(range(basis.dim))
@@ -217,5 +257,12 @@ def test_table_and_blocks_match_state_walk(sector):
     blocks = fr.decompose_blocks(basis, spec)
     assert [b.member_indices for b in blocks] == want  # ordered by smallest member
     for b in blocks:
-        w = spin_word(basis.states[b.member_indices[0]], L)
+        w = spin_word(int(basis.codes[b.member_indices[0]]), L)
         assert b.representative == min(w[k:] + w[:k] for k in range(len(w)))
+
+
+def test_empty_hardcore_sector_is_one_block():
+    assert fr.necklace_period("") == 1
+    basis = fr.enumerate_sector(4, 0, 0, hardcore=True)
+    blocks = fr.decompose_blocks(basis, fr.make_spec(4, 0, U=fr.INFINITY))
+    assert [(b.period, b.representative, b.member_indices) for b in blocks] == [(1, "", (0,))]

@@ -183,6 +183,40 @@ def test_verify_thermo_filled_hardcore_ring_exits_two(tmp_path):
     assert res.stdout == ""
 
 
+def test_verifiers_on_hop_free_sectors_exit_two(tmp_path):
+    # N = 0, hard-core N = 0 and free N = 2L: flat curves, not failed claims
+    for name, spec in (("empty", fr.make_spec(4, 0)),
+                       ("empty-hc", fr.make_spec(4, 0, U=fr.INFINITY)),
+                       ("full", fr.make_spec(4, 8))):
+        path = tmp_path / f"{name}.json"
+        fr.save_model(spec, path)
+        for claim in ("even", "thermo"):
+            res = run_cli("verify", claim, "--model", str(path), "--grid", "12")
+            assert res.returncode == 2, (name, claim, res.stdout)
+            assert "internal error" not in res.stderr and res.stdout == ""
+    res = run_cli("verify", "blocks", "--model", str(tmp_path / "empty-hc.json"), "--grid", "12")
+    assert res.returncode == 2 and "no particle can hop" in res.stderr
+
+
+def test_blocks_of_empty_hardcore_sector(tmp_path):
+    path = tmp_path / "empty.json"
+    fr.save_model(fr.make_spec(4, 0, U=fr.INFINITY), path)
+    res = run_cli("blocks", "--model", str(path))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [{"period": 1, "dimension": 1, "representative": ""}]
+
+
+def test_verify_thermo_partition_overflow_exits_two(tmp_path):
+    # |t| = 300: P = Tr exp(-beta H) overflows a float at beta = 4, below
+    # the largest beta at which its derivative is judged
+    path = tmp_path / "strong.json"
+    fr.save_model(fr.make_spec(3, 3, hop_mag=300.0), path)
+    res = run_cli("verify", "thermo", "--model", str(path), "--beta", "4")
+    assert res.returncode == 2
+    assert "overflows" in res.stderr and "internal error" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")
