@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .basis import SectorBasis, decompose_blocks, enumerate_sector
-from .errors import HypothesisViolated, NotFourNPlusTwo, PartitionOverflow
+from .errors import HypothesisViolated, NotFourNPlusTwo
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
@@ -44,7 +44,7 @@ TWO_PI = 2.0 * math.pi
 #: Default argmin tolerances: equality in energy and in angle.
 VALUE_TOL = 1e-9
 ANGLE_MATCH_TOL = 1e-6
-REFINE_XTOL = 1e-8
+REFINE_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,32 +138,64 @@ def scan_flux(spec: ModelSpec, two_sz: int | None = None, grid_size: int = 720,
     return FluxCurve(grid, np.asarray(values), f"E_{spec.N}")
 
 
-def _golden_minimize(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to width xtol."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
+def _current(family: FluxFamily, phi: float, method: str) -> tuple[float, float, float]:
+    """Ground energy at phi and the least and greatest persistent current
+    dE/dphi there: dH/dphi projected onto the ground vectors
+    (Hellmann-Feynman), whose eigenvalues are the one-sided slopes of E."""
+    phi = fold_angle(phi)
+    info = ground(family.hamiltonian(phi), want_vectors=True, max_degeneracy=0,
+                  method=method)
+    block = info.vectors.conj().T @ family.derivative(phi).matvec(info.vectors)
+    slopes = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+    return info.energy, float(slopes[0]), float(slopes[-1])
+
+
+def _current_root(current, a: float, b: float, xtol: float) -> tuple[float, float] | None:
+    """Angle and energy where the persistent current crosses zero upward in
+    [a, b], or None when the bracket shows no such crossing.
+
+    An angle counts as left of the crossing when its greatest slope is
+    negative, right of it when its least slope is positive, and as the
+    crossing itself when its slopes straddle zero. The bracket is closed by
+    the Illinois variant of regula falsi, each new angle kept xtol/4 inside
+    the bracket so that a converged end is crossed and the bracket shuts.
+    A cusp, where the current jumps across zero, closes the same way.
+    """
+    (ea, lo_a, hi_a), (eb, lo_b, hi_b) = current(a), current(b)
+    for x, e, lo, hi in ((a, ea, lo_a, hi_a), (b, eb, lo_b, hi_b)):
+        if lo <= 0.0 <= hi:
+            return x, e
+    if not (hi_a < 0.0 < lo_b):
+        return None
+    ja, jb = hi_a, lo_b       # the currents at the ends
+    wa, wb, last = ja, jb, 0  # their weights in the interpolation
     while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
+        x = min(max((a * wb - b * wa) / (wb - wa), a + 0.25 * xtol), b - 0.25 * xtol)
+        e, lo, hi = current(x)
+        if lo <= 0.0 <= hi:
+            return x, e
+        if hi < 0.0:
+            a, ea, ja, wa = x, e, hi, hi
+            if last < 0:      # the right end was kept twice: halve its weight
+                wb *= 0.5
+            last = -1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+            b, eb, jb, wb = x, e, lo, lo
+            if last > 0:
+                wa *= 0.5
+            last = 1
+    return (a * jb - b * ja) / (jb - ja), min(ea, eb)
 
 
 def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
                   method: str = "auto") -> list[float]:
     """All global minimizers of the scanned energy, refined to REFINE_XTOL in angle.
 
-    Each grid-local minimum is polished by golden-section search on its
-    bracket; refined minima within VALUE_TOL of the global minimum are
-    returned (folded, deduplicated). A flat curve returns every grid angle.
+    Each grid-local minimum is refined to the root of the persistent
+    current dE/dphi between its two grid neighbours; one without an upward
+    crossing of the current there keeps its grid angle and scanned energy.
+    Refined minima within VALUE_TOL of the global minimum are returned
+    (folded, deduplicated). A flat curve returns every grid angle.
     """
     values = curve.values
     n = len(values)
@@ -172,16 +204,16 @@ def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
 
     basis = sector_basis_for(spec, two_sz)
     family = flux_family(spec, basis)
-    f = lambda phi: _energy_at(family, phi, method)
+    current = lambda phi: _current(family, phi, method)
 
     spacing = TWO_PI / n
     candidates = []
     for i in range(n):
         left, right = values[(i - 1) % n], values[(i + 1) % n]
         if values[i] <= left and values[i] <= right:
-            a = curve.grid[i] - spacing
-            b = curve.grid[i] + spacing
-            candidates.append(_golden_minimize(f, a, b, REFINE_XTOL))
+            x = float(curve.grid[i])
+            root = _current_root(current, x - spacing, x + spacing, REFINE_XTOL)
+            candidates.append(root or (x, float(values[i])))
 
     best = min(v for _, v in candidates)
     keep = sorted((fold_angle(x), v) for x, v in candidates if v <= best + VALUE_TOL)
@@ -614,32 +646,18 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
                               tolerance, ok)
 
 
-#: Largest beta at which the absolute 1e-8 derivative window is meaningful:
-#: beyond it P itself is so large that machine noise in the central
-#: difference exceeds the window even for an exactly critical point.
-DERIVATIVE_BETA_CAP = 4.0
-
-
-def _partition(log_p: float, beta: float) -> float:
-    """P = exp(log P), or PartitionOverflow where P leaves the float range."""
-    try:
-        return math.exp(log_p)
-    except OverflowError:
-        raise PartitionOverflow(f"P = exp({log_p:.6g}) at beta={beta:g} overflows a float; "
-                                "its flux derivative cannot be judged") from None
-
-
 def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
                  grid_size: int = 90) -> VerificationReport:
     """Finite-temperature behaviour of the sector partition function.
 
-    Odd free half filling: the quarter-turn fluxes are critical points of P;
-    the central-difference derivative there is judged for beta up to
-    DERIVATIVE_BETA_CAP. Beyond it, where P may overflow a float, the
-    derivative of log P is recorded instead (the maximizer may wander at
-    large beta, which is recorded but never judged). Even N: the maximizer
-    sits at the zero-temperature optimal flux for every beta. Maximizers are
-    taken from log P, which has the argmax of P and stays finite at any beta.
+    Odd free half filling: the quarter-turn fluxes are critical points of P.
+    The central-difference derivative of log P there, (dP/dphi) / P, is
+    judged at every beta: it vanishes exactly where dP/dphi does, and it
+    stays finite and free of the factor exp(beta |E_0|) that P carries into
+    the rounding noise of dP/dphi (the maximizer may wander at large beta,
+    which is recorded but never judged). Even N: the maximizer sits at the
+    zero-temperature optimal flux for every beta. Maximizers are taken from
+    log P, which has the argmax of P and stays finite at any beta.
     """
     _require_hopping(spec)
     two_sz = minimal_two_sz(spec.N)
@@ -661,19 +679,11 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
         h = 1e-2  # half-width of the central difference
         ends = [fold_angle(c + s * h) for c in (0.5 * math.pi, 1.5 * math.pi) for s in (1, -1)]
         log_p = log_partition_sweep((family.hamiltonian(phi) for phi in ends), betas)
-        derivs, log_derivs = {}, {}
-        for beta, row in zip(betas, log_p):
-            judged = beta <= DERIVATIVE_BETA_CAP
-            worst = 0.0
-            for lp, lm in zip(row[0::2], row[1::2]):
-                diff = _partition(lp, beta) - _partition(lm, beta) if judged else lp - lm
-                worst = max(worst, abs(diff) / (2.0 * h))
-            (derivs if judged else log_derivs)[beta] = worst
-        measured["critical_point_derivative"] = derivs
-        if log_derivs:
-            measured["critical_point_log_derivative"] = log_derivs
+        derivs = {beta: max(abs(lp - lm) for lp, lm in zip(row[0::2], row[1::2])) / (2.0 * h)
+                  for beta, row in zip(betas, log_p)}
+        measured["critical_point_log_derivative"] = derivs
         measured["argmax"] = argmax
-        tolerance["critical_point_derivative"] = 1e-8
+        tolerance["critical_point_log_derivative"] = 1e-8
         ok = all(d < 1e-8 for d in derivs.values())
     elif spec.N % 2 == 0:
         if spec.hardcore:

@@ -57,10 +57,6 @@ class NoConvergence(FluxRingError):
         self.residual = residual
 
 
-class PartitionOverflow(FluxRingError):
-    """Tr exp(-beta H) exceeds the float range; its logarithm does not."""
-
-
 class TooLargeForDense(FluxRingError):
     """Dense spectrum requested above the dense size limit."""
 

@@ -3,10 +3,13 @@ full spectra and log partition functions.
 
 Ground states come from one of two solvers. The dense one diagonalizes
 the densified matrix (LAPACK, lowest levels only when vectors are wanted).
-The iterative one is a Lanczos iteration with full reorthogonalization and
-a deterministic start vector; degenerate ground levels are resolved by
-deflation: converged vectors are locked and the iteration restarts in
-their orthogonal complement until the next level clears the degeneracy gap.
+The iterative one is a Lanczos iteration with a deterministic start
+vector. A solve for the energy alone (no vectors, no spin operator,
+max_degeneracy=0) runs the plain three-term recurrence, which keeps three
+vectors. Every other solve runs full reorthogonalization, and resolves
+degenerate ground levels by deflation: converged vectors are locked and
+the iteration restarts in their orthogonal complement until the next
+level clears the degeneracy gap.
 
 ground(method="auto") picks between them by sector dimension, at the
 crossover LANCZOS_CROSSOVER measured below: dense up to it, Lanczos above.
@@ -38,31 +41,36 @@ DENSE_LIMIT = 2000
 
 #: Dense/Lanczos crossover of ground(method="auto"): sectors up to this
 #: dimension are solved dense, larger ones by Lanczos first. Measured on
-#: 2 cores with 1 BLAS thread, best of 10 runs (3 at dimension 1225), in ms,
-#: on random models (U = 3 unless hard-core):
+#: 2 cores with 1 BLAS thread, best of 9 interleaved runs (3 above dimension
+#: 1000), in ms, on random models (U = 3 unless hard-core). "recurrence"
+#: and "Lanczos" are converged solves; "B steps" runs the recurrence and
+#: "pass 50"/"pass B" one reorthogonalized pass for that many steps without
+#: stopping, where B = min(600, 3*dim // 5) is the budget of an auto solve:
 #:
-#:    dim  sector               energy only        vectors + S^2
-#:                           dense / Lanczos    dense / Lanczos
-#:     49  L=7 N=2               0.17 /  1.36       0.40 /  2.99
-#:    100  L=5 N=4               0.85 /  2.10       1.06 /  3.71
-#:    147  L=7 N=3 2Sz=1         1.79 /  1.55       2.36 /  4.23
-#:    169  L=13 N=2              2.87 /  2.54       3.64 /  5.93
-#:    196  L=14 N=2              5.34 /  3.86       5.94 /  8.85
-#:    225  L=6 N=4               7.45 /  2.94       8.56 /  7.67
-#:    300  L=6 N=5 2Sz=1        17.28 /  3.25      15.50 /  7.40
-#:    400  L=6 N=6              26.26 /  3.13      27.67 /  7.01
-#:    560  hard-core L=8 N=6    71.96 /  5.61      61.95 / 32.31
-#:   1225  L=7 N=6             691.56 /  5.36     692.89 / 28.69
+#:                                 energy only                  vectors + S^2
+#:    dim  sector               dense  recurrence  B steps    dense  Lanczos  pass 50  pass B
+#:    100  L=5 N=4               0.95     0.78      1.01       1.33    3.18     1.59     1.87
+#:    147  L=7 N=3 2Sz=1         2.00     0.84      1.64       2.64    4.07     1.59     3.19
+#:    169  L=13 N=2              2.64     1.20      1.89       3.38    4.91     1.54     3.95
+#:    225  L=6 N=4               6.50     1.04      3.35       7.06    4.62     1.79     6.48
+#:    300  L=6 N=5 2Sz=1        11.65     1.11      5.38      13.14    5.04     1.86    12.16
+#:    400  L=6 N=6              24.30     1.37      8.49      26.03    6.75     2.02    24.08
+#:    560  hard-core L=8 N=6    64.54     2.12     16.93      69.22   27.72     2.83    84.79
+#:    784  L=8 N=4             153.57     1.95     31.44     151.81   12.24     3.72   270.51
+#:   1225  L=7 N=6             661.46     2.79     53.61     601.19   17.92     5.30   771.71
+#:   1568  L=8 N=5 2Sz=1      1739.97     4.73     82.04    1444.28   31.03     7.95  1022.80
 #:
-#: Energy-only solves, the bulk of every flux scan, cross over near 160.
-#: Solves with vectors cross over nearer 220: the dense path computes only
-#: the lowest levels, and Lanczos needs a second pass to bound the
-#: degeneracy and a tighter residual for the vectors. One constant serves
-#: both; between the two, the iteration budget sends slow vector solves
-#: back to dense. That budget, dim // 3 iterations, comes from the same
-#: machine: one pass of k iterations costs as much as a dense eigvalsh at
-#: k = 55, 80, 233, 371, 505 and 774 for dimensions 169, 225, 560, 784,
-#: 1225 and 1568.
+#: Energy-only solves, the bulk of every flux scan, run the plain
+#: recurrence (_lanczos_energy) and are cheaper than dense from dimension
+#: 100 on. Solves with vectors need a reorthogonalized pass per ground
+#: vector plus one to bound the degeneracy, and cross over near 220. One
+#: constant serves both; between the two, the budget sends slow vector
+#: solves back to dense. A step costs 30-40 us up to dimension 400, mostly
+#: fixed Python overhead, so a pass of k steps costs nearly k times a short
+#: one's step; B steps in one pass cost about one dense solve with vectors
+#: up to dimension 400 and at most 1.8x it above, and a vector solve's
+#: passes (two of 45-85 steps on these sectors) share B linearly. The
+#: recurrence stops within B steps at a fraction of a dense eigvalsh.
 LANCZOS_CROSSOVER = 160
 
 #: Relative width of the ground-level window: eigenvalues within
@@ -146,8 +154,9 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so the
     degeneracy found is only a lower bound). GroundInfo.method names the
     solver whose answer is returned. The Lanczos path counts at most
-    max_degeneracy + 1 ground vectors; max_degeneracy=0 asks for the energy
-    alone and then reports degeneracy 1.
+    max_degeneracy + 1 ground vectors; max_degeneracy=0 asks for one ground
+    vector, or with want_vectors=False for the energy alone (the plain
+    recurrence), and then reports degeneracy 1.
 
     When s2 is given (and vectors are computed), the spin content of the
     ground eigenspace is obtained by diagonalizing the projected S^2. A
@@ -165,20 +174,24 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
         method = "dense" if dim <= LANCZOS_CROSSOVER else "lanczos"
 
     if method == "lanczos":
+        # 3*dim/5 iterations cost about one dense solve (see
+        # LANCZOS_CROSSOVER), so a fallback at most about doubles its cost.
+        budget = 3 * dim // 5 if fallback else None
         try:
-            # A pass of dim/3 iterations costs about one dense solve (see
-            # LANCZOS_CROSSOVER), so a fallback at most doubles the dense
-            # cost. Vectors go to verifiers that judge residuals down to 1e-9
-            # (spiral_state), so they are converged to a 1e-12 residual.
-            e0, vectors, gap = _lanczos_ground(
-                H, max_degeneracy, budget=dim // 3 if fallback else None,
-                resid_tol=1e-12 if want_vectors else 1e-8)
+            if not want_vectors and max_degeneracy == 0:
+                e0, _ = _lanczos_energy(H, max_iter=600 if budget is None else min(600, budget))
+                vectors, gap = None, math.inf
+            else:
+                # Vectors go to verifiers that judge residuals down to 1e-9
+                # (spiral_state), so they are converged to a 1e-12 residual.
+                e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget,
+                                                   resid_tol=1e-12 if want_vectors else 1e-8)
         except NoConvergence:
             if not fallback:
                 raise
             method = "dense"
         else:
-            deg = vectors.shape[1]
+            deg = 1 if vectors is None else vectors.shape[1]
             if fallback and 0 < max_degeneracy < deg:
                 method = "dense"
             elif s2 is not None and max_degeneracy < deg < dim:
@@ -303,6 +316,62 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
     raise NoConvergence("Lanczos failed to produce a Ritz pair")
 
 
+def _lanczos_energy(H: SparseHermitian, max_iter: int = 600, value_tol: float = 1e-14,
+                    resid_tol: float = 1e-8) -> tuple[float, int]:
+    """Lowest eigenvalue of H by the plain three-term Lanczos recurrence,
+    and the number of iterations it took.
+
+    No reorthogonalization and no Krylov basis: three vectors are kept.
+    Rounding makes the Lanczos vectors lose orthogonality as Ritz values
+    converge, which only adds copies of converged Ritz values to the
+    tridiagonal matrix; the lowest Ritz value still converges to the lowest
+    eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). Start vector,
+    check schedule and stopping rules are those of _lanczos_pass; a run
+    may go past dim iterations, since without reorthogonalization the
+    Krylov space is never known to be exhausted short of a breakdown.
+    """
+    dim = H.dim
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    v_prev = None
+
+    alphas = np.empty(max_iter)
+    betas = np.empty(max_iter)
+    scale = 1.0
+    theta_last = None
+    for k in range(max_iter):
+        w = H.matvec(v)
+        a = float(np.vdot(v, w).real)
+        alphas[k] = a
+        scale = max(scale, abs(a))
+        w -= a * v
+        if k > 0:
+            w -= betas[k - 1] * v_prev
+        b = float(np.linalg.norm(w))
+
+        breakdown = b <= 1e-13 * scale
+        if breakdown or k == max_iter - 1 or k % 5 == 4:
+            theta, y = _lowest_ritz(alphas[: k + 1], betas[:k])
+            resid = abs(b * y[-1])
+            stalled = (
+                theta_last is not None
+                and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta))
+                and resid <= resid_tol * max(1.0, abs(theta))
+            )
+            if stalled or breakdown:
+                return theta, k + 1
+            if k == max_iter - 1:
+                raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
+                                    residual=resid)
+            theta_last = theta
+        betas[k] = b
+        w /= b
+        v_prev, v = v, w
+
+    raise NoConvergence("Lanczos failed to produce a Ritz value")
+
+
 def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the real symmetric tridiagonal matrix with
     diagonal d and off-diagonal e.
@@ -333,19 +402,19 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None 
     degeneracy is a lower bound). Each ground vector is converged to a
     residual of resid_tol * max(1, |E|).
 
-    budget, when given, caps the whole run at the cost of one pass of that
-    many iterations. The reorthogonalization that dominates a pass grows as
-    the square of its length, so passes of k_1, k_2, ... iterations may
-    spend sum k_j**2 <= budget**2; NoConvergence is raised beyond that.
+    budget, when given, caps the iterations of all passes together;
+    NoConvergence is raised beyond it. Most of a step's cost is fixed
+    overhead, not the reorthogonalization that grows with the pass length
+    (see LANCZOS_CROSSOVER), so the passes share the budget linearly.
     """
     locked: list[np.ndarray] = []
-    left = None if budget is None else budget * budget
+    left = budget
     e0 = None
     cut = gap = math.inf
     for _ in range(max_degeneracy + 1):
         if len(locked) >= H.dim:
             break
-        max_iter = 600 if left is None else min(600, math.isqrt(left))
+        max_iter = 600 if left is None else min(600, left)
         if max_iter < 1:
             raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
                                 f"after {len(locked)} locked vectors")
@@ -353,7 +422,7 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None 
         theta, vec, steps = _lanczos_pass(H, stack, max_iter=max_iter,
                                           resid_tol=resid_tol, gap_above=cut)
         if left is not None:
-            left -= steps * steps
+            left -= steps
         if e0 is None:
             e0 = theta
             cut = e0 + GROUND_TOL * max(1.0, abs(e0))

@@ -226,7 +226,7 @@ def test_criterion_9_spiral_state():
 def test_criterion_10_thermodynamics():
     odd = fr.thermal_scan(fr.make_spec(3, 3), betas=(0.5, 1.0, 2.0), grid_size=90)
     assert odd.passed, odd.measured
-    worst_d = max(odd.measured["critical_point_derivative"].values())
+    worst_d = max(odd.measured["critical_point_log_derivative"].values())
 
     even = fr.thermal_scan(fr.make_spec(4, 2, U=1.0), betas=(0.5, 1.0, 2.0),
                            grid_size=90)
@@ -234,7 +234,7 @@ def test_criterion_10_thermodynamics():
     worst_a = max(even.measured["argmax_deviation"].values())
     ok = worst_d < 1e-8 and worst_a < 1e-9
     report(10, "finite-temperature critical points and maximizer", ok,
-           f"|dP/dphi| <= {worst_d:.1e}, argmax deviation <= {worst_a:.1e}")
+           f"|dlogP/dphi| <= {worst_d:.1e}, argmax deviation <= {worst_a:.1e}")
 
 
 def test_criterion_11_infrastructure():

@@ -206,15 +206,19 @@ def test_blocks_of_empty_hardcore_sector(tmp_path):
     assert json.loads(res.stdout) == [{"period": 1, "dimension": 1, "representative": ""}]
 
 
-def test_verify_thermo_partition_overflow_exits_two(tmp_path):
-    # |t| = 300: P = Tr exp(-beta H) overflows a float at beta = 4, below
-    # the largest beta at which its derivative is judged
+@pytest.mark.parametrize("t,betas", [(300.0, ["4"]), (20.0, [])], ids=["t300", "t20"])
+def test_verify_thermo_strong_hopping_exits_zero(tmp_path, t, betas):
+    # uniform L=3 N=3 rings are exact critical points at pi/2 and 3pi/2;
+    # P = Tr exp(-beta H) overflows a float at |t| = 300, beta = 4, and at
+    # |t| = 20 (default betas) its derivative was rounding noise up to 4e48
     path = tmp_path / "strong.json"
-    fr.save_model(fr.make_spec(3, 3, hop_mag=300.0), path)
-    res = run_cli("verify", "thermo", "--model", str(path), "--beta", "4")
-    assert res.returncode == 2
-    assert "overflows" in res.stderr and "internal error" not in res.stderr
-    assert res.stdout == ""
+    fr.save_model(fr.make_spec(3, 3, hop_mag=t), path)
+    res = run_cli("verify", "thermo", "--model", str(path),
+                  *[arg for b in betas for arg in ("--beta", b)])
+    assert res.returncode == 0, res.stdout + res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["passed"] is True
+    assert payload["tolerance"] == {"critical_point_log_derivative": 1e-8}
 
 
 def test_verify_thermo_extreme_beta(ring4):

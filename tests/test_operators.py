@@ -404,3 +404,41 @@ def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
         assert _bits(got.indices) == _bits(ref.indices)
         assert _bits(got.data) == _bits(ref.data)
         assert _bits(family.dense(angle)) == _bits(ref.toarray())
+
+
+def _sector_family(sector):
+    L, N, two_sz, hardcore, seed = sector
+    rng = np.random.default_rng(seed)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L),
+                        fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore)
+    return basis, fr.flux_family(spec, basis), rng
+
+
+@given(sectors(), st.floats(-20.0, 20.0))
+@settings(max_examples=40, deadline=None)
+def test_matvec_equals_mat_dot_bit_for_bit(sector, phi):
+    basis, family, rng = _sector_family(sector)
+    dim = basis.dim
+    block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    vectors = (block[:, 0].copy(), block[:, 1], block.real[:, 2].copy(),
+               np.arange(dim), block)   # contiguous, strided, real, integer, 2-D
+    for op in (family.hamiltonian(phi), fr.build_total_spin(basis)):
+        for v in vectors:
+            assert _bits(op.matvec(v)) == _bits(op.mat.dot(v))
+
+
+@given(sectors(), st.floats(-20.0, 20.0))
+@settings(max_examples=30, deadline=None)
+def test_flux_family_derivative_is_the_flux_derivative(sector, phi):
+    basis, family, _ = _sector_family(sector)
+    h = 1e-5
+    slope = (family.dense(phi + h) - family.dense(phi - h)) / (2 * h)
+    d = family.derivative(phi)
+    got = d.to_dense()
+    assert np.abs(got - slope).max() < 1e-8
+    assert hermiticity_defect(d) == 0.0
+    ref = family.hamiltonian(phi).mat
+    assert _bits(d.mat.indptr) == _bits(ref.indptr)
+    assert _bits(d.mat.indices) == _bits(ref.indices)
