@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .basis import SectorBasis, decompose_blocks, enumerate_sector
-from .errors import HypothesisViolated, NotFourNPlusTwo
+from .errors import HypothesisViolated, MethodLimit, NotFourNPlusTwo
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
@@ -34,6 +34,7 @@ from .spectra import (
     GROUND_TOL,
     FluxCurve,
     GroundInfo,
+    _ground_energies,
     ground,
     log_partition_sweep,
     lowest_sum,
@@ -45,6 +46,9 @@ TWO_PI = 2.0 * math.pi
 VALUE_TOL = 1e-9
 ANGLE_MATCH_TOL = 1e-6
 REFINE_XTOL = 1e-10
+
+#: Most hard-core blocks whose sign patterns spiral_state enumerates (2^16).
+SIGN_SEARCH_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -115,18 +119,13 @@ def flux_grid(grid_size: int) -> np.ndarray:
     return np.arange(grid_size) * (TWO_PI / grid_size)
 
 
-def _energy_at(family: FluxFamily, phi: float, method: str) -> float:
-    info = ground(family.hamiltonian(fold_angle(phi)), want_vectors=False,
-                  max_degeneracy=0, method=method)
-    return info.energy
-
-
-def _shifted(values: np.ndarray, grid: np.ndarray, p: int, energy_at) -> np.ndarray:
+def _shifted(values: np.ndarray, grid: np.ndarray, p: int, energies) -> np.ndarray:
     """E(phi_i + 2*pi/p) at every grid angle: the curve G/p steps on when p
-    divides G (separate solves of other matrices), else energy_at there."""
+    divides G (separate solves of other matrices), else energies(angles),
+    which solves the shifted grid."""
     if len(grid) % p == 0:
         return np.roll(values, -(len(grid) // p))
-    return np.array([energy_at(phi + TWO_PI / p) for phi in grid])
+    return energies(grid + TWO_PI / p)
 
 
 def scan_flux(spec: ModelSpec, two_sz: int | None = None, grid_size: int = 720,
@@ -134,8 +133,7 @@ def scan_flux(spec: ModelSpec, two_sz: int | None = None, grid_size: int = 720,
     """Ground energy over a uniform flux grid on [0, 2*pi)."""
     grid = flux_grid(grid_size)
     family = flux_family(spec, sector_basis_for(spec, two_sz))
-    values = [_energy_at(family, p, method) for p in grid]
-    return FluxCurve(grid, np.asarray(values), f"E_{spec.N}")
+    return FluxCurve(grid, _ground_energies(family, grid, method), f"E_{spec.N}")
 
 
 def _current(family: FluxFamily, phi: float, method: str) -> tuple[float, float, float]:
@@ -274,7 +272,7 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     if spec.hardcore:
         family = flux_family(spec, sector_basis_for(spec, 0))
         shifted = _shifted(curve.values, curve.grid, spec.N,
-                           lambda phi: _energy_at(family, phi, "auto"))
+                           lambda angles: _ground_energies(family, angles))
         resid = float(np.abs(shifted - curve.values).max())
         measured["period"] = TWO_PI / spec.N
         measured["period_residual"] = resid
@@ -500,7 +498,8 @@ def spiral_state(spec: ModelSpec):
     enumeration of per-block sign patterns, and the winner is certified by
     the measured S^2 expectation, the eigenvalue residual, and the
     conjugation property of the assembled gauge. Returns (state, report);
-    the state lives in the Sz = 0 hard-core basis.
+    the state lives in the Sz = 0 hard-core basis. A sector of more than
+    SIGN_SEARCH_BLOCKS blocks raises MethodLimit before anything is built.
     """
     if not spec.hardcore:
         raise HypothesisViolated("requires the hard-core interaction")
@@ -515,6 +514,10 @@ def spiral_state(spec: ModelSpec):
     assert angle_dist(spec_ferro.flux, phi_pi) < 1e-12
 
     basis0 = sector_basis_for(spec, 0)
+    blocks = decompose_blocks(basis0, spec)
+    if len(blocks) > SIGN_SEARCH_BLOCKS:
+        raise MethodLimit(f"{len(blocks)} blocks exceed the sign search's limit "
+                          f"of {SIGN_SEARCH_BLOCKS}")
     h_ferro = build_hamiltonian(spec_ferro, basis0)
     h_zero = build_hamiltonian(with_flux(spec, phi_zero), basis0)
     envelope = h_ferro.mat - negative_envelope(h_zero).mat
@@ -539,9 +542,6 @@ def spiral_state(spec: ModelSpec):
     # per-block constant is itself a gauge of the block-diagonal operator).
     # The claim is that some choice sends the ferromagnet to a singlet;
     # solve for it by exact enumeration of sign patterns.
-    blocks = decompose_blocks(basis0, spec)
-    if len(blocks) > 16:
-        raise HypothesisViolated(f"{len(blocks)} blocks exceed the sign-search range")
     s2 = build_total_spin(basis0)
     base_state = restricted * ferro
     best_signs, best_s2, best_state = None, math.inf, None
@@ -592,10 +592,11 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     at every grid point. On even rings with even N the block minima at the
     pi-role flux agree and bound each block curve from below.
 
-    Each block is solved on its own family. E(phi_i + 2*pi/p) is read from
-    the curve G/p grid steps on when p divides G, and E(pi) from the grid
-    point equal to pi (separate solves of other matrices); else both are
-    solved directly.
+    Each block's curve is solved on its own family by _ground_energies,
+    under the eigensolver policy and DENSE_LIMIT. E(phi_i + 2*pi/p) is
+    read from the curve G/p grid steps on when p divides G, and E(pi) from
+    the grid point equal to pi (separate solves of other matrices); else
+    both are solved directly.
     """
     if not spec.hardcore:
         raise HypothesisViolated("requires the hard-core interaction")
@@ -606,13 +607,11 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     subs = [family.restrict(b.member_indices) for b in blocks]
     grid = flux_grid(grid_size)
 
-    def lowest(sub: FluxFamily, phi: float) -> float:
-        return float(np.linalg.eigvalsh(sub.dense(phi))[0])
-
-    curves = np.array([[lowest(sub, phi) for sub in subs] for phi in grid])  # (G, K)
+    curves = np.column_stack([_ground_energies(sub, grid) for sub in subs])  # (G, K)
     period_resid = 0.0
     for k, (b, sub) in enumerate(zip(blocks, subs)):
-        shifted = _shifted(curves[:, k], grid, b.period, lambda phi: lowest(sub, phi))
+        shifted = _shifted(curves[:, k], grid, b.period,
+                           lambda angles: _ground_energies(sub, angles))
         period_resid = max(period_resid, float(np.abs(shifted - curves[:, k]).max()))
 
     full = [k for k, b in enumerate(blocks) if b.period == spec.N]
@@ -633,7 +632,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     if spec.L % 2 == 0 and spec.N % 2 == 0:
         on_grid = np.flatnonzero(grid == math.pi)
         at_pi = (curves[on_grid[0]] if len(on_grid)
-                 else np.array([lowest(sub, math.pi) for sub in subs]))
+                 else np.array([_ground_energies(sub, [math.pi])[0] for sub in subs]))
         eq_two = float(np.abs(at_pi - at_pi[0]).max())
         eq_three = float(max(0.0, (at_pi[None, :] - curves).max()))
         measured["pi_block_minima_spread"] = eq_two
@@ -655,7 +654,9 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
     judged at every beta: it vanishes exactly where dP/dphi does, and it
     stays finite and free of the factor exp(beta |E_0|) that P carries into
     the rounding noise of dP/dphi (the maximizer may wander at large beta,
-    which is recorded but never judged). Even N: the maximizer sits at the
+    which is recorded but never judged). Its window is 1e-8, or the
+    rounding noise of the difference quotient where that grows past it
+    with beta * max|E|. Even N: the maximizer sits at the
     zero-temperature optimal flux for every beta. Maximizers are taken from
     log P, which has the argmax of P and stays finite at any beta.
     """
@@ -677,14 +678,23 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
 
     if odd_free_halffill:
         h = 1e-2  # half-width of the central difference
-        ends = [fold_angle(c + s * h) for c in (0.5 * math.pi, 1.5 * math.pi) for s in (1, -1)]
-        log_p = log_partition_sweep((family.hamiltonian(phi) for phi in ends), betas)
+        ends = [family.hamiltonian(fold_angle(c + s * h))
+                for c in (0.5 * math.pi, 1.5 * math.pi) for s in (1, -1)]
+        log_p = log_partition_sweep(ends, betas)
         derivs = {beta: max(abs(lp - lm) for lp, lm in zip(row[0::2], row[1::2])) / (2.0 * h)
                   for beta, row in zip(betas, log_p)}
+        # Each log P carries the rounding of its -beta*E_min term, up to a
+        # few eps*beta*max|E|, so the difference quotient carries noise of
+        # that over h; 2.7 times eps*beta*||H||/h at most on rings of 3 and
+        # 5 sites for beta up to 1e8. The window grows with it, at 16 times
+        # that, above the floor of 1e-8. The largest absolute row sum bounds
+        # max|E|, and it is the same at every flux.
+        norm = float(abs(ends[0].mat).sum(axis=1).max())
+        window = max(1e-8, 16.0 * np.finfo(float).eps * max(betas, default=0.0) * norm / h)
         measured["critical_point_log_derivative"] = derivs
         measured["argmax"] = argmax
-        tolerance["critical_point_log_derivative"] = 1e-8
-        ok = all(d < 1e-8 for d in derivs.values())
+        tolerance["critical_point_log_derivative"] = window
+        ok = all(d < window for d in derivs.values())
     elif spec.N % 2 == 0:
         if spec.hardcore:
             expected = [fold_angle(TWO_PI * k / spec.N) for k in range(spec.N)]

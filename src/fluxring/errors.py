@@ -73,6 +73,11 @@ class HypothesisViolated(FluxRingError):
     """A verifier was handed a model outside the hypotheses of its claim."""
 
 
+class MethodLimit(FluxRingError):
+    """A verifier's method cannot take an input this large; the claim's
+    hypotheses may well hold."""
+
+
 class NotFourNPlusTwo(FluxRingError):
     """Spiral-state construction requires N = 4n + 2."""
 

@@ -184,6 +184,32 @@ class FluxFamily:
     def hamiltonian(self, phi: float) -> SparseHermitian:
         return self._csr(self._data(self._layout.data.copy(), np.exp(1j * phi * _WINDINGS)))
 
+    @property
+    def nnz(self) -> int:
+        """Entries stored per evaluation, every diagonal entry included."""
+        return len(self._layout.data)
+
+    def stacked(self, angles) -> SparseHermitian:
+        """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
+
+        Each block stores its entries in the order hamiltonian stores them,
+        so a matvec on the stacked vectors (block g at rows g*dim onward)
+        is, block for block, hamiltonian(angles[g]).matvec, bit for bit.
+        It holds len(angles) copies of the family's entries.
+        """
+        layout = self._layout
+        count, nnz = len(angles), len(layout.data)
+        data = np.tile(layout.data, (count, 1))
+        for row, phi in zip(data, angles):
+            self._data(row, np.exp(1j * phi * _WINDINGS))
+        index = np.int32 if count * max(nnz, self.dim) < 2**31 else np.int64
+        shift = np.arange(count, dtype=index)[:, None]
+        indices = (layout.indices + shift * self.dim).ravel()
+        indptr = np.append((layout.indptr[:-1] + shift * nnz).ravel(), index(count * nnz))
+        size = count * self.dim
+        return SparseHermitian(sparse.csr_matrix((data.ravel(), indices, indptr),
+                                                 shape=(size, size)))
+
     def derivative(self, phi: float) -> SparseHermitian:
         """dH/dphi: i w exp(i w phi) times the base amplitude on the terms of
         winding w = +-1, zero on the rest of the same CSR pattern."""

@@ -6,17 +6,20 @@ the densified matrix (LAPACK, lowest levels only when vectors are wanted).
 The iterative one is a Lanczos iteration with a deterministic start
 vector. A solve for the energy alone (no vectors, no spin operator,
 max_degeneracy=0) runs the plain three-term recurrence, which keeps three
-vectors. Every other solve runs full reorthogonalization, and resolves
-degenerate ground levels by deflation: converged vectors are locked and
-the iteration restarts in their orthogonal complement until the next
-level clears the degeneracy gap.
+vectors; _ground_energies runs it for a whole flux grid at once, one column
+per angle, and ground's energy-only solve is its batch of one. Every other
+solve runs full reorthogonalization, and resolves degenerate ground levels
+by deflation: converged vectors are locked and the iteration restarts in
+their orthogonal complement until the next level clears the degeneracy gap.
 
-ground(method="auto") picks between them by sector dimension, at the
-crossover LANCZOS_CROSSOVER measured below: dense up to it, Lanczos above.
-Between the crossover and DENSE_LIMIT a Lanczos attempt that does not
-converge within about the cost of a dense solve, or whose deflation
-saturates, falls back to dense, so auto returns what dense would. Above
-DENSE_LIMIT nothing is densified and Lanczos failures raise.
+method="auto" picks between them by sector dimension, dense up to a
+crossover and Lanczos above, at crossovers measured below: one for
+energy-only solves, one for a single ground vector and one for solves that
+count the degeneracy or project S^2. Between the crossover and DENSE_LIMIT
+a Lanczos attempt that does not converge within about the cost of a dense
+solve, or whose deflation saturates, falls back to dense, so auto returns
+what dense would. Above DENSE_LIMIT nothing is densified and Lanczos
+failures raise.
 """
 
 from __future__ import annotations
@@ -33,45 +36,73 @@ from .errors import (
     TooLargeForDense,
 )
 from .model import ModelSpec, fold_angle
-from .operators import SparseHermitian, build_one_particle
+from .operators import FluxFamily, SparseHermitian, build_one_particle
 
 #: Largest matrix ever densified: by full_spectrum and by ground's dense
 #: path (method="dense" and the auto fallback).
 DENSE_LIMIT = 2000
 
-#: Dense/Lanczos crossover of ground(method="auto"): sectors up to this
-#: dimension are solved dense, larger ones by Lanczos first. Measured on
-#: 2 cores with 1 BLAS thread, best of 9 interleaved runs (3 above dimension
-#: 1000), in ms, on random models (U = 3 unless hard-core). "recurrence"
-#: and "Lanczos" are converged solves; "B steps" runs the recurrence and
-#: "pass 50"/"pass B" one reorthogonalized pass for that many steps without
-#: stopping, where B = min(600, 3*dim // 5) is the budget of an auto solve:
+#: Dense/Lanczos crossovers of method="auto": sectors up to a crossover
+#: are solved dense, larger ones by Lanczos first. Where Lanczos turns
+#: cheaper depends on how much of it a solve needs, so each kind of solve
+#: has its own. Measured on 2 cores with 1 BLAS thread, in ms, on random
+#: models (U = 3 unless hard-core), Lanczos under auto with its budget and
+#: fallback.
 #:
-#:                                 energy only                  vectors + S^2
-#:    dim  sector               dense  recurrence  B steps    dense  Lanczos  pass 50  pass B
-#:    100  L=5 N=4               0.95     0.78      1.01       1.33    3.18     1.59     1.87
-#:    147  L=7 N=3 2Sz=1         2.00     0.84      1.64       2.64    4.07     1.59     3.19
-#:    169  L=13 N=2              2.64     1.20      1.89       3.38    4.91     1.54     3.95
-#:    225  L=6 N=4               6.50     1.04      3.35       7.06    4.62     1.79     6.48
-#:    300  L=6 N=5 2Sz=1        11.65     1.11      5.38      13.14    5.04     1.86    12.16
-#:    400  L=6 N=6              24.30     1.37      8.49      26.03    6.75     2.02    24.08
-#:    560  hard-core L=8 N=6    64.54     2.12     16.93      69.22   27.72     2.83    84.79
-#:    784  L=8 N=4             153.57     1.95     31.44     151.81   12.24     3.72   270.51
-#:   1225  L=7 N=6             661.46     2.79     53.61     601.19   17.92     5.30   771.71
-#:   1568  L=8 N=5 2Sz=1      1739.97     4.73     82.04    1444.28   31.03     7.95  1022.80
+#: Energy only (ENERGY_CROSSOVER), best of 7 interleaved runs: a scan of
+#: 64 angles, dense per angle against _ground_energies, and one solve of
+#: each. Below dimension about 55 the recurrence needs more steps than its
+#: budget of 3*dim/5 and every angle falls back; at 55-81 it did on some
+#: draws (up to 1.6x the dense loop), from 78 up the batch won 2x or more
+#: on every draw. One solve alone pays the per-step overhead a batch
+#: shares, so it turns cheaper only between 100 and 147; energy-only solves
+#: outside scans are rare, and keeping one crossover keeps an angle's
+#: energy the same in a scan and alone.
 #:
-#: Energy-only solves, the bulk of every flux scan, run the plain
-#: recurrence (_lanczos_energy) and are cheaper than dense from dimension
-#: 100 on. Solves with vectors need a reorthogonalized pass per ground
-#: vector plus one to bound the degeneracy, and cross over near 220. One
-#: constant serves both; between the two, the budget sends slow vector
-#: solves back to dense. A step costs 30-40 us up to dimension 400, mostly
-#: fixed Python overhead, so a pass of k steps costs nearly k times a short
-#: one's step; B steps in one pass cost about one dense solve with vectors
-#: up to dimension 400 and at most 1.8x it above, and a vector solve's
-#: passes (two of 45-85 steps on these sectors) share B linearly. The
-#: recurrence stops within B steps at a fraction of a dense eigvalsh.
+#:                                  64 angles               one angle
+#:    dim  sector                dense      batch       dense  recurrence
+#:     36  L=6 N=2                 4.9        9.2        0.09     0.57
+#:     55  L=11 N=2 2Sz=2         10.0        6.8        0.21     0.67
+#:     64  L=8 N=2                13.9        8.0        0.27     0.78
+#:     78  L=13 N=2 2Sz=2         20.2        9.1        0.40     0.87
+#:    100  L=5 N=4                37.0       12.8        0.62     0.87
+#:    147  L=7 N=3 2Sz=1          90.0       14.2        1.45     0.93
+#:    168  hard-core L=8 N=6     131.3       34.3        2.16     1.75
+#:    225  L=6 N=4               270.0       24.1        3.92     1.37
+#:    400  L=6 N=6              1147.6       38.7       18.06     1.40
+#:   1225  L=7 N=6             25531.5      111.0      391.95     2.40
+ENERGY_CROSSOVER = 72
+
+#: With vectors, mean over 5 draws of the best of 5 runs: one ground
+#: vector (max_degeneracy=0, no S^2; LANCZOS_CROSSOVER), one
+#: reorthogonalized pass; and a counted degeneracy with S^2 (the default
+#: max_degeneracy=8; DEFLATION_CROSSOVER), which needs a pass per ground
+#: vector plus one to see the gap, and whose budget ran out on the draws
+#: counted, each then solved twice:
+#:
+#:                             one vector         S^2, degeneracy counted
+#:    dim  sector            dense  Lanczos     dense  Lanczos  fallbacks
+#:    100  L=5 N=4            0.55    0.96       0.88    2.34      5/5
+#:    147  L=7 N=3 2Sz=1      1.39    1.34       1.86    4.31      5/5
+#:    169  L=13 N=2           2.23    2.02       2.79    6.01      5/5
+#:    196  L=14 N=2           3.19    2.30       3.72    5.34      2/5
+#:    225  L=15 N=2           4.15    2.19       4.73    6.18      2/5
+#:    225  L=6 N=4            4.03    1.42       4.61    3.15      0/5
+#:    256  L=16 N=2           5.43    2.35       6.12    5.75      1/5
+#:    300  L=6 N=5 2Sz=1      7.96    1.55       8.74    3.54      0/5
+#:    400  L=6 N=6           16.90    1.77      17.95    4.03      0/5
+#:
+#: The budget, min(600, 3*dim // 5) steps for all passes of a solve
+#: together, costs about one dense solve: a step costs 30-40 us up to
+#: dimension 400, mostly fixed Python overhead.
 LANCZOS_CROSSOVER = 160
+DEFLATION_CROSSOVER = 220
+
+#: Matrix entries a batch of _ground_energies holds at most: about 640 kB
+#: with their column indices, at least one angle. Twice as many sped the
+#: block lemma at hard-core L=8 N=6 up by 3% and raised the peak memory of
+#: verify_even at L <= 6 by 1.3 MB, eight times as many by 8% and 3.1 MB.
+_STACK_ENTRIES = 2**15
 
 #: Relative width of the ground-level window: eigenvalues within
 #: GROUND_TOL * max(1, |E_min|) of E_min count as degenerate ground states.
@@ -147,16 +178,19 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
            method: str = "auto", s2: SparseHermitian | None = None) -> GroundInfo:
     """Lowest eigenvalue of H with degeneracy counting.
 
-    method is "dense", "lanczos" or "auto". Auto solves sectors up to
-    LANCZOS_CROSSOVER dense and larger ones by Lanczos; inside DENSE_LIMIT
-    it falls back to dense when Lanczos does not converge within a budget
-    that costs about one dense solve, or when the deflation saturates
-    (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so the
-    degeneracy found is only a lower bound). GroundInfo.method names the
-    solver whose answer is returned. The Lanczos path counts at most
-    max_degeneracy + 1 ground vectors; max_degeneracy=0 asks for one ground
-    vector, or with want_vectors=False for the energy alone (the plain
-    recurrence), and then reports degeneracy 1.
+    method is "dense", "lanczos" or "auto". Auto solves sectors up to a
+    crossover dense and larger ones by Lanczos: ENERGY_CROSSOVER for the
+    energy alone, LANCZOS_CROSSOVER for one ground vector and
+    DEFLATION_CROSSOVER when the degeneracy is counted (max_degeneracy > 0)
+    or s2 is given. Inside DENSE_LIMIT it falls back to dense when Lanczos
+    does not converge within a budget that costs about one dense solve, or
+    when the deflation saturates (max_degeneracy > 0 and max_degeneracy + 1
+    vectors locked, so the degeneracy found is only a lower bound).
+    GroundInfo.method names the solver whose answer is returned. The
+    Lanczos path counts at most max_degeneracy + 1 ground vectors;
+    max_degeneracy=0 asks for one ground vector, or with want_vectors=False
+    for the energy alone (the plain recurrence, the batch of one of
+    _ground_energies), and then reports degeneracy 1.
 
     When s2 is given (and vectors are computed), the spin content of the
     ground eigenspace is obtained by diagonalizing the projected S^2. A
@@ -166,32 +200,32 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     dim = H.dim
     if dim < 1:
         raise EmptySector("operator has dimension 0")
+    want_vectors = want_vectors or s2 is not None
+    if not want_vectors and max_degeneracy == 0:
+        return _ground_energy(H, method)
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    want_vectors = want_vectors or s2 is not None
     fallback = method == "auto" and dim <= DENSE_LIMIT
     if method == "auto":
-        method = "dense" if dim <= LANCZOS_CROSSOVER else "lanczos"
+        counted = max_degeneracy > 0 or s2 is not None
+        crossover = DEFLATION_CROSSOVER if counted else LANCZOS_CROSSOVER
+        method = "dense" if dim <= min(crossover, DENSE_LIMIT) else "lanczos"
 
     if method == "lanczos":
         # 3*dim/5 iterations cost about one dense solve (see
         # LANCZOS_CROSSOVER), so a fallback at most about doubles its cost.
         budget = 3 * dim // 5 if fallback else None
         try:
-            if not want_vectors and max_degeneracy == 0:
-                e0, _ = _lanczos_energy(H, max_iter=600 if budget is None else min(600, budget))
-                vectors, gap = None, math.inf
-            else:
-                # Vectors go to verifiers that judge residuals down to 1e-9
-                # (spiral_state), so they are converged to a 1e-12 residual.
-                e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget,
-                                                   resid_tol=1e-12 if want_vectors else 1e-8)
+            # Vectors go to verifiers that judge residuals down to 1e-9
+            # (spiral_state), so they are converged to a 1e-12 residual.
+            e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget,
+                                               resid_tol=1e-12 if want_vectors else 1e-8)
         except NoConvergence:
             if not fallback:
                 raise
             method = "dense"
         else:
-            deg = 1 if vectors is None else vectors.shape[1]
+            deg = vectors.shape[1]
             if fallback and 0 < max_degeneracy < deg:
                 method = "dense"
             elif s2 is not None and max_degeneracy < deg < dim:
@@ -206,6 +240,24 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
 
     spin = _spin_content(vectors, s2) if (s2 is not None and vectors is not None) else None
     return GroundInfo(e0, deg, gap, vectors, spin, method)
+
+
+def _ground_energy(H: SparseHermitian, method: str) -> GroundInfo:
+    """The energy-only solve of ground: the batch of one of _ground_energies.
+
+    The recurrence reports degeneracy 1 and an infinite gap; the dense path
+    (chosen, or the auto fallback) counts the ground level and its gap.
+    """
+    method, max_iter, fallback = _energy_plan(H.dim, method)
+    if method == "lanczos":
+        (e0,), _, (resid,) = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
+        if not math.isnan(e0):
+            return GroundInfo(float(e0), 1, math.inf, None, None, "lanczos")
+        if not fallback:
+            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
+                                residual=float(resid))
+    e0, deg, gap, _ = _dense_ground(H, False, 0)
+    return GroundInfo(e0, deg, gap, None, None, "dense")
 
 
 def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
@@ -316,60 +368,140 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
     raise NoConvergence("Lanczos failed to produce a Ritz pair")
 
 
-def _lanczos_energy(H: SparseHermitian, max_iter: int = 600, value_tol: float = 1e-14,
-                    resid_tol: float = 1e-8) -> tuple[float, int]:
-    """Lowest eigenvalue of H by the plain three-term Lanczos recurrence,
-    and the number of iterations it took.
+def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
+                      value_tol: float = 1e-14, resid_tol: float = 1e-8):
+    """Lowest eigenvalues of count Hermitian operators of dimension dim by
+    the plain three-term Lanczos recurrence, run on all of them at once;
+    returns (energies, steps, residuals) with one entry per operator.
 
-    No reorthogonalization and no Krylov basis: three vectors are kept.
+    stack(cols) is the block-diagonal operator whose blocks are the
+    operators numbered cols, in that order; each step applies it once to
+    the active columns' vectors, stacked as the rows of a (len(cols), dim)
+    array. A column leaves the batch when it stops, and stack is called
+    again for the rest. An energy that does not converge within max_iter
+    steps is NaN, with the residual of its last check.
+
+    No reorthogonalization and no Krylov basis: three vectors per column.
     Rounding makes the Lanczos vectors lose orthogonality as Ritz values
     converge, which only adds copies of converged Ritz values to the
     tridiagonal matrix; the lowest Ritz value still converges to the lowest
     eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). Start vector,
-    check schedule and stopping rules are those of _lanczos_pass; a run
-    may go past dim iterations, since without reorthogonalization the
-    Krylov space is never known to be exhausted short of a breakdown.
-    """
-    dim = H.dim
-    rng = np.random.default_rng(LANCZOS_SEED)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    v_prev = None
+    check schedule and stopping rules are those of _lanczos_pass, per
+    column; a run may go past dim steps, since without reorthogonalization
+    the Krylov space is never known to be exhausted short of a breakdown.
 
-    alphas = np.empty(max_iter)
-    betas = np.empty(max_iter)
-    scale = 1.0
-    theta_last = None
+    Every operation on the stack acts on each row alone: a block of the
+    operator, real elementwise arithmetic, or a pairwise sum along the row.
+    So a column's energy is the same, bit for bit, in a batch of any size.
+    """
+    rng = np.random.default_rng(LANCZOS_SEED)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    start /= np.linalg.norm(start)
+
+    energies = np.full(count, np.nan)
+    residuals = np.full(count, np.nan)
+    steps = np.zeros(count, dtype=int)
+    cols = np.arange(count)
+    op = stack(cols)
+    v, v_prev = np.tile(start, (count, 1)), None
+    alphas = np.empty((count, max_iter))
+    betas = np.empty((count, max_iter))
+    scale = np.ones(count)
+    theta_last = np.full(count, np.nan)          # NaN: no check yet
     for k in range(max_iter):
-        w = H.matvec(v)
-        a = float(np.vdot(v, w).real)
-        alphas[k] = a
-        scale = max(scale, abs(a))
-        w -= a * v
+        w = op.matvec(v.ravel()).reshape(v.shape)
+        re_v, re_w = v.view(float), w.view(float)  # (columns, 2*dim) real views
+        a = np.add.reduce(re_v * re_w, axis=1)
+        alphas[:, k] = a
+        np.maximum(scale, np.abs(a), out=scale)
+        re_w -= re_v * a[:, None]
         if k > 0:
-            w -= betas[k - 1] * v_prev
-        b = float(np.linalg.norm(w))
+            re_w -= v_prev.view(float) * betas[:, k - 1, None]
+        b = np.sqrt(np.add.reduce(re_w * re_w, axis=1))
 
         breakdown = b <= 1e-13 * scale
-        if breakdown or k == max_iter - 1 or k % 5 == 4:
-            theta, y = _lowest_ritz(alphas[: k + 1], betas[:k])
-            resid = abs(b * y[-1])
+        checked = breakdown if k % 5 != 4 and k != max_iter - 1 else np.ones_like(breakdown)
+        stop = np.zeros_like(breakdown)
+        for j in np.flatnonzero(checked):
+            theta, y = _lowest_ritz(alphas[j, : k + 1], betas[j, :k])
+            resid = abs(b[j] * y[-1])
             stalled = (
-                theta_last is not None
-                and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta))
+                abs(theta - theta_last[j]) <= value_tol * max(1.0, abs(theta))
                 and resid <= resid_tol * max(1.0, abs(theta))
             )
-            if stalled or breakdown:
-                return theta, k + 1
-            if k == max_iter - 1:
-                raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
-                                    residual=resid)
-            theta_last = theta
-        betas[k] = b
-        w /= b
+            if stalled or breakdown[j]:
+                energies[cols[j]] = theta
+            elif k == max_iter - 1:
+                residuals[cols[j]] = resid
+            else:
+                theta_last[j] = theta
+                continue
+            steps[cols[j]] = k + 1
+            stop[j] = True
+        betas[:, k] = b
+        if stop.any():
+            keep = ~stop
+            if not keep.any():
+                break
+            cols, v, w, b = cols[keep], v[keep], w[keep], b[keep]
+            v_prev = None if v_prev is None else v_prev[keep]
+            alphas, betas = alphas[keep], betas[keep]
+            scale, theta_last = scale[keep], theta_last[keep]
+            op = stack(cols)
+        re_w = w.view(float)
+        re_w /= b[:, None]
         v_prev, v = v, w
+    return energies, steps, residuals
 
-    raise NoConvergence("Lanczos failed to produce a Ritz value")
+
+def _energy_plan(dim: int, method: str) -> tuple[str, int, bool]:
+    """Solver of an energy-only solve at dimension dim: "dense" or
+    "lanczos", the recurrence's step budget, and whether an energy that
+    exhausts it falls back to dense (auto within DENSE_LIMIT, where 3*dim/5
+    steps cost about one dense solve, so a fallback at most about doubles
+    the cost)."""
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
+    fallback = method == "auto" and dim <= DENSE_LIMIT
+    if method == "auto":
+        method = "dense" if dim <= min(ENERGY_CROSSOVER, DENSE_LIMIT) else "lanczos"
+    return method, min(600, 3 * dim // 5) if fallback else 600, fallback
+
+
+def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
+    """Ground energy of family.hamiltonian(phi) at every angle (folded).
+
+    Each energy equals, bit for bit, that of ground(family.hamiltonian(phi),
+    want_vectors=False, max_degeneracy=0, method=method), whichever angles
+    are solved with it: the same policy picks the solver by dimension, the
+    dense path diagonalizes each angle alone, and the recurrence runs every
+    angle as one column of _lanczos_energies on family.stacked, in batches
+    holding at most about _STACK_ENTRIES matrix entries. Under auto an
+    angle that exhausts its budget is solved dense alone; under "lanczos"
+    it raises NoConvergence.
+    """
+    angles = [fold_angle(phi) for phi in np.ravel(angles)]
+    dim = family.dim
+    method, max_iter, fallback = _energy_plan(dim, method)
+    if not angles:
+        return np.empty(0)
+    if method == "dense":
+        _check_dense(dim)
+        return np.array([_lowest_eigenvalue(family.dense(phi)) for phi in angles])
+
+    out = np.empty(len(angles))
+    resid = np.empty(len(angles))
+    batches = min(len(angles), -(-len(angles) * family.nnz // _STACK_ENTRIES))
+    for batch in np.array_split(np.arange(len(angles)), batches):
+        chosen = [angles[k] for k in batch]
+        out[batch], _, resid[batch] = _lanczos_energies(
+            lambda cols: family.stacked([chosen[c] for c in cols]), dim, len(batch), max_iter)
+    for k in np.flatnonzero(np.isnan(out)):
+        if not fallback:
+            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations at phi={angles[k]}",
+                                residual=float(resid[k]))
+        out[k] = _lowest_eigenvalue(family.dense(angles[k]))
+    return out
 
 
 def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
@@ -444,10 +576,18 @@ def lowest_sum(spec: ModelSpec, K: int, phi: float) -> float:
     return float(vals[:K].sum())
 
 
+def _check_dense(dim: int) -> None:
+    if dim > DENSE_LIMIT:
+        raise TooLargeForDense(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
+
+
 def _densify(H: SparseHermitian) -> np.ndarray:
-    if H.dim > DENSE_LIMIT:
-        raise TooLargeForDense(f"dim {H.dim} exceeds dense limit {DENSE_LIMIT}")
+    _check_dense(H.dim)
     return H.to_dense()
+
+
+def _lowest_eigenvalue(dense: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(dense)[0])
 
 
 def full_spectrum(H: SparseHermitian) -> np.ndarray:

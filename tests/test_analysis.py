@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fluxring as fr
 from fluxring import analysis
 from fluxring.analysis import _current, _current_root, _flux_roles, sector_basis_for
-from fluxring.errors import HypothesisViolated, NotFourNPlusTwo
+from fluxring.errors import HypothesisViolated, MethodLimit, NotFourNPlusTwo
 from fluxring.model import angle_dist
 
 from oracles import filled_sum, regauge
@@ -213,9 +213,9 @@ def test_verify_even_hardcore_period_on_every_grid_point(monkeypatch):
     # at 66 points the shifted angles are solved, one per grid point
     spec = fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None, fr.INFINITY)
     calls = []
-    energy_at = fr.analysis._energy_at
-    monkeypatch.setattr(fr.analysis, "_energy_at",
-                        lambda *a, **k: calls.append(a[1]) or energy_at(*a, **k))
+    energies = fr.analysis._ground_energies
+    monkeypatch.setattr(fr.analysis, "_ground_energies",
+                        lambda *a, **k: calls.extend(a[1]) or energies(*a, **k))
     for grid, solved in ((64, 0), (66, 66)):
         calls.clear()
         r = fr.verify_even(spec, grid_size=grid)
@@ -426,13 +426,13 @@ def test_verify_block_lemma_shift_off_the_grid(monkeypatch):
     # 64 grid steps: the period-2 shift is 32 steps, read from the curve;
     # the period-6 shift is not a whole number of steps and is solved
     phis = []
-    dense = fr.operators.FluxFamily.dense
+    energies = fr.analysis._ground_energies
 
-    def recording_dense(family, phi):
-        phis.append(phi)
-        return dense(family, phi)
+    def recording_energies(family, angles, *args, **kwargs):
+        phis.extend(angles)
+        return energies(family, angles, *args, **kwargs)
 
-    monkeypatch.setattr(fr.operators.FluxFamily, "dense", recording_dense)
+    monkeypatch.setattr(fr.analysis, "_ground_energies", recording_energies)
     grid = 64
     spec = fr.make_spec(7, 6, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9, 1.2), None, None, fr.INFINITY)
     r = fr.verify_block_lemma(spec, grid_size=grid)
@@ -442,6 +442,52 @@ def test_verify_block_lemma_shift_off_the_grid(monkeypatch):
     off_grid = [p for p in phis if abs(p * grid / (2 * PI) - round(p * grid / (2 * PI))) > 1e-6]
     assert len(off_grid) == 3 * grid  # one solve per grid point for each period-6 block
     assert len(phis) == 4 * grid + 3 * grid
+
+
+def test_verify_block_lemma_obeys_the_dense_limit(monkeypatch):
+    # hard-core L=8 N=6 has blocks of 168 and 56: with the dense limit below
+    # both, every block curve is a Lanczos scan and nothing is densified
+    monkeypatch.setattr(fr.spectra, "DENSE_LIMIT", 50)
+    dense_calls = []
+    monkeypatch.setattr(fr.operators.FluxFamily, "dense",
+                        lambda family, phi: dense_calls.append(phi))
+    spec = fr.make_spec(8, 6, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9, 1.2, 1.5), None, None, fr.INFINITY)
+    r = fr.verify_block_lemma(spec, grid_size=90)
+    assert sorted(b["dimension"] for b in r.measured["blocks"]) == [56, 168, 168, 168]
+    assert r.passed, r.measured
+    assert dense_calls == []
+
+
+def test_verify_block_lemma_blocks_of_1260():
+    # hard-core L=10 N=6: blocks of 1260, where a dense solve per block and
+    # angle took about 0.5 s each
+    rng = np.random.default_rng(10)
+    spec = fr.make_spec(10, 6, rng.uniform(0.5, 2.0, 10), None, None, fr.INFINITY)
+    r = fr.verify_block_lemma(spec, grid_size=90)
+    assert r.passed
+    assert max(b["dimension"] for b in r.measured["blocks"]) == 1260
+    for key in ("period_residual", "full_period_min_gap", "pi_block_minima_spread",
+                "diamagnetic_violation"):
+        assert r.measured[key] < 1e-12, (key, r.measured[key])
+
+
+def test_spiral_state_sign_search_limit_is_typed():
+    # hard-core L=11 N=10 has 26 blocks: 2^26 sign patterns are a limit of
+    # the search, not a false hypothesis
+    with pytest.raises(MethodLimit, match="26 blocks"):
+        fr.spiral_state(fr.make_spec(11, 10, U=fr.INFINITY))
+    assert not issubclass(MethodLimit, HypothesisViolated)
+
+
+@pytest.mark.parametrize("t,beta", [(20.0, 1e4), (1.0, 1e6)], ids=["t20-beta1e4", "t1-beta1e6"])
+def test_thermal_scan_window_grows_with_beta(t, beta):
+    # uniform L=3 N=3 rings are exact critical points; at beta*max|E| near
+    # 1e6 the rounding of log P alone reads 1.2e-8 and 7.0e-8 there
+    r = fr.thermal_scan(fr.make_spec(3, 3, hop_mag=t), betas=(beta,), grid_size=12)
+    assert r.passed, (r.measured, r.tolerance)
+    window = r.tolerance["critical_point_log_derivative"]
+    assert 1e-8 < window < 1e-5
+    assert r.measured["critical_point_log_derivative"][beta] < window
 
 
 def test_thermal_scan_odd_critical_points():

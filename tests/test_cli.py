@@ -221,6 +221,26 @@ def test_verify_thermo_strong_hopping_exits_zero(tmp_path, t, betas):
     assert payload["tolerance"] == {"critical_point_log_derivative": 1e-8}
 
 
+@pytest.mark.parametrize("t,beta", [(20.0, "1e4"), (1.0, "1e6")], ids=["t20", "t1"])
+def test_verify_thermo_window_at_large_beta_exits_zero(tmp_path, t, beta):
+    # exact critical points whose rounding noise in d log P/dphi passes 1e-8
+    path = tmp_path / "ring.json"
+    fr.save_model(fr.make_spec(3, 3, hop_mag=t), path)
+    res = run_cli("verify", "thermo", "--model", str(path), "--beta", beta, "--grid", "12")
+    assert res.returncode == 0, res.stdout + res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["passed"] is True
+    assert payload["tolerance"]["critical_point_log_derivative"] > 1e-8
+
+
+def test_verify_spiral_beyond_the_sign_search_exits_two(tmp_path):
+    path = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(11, 10, U=fr.INFINITY), path)
+    res = run_cli("verify", "spiral", "--model", str(path))
+    assert res.returncode == 2
+    assert "26 blocks exceed" in res.stderr and "internal error" not in res.stderr
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")

@@ -12,8 +12,14 @@ from scipy import sparse
 import fluxring as fr
 from fluxring import spectra
 from fluxring.errors import MultipletCut, NoConvergence, TooLargeForDense
-from fluxring.operators import SparseHermitian
-from fluxring.spectra import DENSE_LIMIT, LANCZOS_CROSSOVER, _lanczos_pass, log_partition_sweep
+from fluxring.operators import FluxFamily, SparseHermitian
+from fluxring.spectra import (
+    DENSE_LIMIT,
+    ENERGY_CROSSOVER,
+    LANCZOS_CROSSOVER,
+    _lanczos_pass,
+    log_partition_sweep,
+)
 
 from oracles import regauge, uniform_slater_energy
 
@@ -158,7 +164,8 @@ def test_auto_matches_dense_across_crossover(L, N, two_sz):
     assert auto.method == ("dense" if h.dim <= LANCZOS_CROSSOVER else "lanczos")
     energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
     assert abs(energy.energy - auto.energy) < 1e-10
-    assert energy.method == auto.method and energy.vectors is None
+    assert energy.method == ("dense" if h.dim <= ENERGY_CROSSOVER else "lanczos")
+    assert energy.vectors is None
 
 
 def test_auto_degenerate_and_saturated_deflation():
@@ -377,7 +384,8 @@ def test_energy_recurrence_matches_eigvalsh(sector):
     exact = float(np.linalg.eigvalsh(h.to_dense())[0])
     assert abs(info.energy - exact) <= 1e-12 * max(1.0, abs(exact))
     assert (info.degeneracy, info.vectors, info.method) == (1, None, "lanczos")
-    assert info.energy == spectra._lanczos_energy(h)[0]   # the recurrence answered
+    # the recurrence answered
+    assert info.energy == spectra._lanczos_energies(lambda cols: h, h.dim, 1)[0][0]
 
 
 def test_energy_recurrence_keeps_three_vectors():
@@ -389,7 +397,7 @@ def test_energy_recurrence_keeps_three_vectors():
     h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
     tracemalloc.start()
     try:
-        theta, steps = spectra._lanczos_energy(h)
+        (theta,), (steps,), _ = spectra._lanczos_energies(lambda cols: h, dim, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,8 +428,7 @@ def test_energy_recurrence_out_of_budget_falls_back_to_dense():
     # 435 steps, more than the 3*dim/5 = 180 an auto solve at dimension 300
     # allows, and fewer than the 600 of an explicit Lanczos solve
     h = SparseHermitian(sparse.diags(np.linspace(0.0, 1.0, 300) ** 2 + 0j).tocsr())
-    with pytest.raises(NoConvergence):
-        spectra._lanczos_energy(h, max_iter=180)
+    assert np.isnan(spectra._lanczos_energies(lambda cols: h, h.dim, 1, max_iter=180)[0][0])
     auto = fr.ground(h, want_vectors=False, max_degeneracy=0)
     assert (auto.method, auto.energy) == ("dense", 0.0)
     lanczos = fr.ground(h, want_vectors=False, max_degeneracy=0, method="lanczos")
@@ -436,3 +443,115 @@ def test_import_leaves_scipy_linalg_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@st.composite
+def flux_grids(draw):
+    """A random flux family of dimension 1 to 400, a grid of 8 to 90 angles,
+    some shifted by +-2*pi, a method and a seed for sub-batches."""
+    family, _ = draw(flux_sectors())
+    size = draw(st.integers(8, 90))
+    turns = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+    angles = np.arange(size) * (2 * PI / size) + 2 * PI * np.array(turns)
+    method = draw(st.sampled_from(["auto", "lanczos"]))
+    return family, angles, method, draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@given(flux_grids())
+@example((fr.flux_family(fr.make_spec(3, 0), fr.enumerate_sector(3, 0, 0)),
+          np.arange(8) * (PI / 4), "lanczos", 0))
+@settings(max_examples=40, deadline=None)
+def test_batched_energies_do_not_depend_on_the_batch(case):
+    family, angles, method, seed = case
+    energies = spectra._ground_energies(family, angles, method)
+    rng = np.random.default_rng(seed)
+    for k in rng.choice(len(angles), size=min(len(angles), 8), replace=False):
+        exact = float(np.linalg.eigvalsh(family.dense(fr.model.fold_angle(angles[k])))[0])
+        assert abs(energies[k] - exact) <= 1e-12 * max(1.0, abs(exact))
+    alone = [spectra._ground_energies(family, [phi], method)[0] for phi in angles]
+    assert _bits(energies) == _bits(alone)
+    order = rng.permutation(len(angles))
+    parts = np.split(order, np.sort(rng.choice(np.arange(1, len(angles)), size=3, replace=False)))
+    batched = np.empty(len(angles))
+    for part in parts:
+        batched[part] = spectra._ground_energies(family, angles[part], method)
+    assert _bits(energies) == _bits(batched)
+    single = [fr.ground(family.hamiltonian(fr.model.fold_angle(phi)), want_vectors=False,
+                        max_degeneracy=0, method=method).energy for phi in angles]
+    assert _bits(energies) == _bits(single)
+
+
+def test_batches_hold_at_most_the_stack_budget(monkeypatch):
+    # hard-core L=6 N=4 (dimension 90): room for two angles' entries makes
+    # batches of two, room for less than one angle batches of one
+    family = fr.flux_family(fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None,
+                                         fr.INFINITY), fr.enumerate_sector(6, 4, 0, True))
+    assert family.dim > ENERGY_CROSSOVER
+    angles = np.arange(9) * (2 * PI / 9)
+    whole = spectra._ground_energies(family, angles)
+    sizes = []
+    recurrence = spectra._lanczos_energies
+    monkeypatch.setattr(spectra, "_lanczos_energies",
+                        lambda stack, dim, count, *a: sizes.append(count) or
+                        recurrence(stack, dim, count, *a))
+    for budget, expected in ((2 * family.nnz, [2, 2, 2, 2, 1]), (1, [1] * 9)):
+        sizes.clear()
+        monkeypatch.setattr(spectra, "_STACK_ENTRIES", budget)
+        assert _bits(spectra._ground_energies(family, angles)) == _bits(whole)
+        assert sizes == expected
+
+
+def _crowded_triangle(dim):
+    """States 0-2 form a triangle threaded by the flux, at diagonal 0.5; the
+    rest are levels crowded at the bottom of [0, 1]. The ground level is
+    isolated below the crowd except at pi, where it meets the crowd at 0."""
+    diag = np.concatenate([[0.5] * 3, (np.arange(dim - 3) / (dim - 4)) ** 2])
+    return FluxFamily(dim, np.array([1, 0, 2, 1, 0, 2]), np.array([0, 1, 1, 2, 2, 0]),
+                      np.full(6, -0.5), np.array([1, -1, 0, 0, 0, 0], dtype=np.int8), diag)
+
+
+def test_batched_energy_out_of_budget_falls_back_alone(monkeypatch):
+    family = _crowded_triangle(600)
+    angles = [0.0, 1.0, PI, 4.0]
+    dense = [float(np.linalg.eigvalsh(family.dense(phi))[0]) for phi in angles]
+    columns = []
+    recurrence = spectra._lanczos_energies
+
+    def recording(*args, **kwargs):
+        result = recurrence(*args, **kwargs)
+        columns.append(result[0].copy())
+        return result
+
+    monkeypatch.setattr(spectra, "_lanczos_energies", recording)
+    energies = spectra._ground_energies(family, angles)
+    (raw,) = columns
+    assert np.isnan(raw[2]) and not np.isnan(raw[[0, 1, 3]]).any()
+    assert energies[2] == dense[2]                       # pi alone, solved dense
+    assert _bits(energies[[0, 1, 3]]) == _bits(raw[[0, 1, 3]])
+    assert np.abs(energies - dense).max() < 1e-12
+    with pytest.raises(NoConvergence) as err:            # 600 steps do not reach it
+        spectra._ground_energies(family, angles, method="lanczos")
+    assert err.value.residual is not None
+
+
+def test_vector_solves_below_the_deflation_crossover_stay_dense(monkeypatch):
+    # random L=13 N=2 sectors (dimension 169) with S^2: Lanczos needed more
+    # than its budget on most draws and fell back, at about twice the cost
+    passes = []
+    lanczos_pass = spectra._lanczos_pass
+    monkeypatch.setattr(spectra, "_lanczos_pass",
+                        lambda *a, **k: passes.append(1) or lanczos_pass(*a, **k))
+    basis = fr.enumerate_sector(13, 2, 0)
+    s2 = fr.build_total_spin(basis)
+    assert LANCZOS_CROSSOVER < basis.dim <= spectra.DEFLATION_CROSSOVER
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        spec = fr.make_spec(13, 2, rng.uniform(0.5, 2, 13), rng.uniform(0, 2 * PI, 13),
+                            rng.normal(0, 1, 13), 3.0)
+        info = fr.ground(fr.build_hamiltonian(spec, basis), s2=s2)
+        assert info.method == "dense"
+    assert passes == []
