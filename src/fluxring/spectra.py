@@ -7,10 +7,14 @@ The iterative one is a Lanczos iteration with a deterministic start
 vector. A solve for the energy alone (no vectors, no spin operator,
 max_degeneracy=0) runs the plain three-term recurrence, which keeps three
 vectors; _ground_energies runs it for a whole flux grid at once, one column
-per angle, and ground's energy-only solve is its batch of one. Every other
-solve runs full reorthogonalization, and resolves degenerate ground levels
-by deflation: converged vectors are locked and the iteration restarts in
-their orthogonal complement until the next level clears the degeneracy gap.
+per angle, and ground's energy-only solve is its batch of one; each column
+is checked on its own schedule, sparser while its lowest Ritz value still
+moves far. Every other solve runs full reorthogonalization, and resolves
+degenerate ground levels by deflation: converged vectors are locked and the
+iteration restarts in their orthogonal complement until the next level
+clears the degeneracy gap. Both compute a Ritz vector only at a check that
+can stop: one whose Ritz value has stalled, a breakdown, or the end of the
+budget.
 
 method="auto" picks between them by sector dimension, dense up to a
 crossover and Lanczos above, at crossovers measured below: one for
@@ -49,28 +53,31 @@ DENSE_LIMIT = 2000
 #: models (U = 3 unless hard-core), Lanczos under auto with its budget and
 #: fallback.
 #:
-#: Energy only (ENERGY_CROSSOVER), best of 7 interleaved runs: a scan of
-#: 64 angles, dense per angle against _ground_energies, and one solve of
-#: each. Below dimension about 55 the recurrence needs more steps than its
-#: budget of 3*dim/5 and every angle falls back; at 55-81 it did on some
-#: draws (up to 1.6x the dense loop), from 78 up the batch won 2x or more
-#: on every draw. One solve alone pays the per-step overhead a batch
-#: shares, so it turns cheaper only between 100 and 147; energy-only solves
-#: outside scans are rare, and keeping one crossover keeps an angle's
-#: energy the same in a scan and alone.
+#: Energy only (ENERGY_CROSSOVER): a scan of 64 angles, dense per angle
+#: against _ground_energies, and one solve of each; best of 7 interleaved
+#: runs, median over 5 draws (best of 3 and 2 draws at 400 and 1225), with
+#: the per-column check schedule. The machine ran about twice as slow as
+#: for the vector table below (dense at 1225 took 25.5 s there); the
+#: ratios are what count. Below dimension about 60 the recurrence needs
+#: more steps than its budget of 3*dim/5 and every angle falls back; at 64
+#: every angle did on 1 of 5 draws (3x the dense loop), and from 78 up the
+#: batch won 3x or more on every draw. One solve alone pays the per-step
+#: overhead a batch shares, so it turns cheaper only between 147 and 168;
+#: energy-only solves outside scans are rare, and keeping one crossover
+#: keeps an angle's energy the same in a scan and alone.
 #:
 #:                                  64 angles               one angle
 #:    dim  sector                dense      batch       dense  recurrence
-#:     36  L=6 N=2                 4.9        9.2        0.09     0.57
-#:     55  L=11 N=2 2Sz=2         10.0        6.8        0.21     0.67
-#:     64  L=8 N=2                13.9        8.0        0.27     0.78
-#:     78  L=13 N=2 2Sz=2         20.2        9.1        0.40     0.87
-#:    100  L=5 N=4                37.0       12.8        0.62     0.87
-#:    147  L=7 N=3 2Sz=1          90.0       14.2        1.45     0.93
-#:    168  hard-core L=8 N=6     131.3       34.3        2.16     1.75
-#:    225  L=6 N=4               270.0       24.1        3.92     1.37
-#:    400  L=6 N=6              1147.6       38.7       18.06     1.40
-#:   1225  L=7 N=6             25531.5      111.0      391.95     2.40
+#:     36  L=6 N=2                11.0       16.7        0.15     1.46
+#:     55  L=11 N=2 2Sz=2         18.0       33.4        0.37     2.46
+#:     64  L=8 N=2                27.7       13.0        0.57     2.14
+#:     78  L=13 N=2 2Sz=2         47.8       15.8        0.70     1.59
+#:    100  L=5 N=4                76.2       19.4        1.18     2.04
+#:    147  L=7 N=3 2Sz=1         174.5       22.6        2.28     2.32
+#:    168  hard-core L=8 N=6     262.2       39.9        3.16     2.78
+#:    225  L=6 N=4               552.8       44.5        6.55     2.52
+#:    400  L=6 N=6              2521.6       69.6       39.35     3.50
+#:   1225  L=7 N=6             50049.7      195.6      619.40     3.58
 ENERGY_CROSSOVER = 72
 
 #: With vectors, mean over 5 draws of the best of 5 runs: one ground
@@ -103,6 +110,34 @@ DEFLATION_CROSSOVER = 220
 #: block lemma at hard-core L=8 N=6 up by 3% and raised the peak memory of
 #: verify_even at L <= 6 by 1.3 MB, eight times as many by 8% and 3.1 MB.
 _STACK_ENTRIES = 2**15
+
+#: Check schedule of _lanczos_energies, per column: its first check after
+#: _CHECK_FIRST steps, and each next one after the steps of the first row
+#: whose bound the lowest Ritz value's move since the previous check
+#: exceeds, relative to max(1, |theta|) (the first check counts as a large
+#: move). A check costs a dstebz call, 33 us at 70 steps, against a few us
+#: for a column step at dimension 168. Measured per column on the block
+#: lemma of hard-core L=8 N=6 (six models, blocks of 56 and 168, 90
+#: angles) and on verify_even at L <= 6 (63 scans of 64 angles), with the
+#: median of 15 interleaved runs of their recurrences, in ms (2 cores, 1
+#: BLAS thread); no column ran out of its budget:
+#:
+#:                               block lemma              verify_even
+#:    steps after a check   checks  steps    ms     checks  steps    ms
+#:    5 always               14.97  74.86  1405       8.17  38.68  1060
+#:    15/10/5 at 1e-4, 1e-8   6.95  79.59  1208       4.70  45.04  1158
+#:    20/10/5 at 1e-4, 1e-8   5.88  83.33  1210       4.28  50.62  1219
+#:    15/10/5 at 1e-3, 1e-6   7.35  76.48  1133       4.71  43.00   964
+#:    15/10/5 at 1e-3, 1e-5   7.64  75.75  1107       4.71  42.45   949
+#:    10/5 at 1e-6            8.82  75.92     -       5.58  39.89     -
+#:
+#: The last two timed rows tie within the spread (an earlier round of 15
+#: runs put 1e-3, 1e-6 ahead on both). A first check after 10 steps
+#: instead of 5 saved 0.5 checks and cost 0.1 steps on the block lemma,
+#: and saved 0.3 checks and cost 2.6 steps on verify_even (with 15/10/5 at
+#: 1e-4, 1e-8).
+_CHECK_FIRST = 5
+_CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 5))
 
 #: Relative width of the ground-level window: eigenvalues within
 #: GROUND_TOL * max(1, |E_min|) of E_min count as degenerate ground states.
@@ -343,24 +378,27 @@ def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
         b = float(np.linalg.norm(w))
 
         breakdown = b <= 1e-13 * scale
-        if breakdown or k == budget - 1 or k % 5 == 4:
-            theta, y = _lowest_ritz(alphas[: k + 1], betas[:k])
-            resid = abs(b * y[-1])
-            tol = 1e-8 if theta > gap_above else resid_tol
-            stalled = (
-                theta_last is not None
-                and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta))
-                and resid <= tol * max(1.0, abs(theta))
-            )
-            if stalled or breakdown or (space_limited and k == budget - 1):
-                vec = Q[: k + 1].T @ y
-                vec = orthogonalize(vec, -1) if locked is not None else vec
-                vec /= np.linalg.norm(vec)
-                return theta, vec, k + 1
-            if k == budget - 1:
-                raise NoConvergence(
-                    f"Lanczos exhausted {budget} iterations", residual=resid
-                )
+        last = k == budget - 1
+        if breakdown or last or k % 5 == 4:
+            d, e = alphas[: k + 1], betas[:k]
+            theta, blocks = _lowest_ritz_value(d, e)
+            held = (theta_last is not None
+                    and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta)))
+            # the vector only where the residual test is reached or it is returned
+            if held or breakdown or last:
+                y = _lowest_ritz_vector(d, e, blocks)
+                resid = abs(b * y[-1])
+                tol = 1e-8 if theta > gap_above else resid_tol
+                stalled = held and resid <= tol * max(1.0, abs(theta))
+                if stalled or breakdown or (space_limited and last):
+                    vec = Q[: k + 1].T @ y
+                    vec = orthogonalize(vec, -1) if locked is not None else vec
+                    vec /= np.linalg.norm(vec)
+                    return theta, vec, k + 1
+                if last:
+                    raise NoConvergence(
+                        f"Lanczos exhausted {budget} iterations", residual=resid
+                    )
             theta_last = theta
         betas[k] = b
         v = w / b
@@ -376,22 +414,30 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
 
     stack(cols) is the block-diagonal operator whose blocks are the
     operators numbered cols, in that order; each step applies it once to
-    the active columns' vectors, stacked as the rows of a (len(cols), dim)
-    array. A column leaves the batch when it stops, and stack is called
-    again for the rest. An energy that does not converge within max_iter
-    steps is NaN, with the residual of its last check.
+    the batch's vectors, stacked as the rows of a (len(cols), dim) array. A
+    column that stops stays in the batch with its vectors zeroed; once a
+    quarter of the batch has stopped, the batch drops them and stack is
+    called again for the rest. An energy that does not converge within
+    max_iter steps is NaN, with the residual of its last check.
 
     No reorthogonalization and no Krylov basis: three vectors per column.
     Rounding makes the Lanczos vectors lose orthogonality as Ritz values
     converge, which only adds copies of converged Ritz values to the
     tridiagonal matrix; the lowest Ritz value still converges to the lowest
-    eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). Start vector,
-    check schedule and stopping rules are those of _lanczos_pass, per
-    column; a run may go past dim steps, since without reorthogonalization
-    the Krylov space is never known to be exhausted short of a breakdown.
+    eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). Start vector
+    and stopping rule are those of _lanczos_pass, per column: the Ritz
+    value has stalled since the previous check, and then its Ritz residual
+    is small. The checks come on each column's own schedule
+    (_CHECK_SCHEDULE: sparser while its Ritz value still moves far), plus
+    at a breakdown and at the last step, and the Ritz vector's last
+    component is computed only where the residual test is reached or
+    reported. A run may go past dim steps, since without
+    reorthogonalization the Krylov space is never known to be exhausted
+    short of a breakdown.
 
     Every operation on the stack acts on each row alone: a block of the
-    operator, real elementwise arithmetic, or a pairwise sum along the row.
+    operator, real elementwise arithmetic, or a pairwise sum along the row,
+    and a column's schedule reads only its own Ritz values.
     So a column's energy is the same, bit for bit, in a batch of any size.
     """
     rng = np.random.default_rng(LANCZOS_SEED)
@@ -408,6 +454,9 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     betas = np.empty((count, max_iter))
     scale = np.ones(count)
     theta_last = np.full(count, np.nan)          # NaN: no check yet
+    due = np.full(count, _CHECK_FIRST - 1)       # step index of each column's next check
+    live = np.ones(count, dtype=bool)            # stopped columns stay, zeroed, until compacted
+    stopped = 0
     for k in range(max_iter):
         w = op.matvec(v.ravel()).reshape(v.shape)
         re_v, re_w = v.view(float), w.view(float)  # (columns, 2*dim) real views
@@ -418,36 +467,44 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
         if k > 0:
             re_w -= v_prev.view(float) * betas[:, k - 1, None]
         b = np.sqrt(np.add.reduce(re_w * re_w, axis=1))
+        betas[:, k] = b
 
-        breakdown = b <= 1e-13 * scale
-        checked = breakdown if k % 5 != 4 and k != max_iter - 1 else np.ones_like(breakdown)
-        stop = np.zeros_like(breakdown)
-        for j in np.flatnonzero(checked):
-            theta, y = _lowest_ritz(alphas[j, : k + 1], betas[j, :k])
-            resid = abs(b[j] * y[-1])
-            stalled = (
-                abs(theta - theta_last[j]) <= value_tol * max(1.0, abs(theta))
-                and resid <= resid_tol * max(1.0, abs(theta))
-            )
-            if stalled or breakdown[j]:
+        breakdown = b <= 1e-13 * scale           # never on a stopped column: its scale is NaN
+        last = k == max_iter - 1
+        for j in np.flatnonzero(live if last else breakdown | (due == k)):
+            d, e = alphas[j, : k + 1], betas[j, :k]
+            theta, blocks = _lowest_ritz_value(d, e)
+            rel = max(1.0, abs(theta))
+            move = abs(theta - theta_last[j])   # NaN at the first check
+            held = move <= value_tol * rel
+            converged = breakdown[j]
+            # the vector only where the residual test is reached or reported
+            if not converged and (held or last):
+                resid = abs(b[j] * _lowest_ritz_vector(d, e, blocks)[-1])
+                converged = held and resid <= resid_tol * rel
+                if not converged and last:
+                    residuals[cols[j]] = resid
+            if converged:
                 energies[cols[j]] = theta
-            elif k == max_iter - 1:
-                residuals[cols[j]] = resid
-            else:
+            elif not last:
                 theta_last[j] = theta
+                due[j] = k + next(gap for bound, gap in _CHECK_SCHEDULE if not move <= bound * rel)
                 continue
             steps[cols[j]] = k + 1
-            stop[j] = True
-        betas[:, k] = b
-        if stop.any():
-            keep = ~stop
-            if not keep.any():
-                break
-            cols, v, w, b = cols[keep], v[keep], w[keep], b[keep]
-            v_prev = None if v_prev is None else v_prev[keep]
-            alphas, betas = alphas[keep], betas[keep]
-            scale, theta_last = scale[keep], theta_last[keep]
+            live[j], due[j], scale[j] = False, -1, np.nan
+            v[j] = w[j] = 0.0
+            stopped += 1
+        if stopped == len(cols):
+            break
+        if 4 * stopped >= len(cols):
+            cols, v, w, b = cols[live], v[live], w[live], b[live]
+            v_prev = None if v_prev is None else v_prev[live]
+            alphas, betas = alphas[live], betas[live]
+            scale, theta_last, due = scale[live], theta_last[live], due[live]
+            live, stopped = live[live], 0
             op = stack(cols)
+        elif stopped:
+            b[~live] = 1.0                       # their rows are zero
         re_w = w.view(float)
         re_w /= b[:, None]
         v_prev, v = v, w
@@ -504,24 +561,38 @@ def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.nda
     return out
 
 
-def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the real symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e.
+def _lowest_ritz_value(d: np.ndarray, e: np.ndarray) -> tuple[float, tuple | None]:
+    """Lowest eigenvalue of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by LAPACK dstebz (bisection, block
+    order), and the block data _lowest_ritz_vector needs for its vector.
 
-    LAPACK dstebz (bisection, block order) then dstein (inverse
-    iteration): the calls scipy.linalg.eigh_tridiagonal(select="i") makes,
-    with the same 1 x 1 shortcut, bit for bit, without its argument checks.
+    With _lowest_ritz_vector these are the calls
+    scipy.linalg.eigh_tridiagonal(select="i") makes, with the same 1 x 1
+    shortcut, bit for bit, without its argument checks. The vector costs a
+    dstein call on top of the value, so the Lanczos checks ask for it only
+    where they use it.
     """
     if len(d) == 1:
-        return float(d[0]), np.ones(1)
-    from scipy.linalg.lapack import dstebz, dstein
+        return float(d[0]), None
+    from scipy.linalg.lapack import dstebz
 
     m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        y, info = dstein(d, e, w[:m], iblock, isplit)
     if info != 0:
-        raise NoConvergence(f"LAPACK tridiagonal eigensolver returned info={info}")
-    return float(w[0]), y[:, 0]
+        raise NoConvergence(f"LAPACK dstebz returned info={info}")
+    return float(w[0]), (w[:m], iblock, isplit)
+
+
+def _lowest_ritz_vector(d: np.ndarray, e: np.ndarray, blocks: tuple | None) -> np.ndarray:
+    """Unit eigenvector of the eigenvalue _lowest_ritz_value(d, e) found,
+    given the block data it returned, by LAPACK dstein (inverse iteration)."""
+    if blocks is None:
+        return np.ones(1)
+    from scipy.linalg.lapack import dstein
+
+    y, info = dstein(d, e, *blocks)
+    if info != 0:
+        raise NoConvergence(f"LAPACK dstein returned info={info}")
+    return y[:, 0]
 
 
 def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None = None,

@@ -299,9 +299,56 @@ def test_lowest_ritz_equals_eigh_tridiagonal_bit_for_bit(n, seed, split):
     if split and n > 2:
         e[rng.integers(n - 1)] = 0.0       # two decoupled blocks
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    theta, y = spectra._lowest_ritz(d, e)
+    theta, blocks = spectra._lowest_ritz_value(d, e)        # the value alone
     assert theta == float(vals[0])
+    assert theta == float(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                           select_range=(0, 0))[0])
+    y = spectra._lowest_ritz_vector(d, e, blocks)           # and its vector
     assert y.dtype == vecs.dtype and y.tobytes() == vecs[:, 0].tobytes()
+
+
+def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkeypatch):
+    # a 168-state block of hard-core L=8 N=6 over 90 angles: every column is
+    # checked on its own schedule, fewer times than every 5 steps would, and
+    # computes its Ritz vector only at a check whose value test passed, at
+    # most twice; its checks are the same in the batch and alone
+    rng = np.random.default_rng(8)
+    spec = fr.make_spec(8, 6, rng.uniform(0.5, 2.0, 8), None, None, fr.INFINITY)
+    basis = fr.analysis.sector_basis_for(spec, 0)
+    block = next(b for b in fr.decompose_blocks(basis, spec) if b.dimension == 168)
+    family = fr.flux_family(spec, basis).restrict(block.member_indices)
+    angles = fr.analysis.flux_grid(90)
+    assert family.dim > ENERGY_CROSSOVER
+    events = []
+    value, vector = spectra._lowest_ritz_value, spectra._lowest_ritz_vector
+
+    def spy_value(d, e):
+        theta, blocks = value(d, e)
+        events.append(("value", len(d), theta))
+        return theta, blocks
+
+    monkeypatch.setattr(spectra, "_lowest_ritz_value", spy_value)
+    monkeypatch.setattr(spectra, "_lowest_ritz_vector",
+                        lambda d, e, blocks: events.append(("vector", len(d), None))
+                        or vector(d, e, blocks))
+    batch = spectra._ground_energies(family, angles)
+    in_batch = sorted(events)
+    alone = []
+    for phi, energy in zip(angles, batch):
+        events.clear()
+        assert spectra._ground_energies(family, [phi])[0] == energy
+        checks = [ev for ev in events if ev[0] == "value"]
+        steps = checks[-1][1]                  # the column stops at its last check
+        assert len(checks) < steps // 5, (phi, len(checks), steps)
+        vectors = [i for i, ev in enumerate(events) if ev[0] == "vector"]
+        for i in vectors:
+            check = events[i - 1]                  # the check that asked for it
+            n = checks.index(check)
+            assert check[1] == events[i][1] and n > 0
+            assert abs(check[2] - checks[n - 1][2]) <= 1e-14 * max(1.0, abs(check[2]))
+        assert 1 <= len(vectors) <= 2, (phi, len(vectors))
+        alone += events
+    assert in_batch == sorted(alone)
 
 
 @pytest.mark.parametrize("low", [-10.0, -0.01])
