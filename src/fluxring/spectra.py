@@ -3,27 +3,27 @@ full spectra and log partition functions.
 
 Ground states come from one of two solvers. The dense one diagonalizes
 the densified matrix (LAPACK, lowest levels only when vectors are wanted).
-The iterative one is a Lanczos iteration with a deterministic start
-vector. A solve for the energy alone (no vectors, no spin operator,
-max_degeneracy=0) runs the plain three-term recurrence, which keeps three
-vectors; _ground_energies runs it for a whole flux grid at once, one column
-per angle, and ground's energy-only solve is its batch of one; each column
-is checked on its own schedule, sparser while its lowest Ritz value still
-moves far. Every other solve runs full reorthogonalization, and resolves
-degenerate ground levels by deflation: converged vectors are locked and the
-iteration restarts in their orthogonal complement until the next level
-clears the degeneracy gap. Both compute a Ritz vector only at a check that
-can stop: one whose Ritz value has stalled, a breakdown, or the end of the
-budget.
+The iterative one is the plain three-term Lanczos recurrence of
+_lanczos_energies, with a deterministic start vector, which keeps three
+vectors per column and serves every Lanczos solve. _ground_energies runs it
+for a whole flux grid at once, one column per angle, and ground's
+energy-only solve (no vectors, no spin operator, max_degeneracy=0) is its
+batch of one; each column is checked on its own schedule, sparser while its
+lowest Ritz value still moves far, and computes a Ritz vector only at a
+check that can stop. Every other solve resolves degenerate ground levels by
+deflation: the ground vectors found so far are locked, projected out of
+the recurrence at every step, until a pass's value clears the degeneracy
+gap. A ground vector costs a replay: the same recurrence runs again from
+the same start and sums the Lanczos vectors with the Ritz coefficients,
+and one more product with H confirms its residual.
 
 method="auto" picks between them by sector dimension, dense up to a
 crossover and Lanczos above, at crossovers measured below: one for
-energy-only solves, one for a single ground vector and one for solves that
-count the degeneracy or project S^2. Between the crossover and DENSE_LIMIT
-a Lanczos attempt that does not converge within about the cost of a dense
-solve, or whose deflation saturates, falls back to dense, so auto returns
-what dense would. Above DENSE_LIMIT nothing is densified and Lanczos
-failures raise.
+energy-only solves and one for solves with vectors. Between the crossover
+and DENSE_LIMIT a Lanczos attempt that does not converge within about the
+cost of a dense solve, whose replayed vector misses its residual, or whose
+deflation saturates, falls back to dense, so auto returns what dense
+would. Above DENSE_LIMIT nothing is densified and Lanczos failures raise.
 """
 
 from __future__ import annotations
@@ -48,17 +48,17 @@ DENSE_LIMIT = 2000
 
 #: Dense/Lanczos crossovers of method="auto": sectors up to a crossover
 #: are solved dense, larger ones by Lanczos first. Where Lanczos turns
-#: cheaper depends on how much of it a solve needs, so each kind of solve
-#: has its own. Measured on 2 cores with 1 BLAS thread, in ms, on random
-#: models (U = 3 unless hard-core), Lanczos under auto with its budget and
-#: fallback.
+#: cheaper depends on how much of it a solve needs: energies alone have
+#: their own crossover, and solves with vectors share one. Measured on 2
+#: cores with 1 BLAS thread, in ms, on random models (U = 3 unless
+#: hard-core), Lanczos under auto with its budget and fallback. The
+#: machine's speed drifts by up to 2x from one measurement to the next;
+#: the ratios are what count.
 #:
 #: Energy only (ENERGY_CROSSOVER): a scan of 64 angles, dense per angle
 #: against _ground_energies, and one solve of each; best of 7 interleaved
 #: runs, median over 5 draws (best of 3 and 2 draws at 400 and 1225), with
-#: the per-column check schedule. The machine ran about twice as slow as
-#: for the vector table below (dense at 1225 took 25.5 s there); the
-#: ratios are what count. Below dimension about 60 the recurrence needs
+#: the per-column check schedule. Below dimension about 60 the recurrence needs
 #: more steps than its budget of 3*dim/5 and every angle falls back; at 64
 #: every angle did on 1 of 5 draws (3x the dense loop), and from 78 up the
 #: batch won 3x or more on every draw. One solve alone pays the per-step
@@ -80,30 +80,34 @@ DENSE_LIMIT = 2000
 #:   1225  L=7 N=6             50049.7      195.6      619.40     3.58
 ENERGY_CROSSOVER = 72
 
-#: With vectors, mean over 5 draws of the best of 5 runs: one ground
-#: vector (max_degeneracy=0, no S^2; LANCZOS_CROSSOVER), one
-#: reorthogonalized pass; and a counted degeneracy with S^2 (the default
-#: max_degeneracy=8; DEFLATION_CROSSOVER), which needs a pass per ground
-#: vector plus one to see the gap, and whose budget ran out on the draws
-#: counted, each then solved twice:
+#: With vectors (LANCZOS_CROSSOVER), mean over 5 draws (random phases and
+#: potentials) of the best of 5 runs, and the range of the Lanczos/dense
+#: ratio over the draws: one ground vector (max_degeneracy=0, no S^2),
+#: a recurrence and its replay; and a counted degeneracy with S^2 (the
+#: default max_degeneracy=8), a pass and a replay per ground vector plus
+#: one pass to see the gap, whose budget ran out on the draws counted,
+#: each then solved twice:
 #:
-#:                             one vector         S^2, degeneracy counted
-#:    dim  sector            dense  Lanczos     dense  Lanczos  fallbacks
-#:    100  L=5 N=4            0.55    0.96       0.88    2.34      5/5
-#:    147  L=7 N=3 2Sz=1      1.39    1.34       1.86    4.31      5/5
-#:    169  L=13 N=2           2.23    2.02       2.79    6.01      5/5
-#:    196  L=14 N=2           3.19    2.30       3.72    5.34      2/5
-#:    225  L=15 N=2           4.15    2.19       4.73    6.18      2/5
-#:    225  L=6 N=4            4.03    1.42       4.61    3.15      0/5
-#:    256  L=16 N=2           5.43    2.35       6.12    5.75      1/5
-#:    300  L=6 N=5 2Sz=1      7.96    1.55       8.74    3.54      0/5
-#:    400  L=6 N=6           16.90    1.77      17.95    4.03      0/5
+#:                          one vector                S^2, degeneracy counted
+#:    dim  sector          dense Lanczos  ratio      dense Lanczos  ratio  fallbacks
+#:    100  L=5 N=4          1.31   3.27 2.30-2.63     1.89   6.36 3.31-3.41   5/5
+#:    147  L=7 N=3 2Sz=1    3.16   4.09 1.19-1.38     3.95  10.42 2.62-2.68   5/5
+#:    169  L=13 N=2         4.97   5.34 0.87-1.22     6.04  13.54 2.17-2.35   5/5
+#:    196  L=14 N=2         7.03   5.85 0.73-1.01     8.22  13.16 0.97-2.07   3/5
+#:    225  L=15 N=2        10.12   6.15 0.53-0.68    11.42  14.23 0.78-1.90   2/5
+#:    225  L=6 N=4          9.85   4.60 0.41-0.51    11.23   7.79 0.66-0.73   0/5
+#:    256  L=16 N=2        13.99   6.87 0.39-0.56    15.33  12.97 0.47-1.87   1/5
+#:    300  L=6 N=5 2Sz=1   14.82   3.60 0.21-0.31    16.67   7.87 0.31-0.59   0/5
+#:    400  L=6 N=6         39.32   5.78 0.14-0.15    36.69   7.89 0.15-0.27   0/5
 #:
-#: The budget, min(600, 3*dim // 5) steps for all passes of a solve
-#: together, costs about one dense solve: a step costs 30-40 us up to
+#: One crossover serves both within the spread: one vector turns cheaper
+#: between 169 (a tie) and 225 (cheaper on every draw), a counted
+#: degeneracy between 196 and 300 (at 225 and 256 one sector is cheaper
+#: and one ties or is dearer). The budget, min(600, 3*dim // 5)
+#: recurrence steps for all passes of a solve together (replays not
+#: counted), costs about one dense solve: a step costs 30-50 us up to
 #: dimension 400, mostly fixed Python overhead.
-LANCZOS_CROSSOVER = 160
-DEFLATION_CROSSOVER = 220
+LANCZOS_CROSSOVER = 220
 
 #: Matrix entries a batch of _ground_energies holds at most: about 640 kB
 #: with their column indices, at least one angle. Twice as many sped the
@@ -135,7 +139,11 @@ _STACK_ENTRIES = 2**15
 #: runs put 1e-3, 1e-6 ahead on both). A first check after 10 steps
 #: instead of 5 saved 0.5 checks and cost 0.1 steps on the block lemma,
 #: and saved 0.3 checks and cost 2.6 steps on verify_even (with 15/10/5 at
-#: 1e-4, 1e-8).
+#: 1e-4, 1e-8). Past the step where its Krylov space is exhausted a
+#: column is checked at every step: with this schedule alone, 16 of 800
+#: ground vectors of random sectors up to dimension 400 under
+#: method="lanczos" missed their residual (all at dimension 40 or less),
+#: with checks every 5 steps 4; with the rule none of 3000 did.
 _CHECK_FIRST = 5
 _CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 5))
 
@@ -145,15 +153,6 @@ GROUND_TOL = 1e-9
 
 #: Seed for the deterministic Lanczos start vector.
 LANCZOS_SEED = 0x5EED
-
-#: Rows by which the Lanczos Krylov basis grows, in place, as a pass runs,
-#: so that it never holds more than the rows used plus this many (a full
-#: 600-row basis at dimension 63,504 would be 610 MB). Growing by doubling
-#: instead raised the peak memory of verify_singlet at L=10 half filling,
-#: whose passes stop after 75-90 steps, from 232 MB to 263 MB in place and
-#: to 294 MB with a copy; growing by 32 kept it at 232 MB.
-_KRYLOV_ROWS = 32
-
 
 @dataclass(frozen=True)
 class GroundInfo:
@@ -215,12 +214,12 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
 
     method is "dense", "lanczos" or "auto". Auto solves sectors up to a
     crossover dense and larger ones by Lanczos: ENERGY_CROSSOVER for the
-    energy alone, LANCZOS_CROSSOVER for one ground vector and
-    DEFLATION_CROSSOVER when the degeneracy is counted (max_degeneracy > 0)
-    or s2 is given. Inside DENSE_LIMIT it falls back to dense when Lanczos
-    does not converge within a budget that costs about one dense solve, or
-    when the deflation saturates (max_degeneracy > 0 and max_degeneracy + 1
-    vectors locked, so the degeneracy found is only a lower bound).
+    energy alone and LANCZOS_CROSSOVER for every other solve. Inside
+    DENSE_LIMIT it falls back to dense when Lanczos does not converge within
+    a budget that costs about one dense solve (a replayed vector whose true
+    residual misses counts as not converged), or when the deflation
+    saturates (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so
+    the degeneracy found is only a lower bound).
     GroundInfo.method names the solver whose answer is returned. The
     Lanczos path counts at most max_degeneracy + 1 ground vectors;
     max_degeneracy=0 asks for one ground vector, or with want_vectors=False
@@ -242,9 +241,7 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
         raise ValueError(f"unknown method {method!r}")
     fallback = method == "auto" and dim <= DENSE_LIMIT
     if method == "auto":
-        counted = max_degeneracy > 0 or s2 is not None
-        crossover = DEFLATION_CROSSOVER if counted else LANCZOS_CROSSOVER
-        method = "dense" if dim <= min(crossover, DENSE_LIMIT) else "lanczos"
+        method = "dense" if dim <= min(LANCZOS_CROSSOVER, DENSE_LIMIT) else "lanczos"
 
     if method == "lanczos":
         # 3*dim/5 iterations cost about one dense solve (see
@@ -252,7 +249,8 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
         budget = 3 * dim // 5 if fallback else None
         try:
             # Vectors go to verifiers that judge residuals down to 1e-9
-            # (spiral_state), so they are converged to a 1e-12 residual.
+            # (spiral_state), so they are converged and confirmed to a
+            # 1e-12 residual.
             e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget,
                                                resid_tol=1e-12 if want_vectors else 1e-8)
         except NoConvergence:
@@ -285,7 +283,7 @@ def _ground_energy(H: SparseHermitian, method: str) -> GroundInfo:
     """
     method, max_iter, fallback = _energy_plan(H.dim, method)
     if method == "lanczos":
-        (e0,), _, (resid,) = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
+        (e0,), _, (resid,), _ = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
         if not math.isnan(e0):
             return GroundInfo(float(e0), 1, math.inf, None, None, "lanczos")
         if not fallback:
@@ -321,96 +319,14 @@ def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
     return e0, deg, gap, vectors
 
 
-def _lanczos_pass(H: SparseHermitian, locked: np.ndarray | None,
-                  value_tol: float = 1e-14, max_iter: int = 600, resid_tol: float = 1e-8,
-                  gap_above: float = math.inf):
-    """One deflated Lanczos run: lowest Ritz pair orthogonal to the locked rows,
-    and the number of iterations it took.
-
-    Full reorthogonalization against the whole Krylov basis and the locked
-    set. It stops once the Ritz value stalls and the Ritz residual is at
-    most resid_tol * max(1, |theta|); a Ritz value above gap_above only
-    bounds the ground level from above, and 1e-8 suffices for it. The start
-    vector is pseudo-random from a fixed seed, so repeated runs are
-    bit-for-bit identical at a fixed thread count.
-    """
-    dim = H.dim
-    n_locked = 0 if locked is None else locked.shape[0]
-    rng = np.random.default_rng(LANCZOS_SEED + n_locked)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-    budget = min(max_iter, dim - n_locked)
-    space_limited = budget == dim - n_locked
-    Q = np.empty((min(_KRYLOV_ROWS, budget), dim), dtype=complex)
-
-    def orthogonalize(w, k):
-        # two passes: classical Gram-Schmidt twice is numerically sufficient.
-        # (B @ w.conj()).conj() equals B.conj() @ w without copying B.
-        for _ in range(2):
-            if locked is not None:
-                w -= locked.T @ (locked @ w.conj()).conj()
-            if k >= 0:
-                w -= Q[: k + 1].T @ (Q[: k + 1] @ w.conj()).conj()
-        return w
-
-    v = orthogonalize(v, -1)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise NoConvergence("start vector lies entirely in the locked space")
-    v /= nv
-
-    alphas = np.empty(budget)
-    betas = np.empty(budget)
-    scale = 1.0
-    theta_last = None
-    for k in range(budget):
-        if k == len(Q):  # in place; no view of Q outlives a step
-            Q.resize((min(k + _KRYLOV_ROWS, budget), dim), refcheck=False)
-        Q[k] = v
-        w = H.matvec(v)
-        a = float(np.vdot(v, w).real)
-        alphas[k] = a
-        scale = max(scale, abs(a))
-        w -= a * v
-        if k > 0:
-            w -= betas[k - 1] * Q[k - 1]
-        w = orthogonalize(w, k)
-        b = float(np.linalg.norm(w))
-
-        breakdown = b <= 1e-13 * scale
-        last = k == budget - 1
-        if breakdown or last or k % 5 == 4:
-            d, e = alphas[: k + 1], betas[:k]
-            theta, blocks = _lowest_ritz_value(d, e)
-            held = (theta_last is not None
-                    and abs(theta - theta_last) <= value_tol * max(1.0, abs(theta)))
-            # the vector only where the residual test is reached or it is returned
-            if held or breakdown or last:
-                y = _lowest_ritz_vector(d, e, blocks)
-                resid = abs(b * y[-1])
-                tol = 1e-8 if theta > gap_above else resid_tol
-                stalled = held and resid <= tol * max(1.0, abs(theta))
-                if stalled or breakdown or (space_limited and last):
-                    vec = Q[: k + 1].T @ y
-                    vec = orthogonalize(vec, -1) if locked is not None else vec
-                    vec /= np.linalg.norm(vec)
-                    return theta, vec, k + 1
-                if last:
-                    raise NoConvergence(
-                        f"Lanczos exhausted {budget} iterations", residual=resid
-                    )
-            theta_last = theta
-        betas[k] = b
-        v = w / b
-
-    raise NoConvergence("Lanczos failed to produce a Ritz pair")
-
-
 def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
-                      value_tol: float = 1e-14, resid_tol: float = 1e-8):
+                      resid_tol: float = 1e-8, locked: np.ndarray | None = None,
+                      cut: float = math.inf, replay: np.ndarray | None = None):
     """Lowest eigenvalues of count Hermitian operators of dimension dim by
     the plain three-term Lanczos recurrence, run on all of them at once;
-    returns (energies, steps, residuals) with one entry per operator.
+    returns (energies, steps, residuals, ritz) with one entry per operator,
+    ritz holding the coefficients y of the lowest Ritz vector at the step
+    where the column stopped (None where the energy is NaN).
 
     stack(cols) is the block-diagonal operator whose blocks are the
     operators numbered cols, in that order; each step applies it once to
@@ -424,29 +340,50 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     Rounding makes the Lanczos vectors lose orthogonality as Ritz values
     converge, which only adds copies of converged Ritz values to the
     tridiagonal matrix; the lowest Ritz value still converges to the lowest
-    eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). Start vector
-    and stopping rule are those of _lanczos_pass, per column: the Ritz
-    value has stalled since the previous check, and then its Ritz residual
-    is small. The checks come on each column's own schedule
-    (_CHECK_SCHEDULE: sparser while its Ritz value still moves far), plus
-    at a breakdown and at the last step, and the Ritz vector's last
-    component is computed only where the residual test is reached or
-    reported. A run may go past dim steps, since without
+    eigenvalue (Paige, J. Inst. Math. Appl. 18, 341 (1976)). The start
+    vector is pseudo-random from a fixed seed. A column stops once its
+    lowest Ritz value has stalled since the previous check and its Ritz
+    residual is at most resid_tol * max(1, |theta|), or 1e-8 for a value
+    above cut (it only bounds a gap from below), or at a breakdown. The
+    checks come on each column's own schedule (_CHECK_SCHEDULE: sparser
+    while its Ritz value still moves far), plus at a breakdown and at the
+    last step, and the Ritz vector is computed only where a column can
+    stop or is reported. A run may go past dim steps, since without
     reorthogonalization the Krylov space is never known to be exhausted
-    short of a breakdown.
+    short of a breakdown; from the step where it would be in exact
+    arithmetic (dim less the locked rows) a column is checked at every
+    step, since past it the recurrence only repeats converged values and a
+    replayed vector degrades. Under auto's budget of 3*dim/5 steps no
+    column gets there.
+
+    locked rows (orthonormal) are projected out of the start vector and of
+    every column at every step, so the recurrence runs in their orthogonal
+    complement; the seed is offset by their number. Given replay, the
+    Ritz coefficients y of a column that stopped with these same arguments
+    (count=1), the recurrence runs again, regenerating the same Lanczos
+    vectors v_k bit for bit, and returns the Ritz vector sum y_k v_k
+    instead (Cullum & Willoughby, Lanczos Algorithms for Large Symmetric
+    Eigenvalue Computations, 1985): a vector costs a second run, never a
+    stored basis.
 
     Every operation on the stack acts on each row alone: a block of the
-    operator, real elementwise arithmetic, or a pairwise sum along the row,
-    and a column's schedule reads only its own Ritz values.
-    So a column's energy is the same, bit for bit, in a batch of any size.
+    operator, real elementwise arithmetic, a projection of one row, or a
+    pairwise sum along the row, and a column's schedule reads only its own
+    Ritz values. So a column's energy is the same, bit for bit, in a batch
+    of any size.
     """
-    rng = np.random.default_rng(LANCZOS_SEED)
+    n_locked = 0 if locked is None else len(locked)
+    space = dim - n_locked                       # the largest Krylov space
+    rng = np.random.default_rng(LANCZOS_SEED + n_locked)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if locked is not None:
+        _deflate(start[None], locked)
     start /= np.linalg.norm(start)
 
     energies = np.full(count, np.nan)
     residuals = np.full(count, np.nan)
     steps = np.zeros(count, dtype=int)
+    ritz = [None] * count
     cols = np.arange(count)
     op = stack(cols)
     v, v_prev = np.tile(start, (count, 1)), None
@@ -454,41 +391,55 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     betas = np.empty((count, max_iter))
     scale = np.ones(count)
     theta_last = np.full(count, np.nan)          # NaN: no check yet
-    due = np.full(count, _CHECK_FIRST - 1)       # step index of each column's next check
+    due = np.full(count, min(_CHECK_FIRST, space) - 1)  # step index of each column's next check
     live = np.ones(count, dtype=bool)            # stopped columns stay, zeroed, until compacted
     stopped = 0
+    vector = None if replay is None else np.zeros(dim, dtype=complex)
     for k in range(max_iter):
+        if replay is not None:
+            vector += replay[k] * v[0]
+            if k == len(replay) - 1:
+                return vector
         w = op.matvec(v.ravel()).reshape(v.shape)
         re_v, re_w = v.view(float), w.view(float)  # (columns, 2*dim) real views
         a = np.add.reduce(re_v * re_w, axis=1)
         alphas[:, k] = a
-        np.maximum(scale, np.abs(a), out=scale)
         re_w -= re_v * a[:, None]
         if k > 0:
             re_w -= v_prev.view(float) * betas[:, k - 1, None]
+        if locked is not None:
+            _deflate(w, locked)
         b = np.sqrt(np.add.reduce(re_w * re_w, axis=1))
         betas[:, k] = b
 
-        breakdown = b <= 1e-13 * scale           # never on a stopped column: its scale is NaN
         last = k == max_iter - 1
-        for j in np.flatnonzero(live if last else breakdown | (due == k)):
+        if replay is None:
+            np.maximum(scale, np.abs(a), out=scale)
+            breakdown = b <= 1e-13 * scale       # never on a stopped column: its scale is NaN
+            checked = np.flatnonzero(live if last else breakdown | (due == k))
+        else:
+            checked = ()                         # a replay stops where its column did
+        for j in checked:
             d, e = alphas[j, : k + 1], betas[j, :k]
             theta, blocks = _lowest_ritz_value(d, e)
             rel = max(1.0, abs(theta))
             move = abs(theta - theta_last[j])   # NaN at the first check
-            held = move <= value_tol * rel
+            held = move <= 1e-14 * rel
             converged = breakdown[j]
-            # the vector only where the residual test is reached or reported
+            # the vector only where the column can stop or is reported
+            if converged or held or last:
+                y = _lowest_ritz_vector(d, e, blocks)
             if not converged and (held or last):
-                resid = abs(b[j] * _lowest_ritz_vector(d, e, blocks)[-1])
-                converged = held and resid <= resid_tol * rel
+                resid = abs(b[j] * y[-1])
+                converged = held and resid <= (resid_tol if theta <= cut else 1e-8) * rel
                 if not converged and last:
                     residuals[cols[j]] = resid
             if converged:
-                energies[cols[j]] = theta
+                energies[cols[j]], ritz[cols[j]] = theta, y
             elif not last:
                 theta_last[j] = theta
-                due[j] = k + next(gap for bound, gap in _CHECK_SCHEDULE if not move <= bound * rel)
+                gap = next(gap for bound, gap in _CHECK_SCHEDULE if not move <= bound * rel)
+                due[j] = min(k + gap, max(k + 1, space - 1))
                 continue
             steps[cols[j]] = k + 1
             live[j], due[j], scale[j] = False, -1, np.nan
@@ -508,7 +459,15 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
         re_w = w.view(float)
         re_w /= b[:, None]
         v_prev, v = v, w
-    return energies, steps, residuals
+    return energies, steps, residuals, ritz
+
+
+def _deflate(rows: np.ndarray, locked: np.ndarray) -> None:
+    """Project the span of the orthonormal locked rows out of each row, in
+    place and one row at a time. (L @ r.conj()).conj() equals L.conj() @ r
+    without copying L."""
+    for row in rows:
+        row -= (locked @ row.conj()).conj() @ locked
 
 
 def _energy_plan(dim: int, method: str) -> tuple[str, int, bool]:
@@ -551,7 +510,7 @@ def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.nda
     batches = min(len(angles), -(-len(angles) * family.nnz // _STACK_ENTRIES))
     for batch in np.array_split(np.arange(len(angles)), batches):
         chosen = [angles[k] for k in batch]
-        out[batch], _, resid[batch] = _lanczos_energies(
+        out[batch], _, resid[batch], _ = _lanczos_energies(
             lambda cols: family.stacked([chosen[c] for c in cols]), dim, len(batch), max_iter)
     for k in np.flatnonzero(np.isnan(out)):
         if not fallback:
@@ -597,43 +556,55 @@ def _lowest_ritz_vector(d: np.ndarray, e: np.ndarray, blocks: tuple | None) -> n
 
 def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None = None,
                     resid_tol: float = 1e-8):
-    """Ground energy, ground vectors and gap via deflated Lanczos passes.
+    """Ground energy, ground vectors and gap by deflation.
 
-    After each converged vector the iteration restarts in the orthogonal
-    complement; the loop stops once the next level clears the degeneracy
-    window (or max_degeneracy + 1 vectors are locked, meaning the reported
-    degeneracy is a lower bound). Each ground vector is converged to a
-    residual of resid_tol * max(1, |E|).
+    Each pass runs the recurrence of _lanczos_energies in the orthogonal
+    complement of the ground vectors found so far, and a pass whose Ritz
+    value lies in the ground window replays it for its vector, which is
+    then locked. The loop stops at the first pass whose value clears the
+    window, which gives the gap and needs no vector (or once
+    max_degeneracy + 1 vectors are locked, meaning the reported degeneracy
+    is a lower bound). Each vector
+    is confirmed by one more product with H: its true residual
+    ||Hv - theta v|| must be at most resid_tol * max(1, |theta|), else
+    NoConvergence is raised with it, as it is when a pass runs out.
 
-    budget, when given, caps the iterations of all passes together;
-    NoConvergence is raised beyond it. Most of a step's cost is fixed
-    overhead, not the reorthogonalization that grows with the pass length
-    (see LANCZOS_CROSSOVER), so the passes share the budget linearly.
+    budget, when given, caps the recurrence steps of all passes together;
+    NoConvergence is raised beyond it.
     """
-    locked: list[np.ndarray] = []
+    found: list[np.ndarray] = []
     left = budget
     e0 = None
     cut = gap = math.inf
     for _ in range(max_degeneracy + 1):
-        if len(locked) >= H.dim:
+        if len(found) >= H.dim:
             break
         max_iter = 600 if left is None else min(600, left)
         if max_iter < 1:
             raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
-                                f"after {len(locked)} locked vectors")
-        stack = np.vstack(locked) if locked else None
-        theta, vec, steps = _lanczos_pass(H, stack, max_iter=max_iter,
-                                          resid_tol=resid_tol, gap_above=cut)
+                                f"after {len(found)} locked vectors")
+        args = (lambda cols: H, H.dim, 1, max_iter, resid_tol,
+                np.vstack(found) if found else None, cut)
+        (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args)
         if left is not None:
             left -= steps
+        if math.isnan(theta):
+            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
+                                residual=float(resid))
         if e0 is None:
             e0 = theta
             cut = e0 + GROUND_TOL * max(1.0, abs(e0))
         elif theta > cut:
             gap = theta - e0
             break
-        locked.append(vec)
-    vectors = np.column_stack(locked) if locked else None
+        vec = _lanczos_energies(*args, replay=y)
+        vec /= np.linalg.norm(vec)
+        miss = float(np.linalg.norm(H.matvec(vec) - theta * vec))
+        if miss > resid_tol * max(1.0, abs(theta)):
+            raise NoConvergence(f"replayed Lanczos vector has residual {miss:.3g} after "
+                                f"{steps} iterations", residual=miss)
+        found.append(vec)
+    vectors = np.column_stack(found) if found else None
     return float(e0), vectors, float(gap)
 
 

@@ -17,7 +17,6 @@ from fluxring.spectra import (
     DENSE_LIMIT,
     ENERGY_CROSSOVER,
     LANCZOS_CROSSOVER,
-    _lanczos_pass,
     log_partition_sweep,
 )
 
@@ -188,33 +187,36 @@ def test_auto_degenerate_and_saturated_deflation():
     assert fr.ground(h, max_degeneracy=2, method="lanczos").degeneracy == 3
 
 
+def _recording_recurrence(monkeypatch):
+    """Spy on _lanczos_energies: one entry per call, its steps or "replay"."""
+    calls = []
+    recurrence = spectra._lanczos_energies
+
+    def recording(*args, replay=None):
+        result = recurrence(*args, replay=replay)
+        calls.append("replay" if replay is not None else int(result[1].sum()))
+        return result
+
+    monkeypatch.setattr(spectra, "_lanczos_energies", recording)
+    return calls
+
+
 def test_auto_falls_back_when_lanczos_fails_within_budget(monkeypatch):
     # the U=1000 free sector of finite_coupling_overlap at L=7, N=6: the
-    # ground level converges, but the next one, 0.009 above it, does not
-    # within the budget (its gap is tiny against a spectral width ~3U)
+    # next level lies 0.009 above the ground level, a tiny gap against a
+    # spectral width ~3U, and the ground vector does not converge within
+    # the budget
     spec = fr.with_flux(fr.make_spec(7, 6, U=1000.0), PI)
     h = fr.build_hamiltonian(spec, fr.enumerate_sector(7, 6, 0))
-    passes = []
-
-    def recording_pass(H, locked, **kwargs):
-        try:
-            theta, vec, steps = _lanczos_pass(H, locked, **kwargs)
-        except NoConvergence:
-            passes.append(kwargs["max_iter"])
-            raise
-        passes.append(steps)
-        return theta, vec, steps
-
-    monkeypatch.setattr(spectra, "_lanczos_pass", recording_pass)
+    calls = _recording_recurrence(monkeypatch)
     auto = fr.ground(h)
     dense = fr.ground(h, method="dense")
     assert auto.method == "dense"
     assert (auto.energy, auto.degeneracy, auto.gap) == (dense.energy, dense.degeneracy,
                                                         dense.gap)
-    # the second pass ran out of budget: the passes together ran no more
-    # than 3*dim/5 iterations
-    assert len(passes) == 2
-    assert sum(passes) == 3 * h.dim // 5
+    # the Lanczos attempts together ran no more than 3*dim/5 steps
+    steps = [c for c in calls if c != "replay"]
+    assert steps and sum(steps) <= 3 * h.dim // 5
 
 
 def test_ground_method_argument_checked():
@@ -235,13 +237,32 @@ def test_lanczos_deterministic():
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def test_lanczos_budget_exhaustion():
+def test_lanczos_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(1)
     m = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
     h = SparseHermitian(sparse.csr_matrix(m + m.conj().T))
+    calls = _recording_recurrence(monkeypatch)
     with pytest.raises(NoConvergence) as err:
-        _lanczos_pass(h, None, max_iter=3)
+        spectra._lanczos_ground(h, 0, budget=3)
     assert err.value.residual is not None
+    assert calls == [3]                        # a pass out of budget replays nothing
+
+
+def test_replayed_vector_that_misses_its_residual_is_never_returned(monkeypatch):
+    # a replay fed the wrong Ritz coefficients (reversed) rebuilds a wrong
+    # vector: its confirmation catches it and raises NoConvergence with the
+    # true residual, and auto falls back to dense
+    basis = fr.enumerate_sector(6, 6, 0)
+    h = fr.build_hamiltonian(fr.make_spec(6, 6, U=2.0), basis)
+    recurrence = spectra._lanczos_energies
+    monkeypatch.setattr(spectra, "_lanczos_energies", lambda *a, replay=None: recurrence(
+        *a, replay=None if replay is None else replay[::-1]))
+    with pytest.raises(NoConvergence) as err:
+        fr.ground(h, max_degeneracy=0, method="lanczos")
+    exact = fr.ground(h, max_degeneracy=0, method="dense")
+    assert err.value.residual > 1e-12 * max(1.0, abs(exact.energy))
+    auto = fr.ground(h, max_degeneracy=0)
+    assert auto.method == "dense" and auto.energy == exact.energy
 
 
 def test_slater_consistency_free_case():
@@ -351,28 +372,6 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
     assert in_batch == sorted(alone)
 
 
-@pytest.mark.parametrize("low", [-10.0, -0.01])
-def test_lanczos_krylov_basis_grows_with_the_iteration(low):
-    # a pass holds the rows it has used plus at most one growth step, far
-    # below the max_iter x dim basis it could grow to (600 rows here)
-    from scipy.linalg import lapack  # noqa: F401  (its import is not the pass's)
-
-    dim = 6000
-    values = np.linspace(0.0, 1.0, dim)
-    values[0] = low
-    h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
-    tracemalloc.start()
-    try:
-        theta, vec, steps = _lanczos_pass(h, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert theta == pytest.approx(low, abs=1e-12)
-    assert steps < 200
-    rows = peak / (dim * 16)
-    assert rows < steps + spectra._KRYLOV_ROWS + 8, (steps, rows)
-
-
 @st.composite
 def small_models(draw, max_dim=400):
     L = draw(st.integers(3, 6))
@@ -388,6 +387,11 @@ def small_models(draw, max_dim=400):
 
 
 @given(small_models())
+# the 4-fold ground level of uniform L=6 N=4 at flux 0
+@example((fr.make_spec(6, 4), fr.enumerate_sector(6, 4, 0)))
+# a filled hard-core ring without potential: H = 0, one level, and
+# deflation locks every state down to an empty complement
+@example((fr.make_spec(6, 6, U=fr.INFINITY), fr.enumerate_sector(6, 6, 0, True)))
 @settings(max_examples=25, deadline=None)
 def test_dense_and_lanczos_ground_agree(model):
     spec, basis = model
@@ -398,8 +402,31 @@ def test_dense_and_lanczos_ground_agree(model):
     scale = max(1.0, abs(dense.energy))
     assert abs(dense.energy - lanc.energy) <= 1e-10 * scale
     assert dense.degeneracy == lanc.degeneracy
+    # the residual ground promises for vectors
     resid = h.matvec(lanc.vectors) - lanc.energy * lanc.vectors
-    assert np.abs(resid).max() <= 1e-9 * scale
+    assert np.linalg.norm(resid, axis=0).max() <= 1e-12 * scale
+
+
+def test_lanczos_vectors_of_small_sectors_meet_their_residual():
+    # sectors smaller than the steps their recurrence takes run past the
+    # exhausted Krylov space, where the replayed vector degrades; checked at
+    # every step from there, each stops where its vector still holds
+    rng = np.random.default_rng(11)
+    solved = 0
+    while solved < 200:
+        L = int(rng.integers(3, 6))
+        hardcore = bool(rng.integers(2))
+        N = int(rng.integers(1, (L if hardcore else 2 * L - 1) + 1))
+        spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), rng.uniform(0, 2 * PI, L),
+                            rng.normal(0, 1, L), fr.INFINITY if hardcore else rng.uniform(-3, 3, L))
+        basis = fr.enumerate_sector(L, N, N % 2, hardcore)
+        if basis.dim > 40:
+            continue
+        h = fr.build_hamiltonian(spec, basis)
+        info = fr.ground(h, max_degeneracy=0, method="lanczos")
+        v = info.vectors[:, 0]
+        assert np.linalg.norm(h.matvec(v) - info.energy * v) <= 1e-12 * max(1.0, abs(info.energy))
+        solved += 1
 
 
 @st.composite
@@ -436,38 +463,46 @@ def test_energy_recurrence_matches_eigvalsh(sector):
 
 
 def test_energy_recurrence_keeps_three_vectors():
-    # the recurrence holds a handful of vectors however long it runs, where
-    # a reorthogonalized pass holds one row per step
+    # the recurrence holds a handful of vectors however long it runs, and a
+    # vector solve, which replays it instead of storing a Krylov basis, holds
+    # as few: a basis would grow by one vector per step
+    from scipy.linalg import lapack  # noqa: F401  (its import is not the solve's)
+
     dim = 6000
-    values = np.linspace(0.0, 1.0, dim)
-    values[0] = -0.01
-    h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
-    tracemalloc.start()
-    try:
-        (theta,), (steps,), _ = spectra._lanczos_energies(lambda cols: h, dim, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert theta == pytest.approx(-0.01, abs=1e-12)
-    assert steps > 40
-    assert peak / (dim * 16) < 10, (steps, peak / (dim * 16))
+    for low in (-10.0, -0.01):
+        values = np.linspace(0.0, 1.0, dim)
+        values[0] = low
+        h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
+        tracemalloc.start()
+        try:
+            (theta,), (steps,), _, _ = spectra._lanczos_energies(lambda cols: h, dim, 1)
+            energy_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            info = fr.ground(h, max_degeneracy=0, method="lanczos")
+            vector_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theta == pytest.approx(low, abs=1e-12)
+        assert info.energy == pytest.approx(low, abs=1e-12)
+        assert np.linalg.norm(h.matvec(info.vectors[:, 0]) - info.energy * info.vectors[:, 0]) \
+            <= 1e-12 * max(1.0, abs(low))
+        assert steps > (40 if low == -0.01 else 5)
+        for peak in (energy_peak, vector_peak):
+            assert peak / (dim * 16) < 10, (low, steps, peak / (dim * 16))
 
 
-def test_energy_only_solves_skip_the_reorthogonalized_pass(monkeypatch):
+def test_energy_only_solves_never_replay(monkeypatch):
     basis = fr.enumerate_sector(6, 6, 0)
     h = fr.build_hamiltonian(fr.make_spec(6, 6, U=2.0), basis)
-    passes = []
-    lanczos_pass = spectra._lanczos_pass
-    monkeypatch.setattr(spectra, "_lanczos_pass",
-                        lambda *a, **k: passes.append(1) or lanczos_pass(*a, **k))
+    calls = _recording_recurrence(monkeypatch)
     energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
-    assert (energy.method, passes) == ("lanczos", [])
-    # vectors, a spin operator or a degeneracy count keep the deflated pass
+    assert energy.method == "lanczos" and len(calls) == 1 and "replay" not in calls
+    # vectors, a spin operator or a degeneracy count replay for ground vectors
     for kwargs in ({}, {"want_vectors": False}, {"max_degeneracy": 0},
                    {"want_vectors": False, "s2": fr.build_total_spin(basis)}):
-        passes.clear()
+        calls.clear()
         info = fr.ground(h, **kwargs)
-        assert passes and abs(info.energy - energy.energy) < 1e-10
+        assert "replay" in calls and abs(info.energy - energy.energy) < 1e-10
 
 
 def test_energy_recurrence_out_of_budget_falls_back_to_dense():
@@ -586,19 +621,19 @@ def test_batched_energy_out_of_budget_falls_back_alone(monkeypatch):
 
 
 def test_vector_solves_below_the_deflation_crossover_stay_dense(monkeypatch):
-    # random L=13 N=2 sectors (dimension 169) with S^2: Lanczos needed more
-    # than its budget on most draws and fell back, at about twice the cost
-    passes = []
-    lanczos_pass = spectra._lanczos_pass
-    monkeypatch.setattr(spectra, "_lanczos_pass",
-                        lambda *a, **k: passes.append(1) or lanczos_pass(*a, **k))
+    # random L=13 N=2 sectors (dimension 169): with S^2 Lanczos needed more
+    # than its budget on every draw and fell back, at about twice the cost,
+    # and one ground vector, a recurrence and its replay, cost about as much
+    # as dense
+    calls = _recording_recurrence(monkeypatch)
     basis = fr.enumerate_sector(13, 2, 0)
     s2 = fr.build_total_spin(basis)
-    assert LANCZOS_CROSSOVER < basis.dim <= spectra.DEFLATION_CROSSOVER
+    assert ENERGY_CROSSOVER < basis.dim <= LANCZOS_CROSSOVER
     for seed in range(20):
         rng = np.random.default_rng(seed)
         spec = fr.make_spec(13, 2, rng.uniform(0.5, 2, 13), rng.uniform(0, 2 * PI, 13),
                             rng.normal(0, 1, 13), 3.0)
-        info = fr.ground(fr.build_hamiltonian(spec, basis), s2=s2)
-        assert info.method == "dense"
-    assert passes == []
+        h = fr.build_hamiltonian(spec, basis)
+        assert fr.ground(h, s2=s2).method == "dense"
+        assert fr.ground(h, max_degeneracy=0).method == "dense"
+    assert calls == []                         # neither a recurrence nor a replay
