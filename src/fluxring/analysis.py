@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .basis import SectorBasis, decompose_blocks, enumerate_sector
-from .errors import HypothesisViolated, MethodLimit, NotFourNPlusTwo
+from .errors import DegenerateGround, HypothesisViolated, MethodLimit, NotFourNPlusTwo
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
@@ -465,14 +465,18 @@ def ferromagnetic_state(spec: ModelSpec) -> np.ndarray:
 
     Built as the ground vector of the fully polarized (spinless) sector in
     the sign-fixed gauge, lowered N/2 times; phase-fixed to be entrywise
-    positive there (the Perron-Frobenius property of that gauge).
+    positive there (the Perron-Frobenius property of that gauge). A
+    polarized ground level found degenerate raises DegenerateGround.
     """
     if not spec.hardcore:
         raise HypothesisViolated("requires the hard-core interaction")
     spec_ferro = _sign_fixed_spec(spec)
     basis_pol = enumerate_sector(spec.L, spec.N, spec.N, hardcore=True)
     info = ground(build_hamiltonian(spec_ferro, basis_pol))
-    assert info.degeneracy == 1  # Perron-Frobenius in the sign-fixed gauge
+    if info.degeneracy != 1:  # Perron-Frobenius makes it simple in this gauge
+        raise DegenerateGround(f"the polarized ground level is {info.degeneracy}-fold "
+                               "within the degeneracy window, so no single "
+                               "Perron-Frobenius vector is defined")
     vec = info.vectors[:, 0]
     src = basis_pol
     for two_sz in range(spec.N - 2, -1, -2):
@@ -537,6 +541,7 @@ def spiral_state(spec: ModelSpec):
     h_free = build_hamiltonian(free_spec, free_basis)
     gauge_free = solve_sign_gauge(negative_envelope(h_free), h_free)
     restricted = gauge_free.phases[free_basis.locate(basis0.codes)]
+    del free_basis, h_free, gauge_free  # the free sector's table, layout and operators
 
     # The restriction leaves one constant per hard-core block free (any
     # per-block constant is itself a gauge of the block-diagonal operator).

@@ -12,7 +12,10 @@ between the two), the parity of a popcount over a contiguous mask; a spin
 flip at a site touches adjacent modes and carries no sign. The hopping
 table (`SectorBasis.hops`) holds every nearest-neighbour hop between the
 states of a basis, built once with array operations over all of them and
-shared by every operator on the basis.
+shared by every operator on the basis. So is its CSR layout
+(`SectorBasis.layout`): the entry of each hop and of each diagonal term in
+one int32 compressed-row pattern, on which every Hamiltonian of the basis
+is a data array. Arrays shared this way are read-only.
 """
 
 from __future__ import annotations
@@ -24,11 +27,17 @@ from math import comb
 
 import numpy as np
 
-from .errors import BasisMismatch, EmptySector, RingTooLong
+from .errors import BasisMismatch, EmptySector, MethodLimit, RingTooLong
 from .model import ModelSpec
 
 #: Largest ring whose 2L modes fit the uint64 configuration codes.
 MAX_SITES = 32
+
+#: Most bytes a CSR layout and the complex data of one operator on it may
+#: take together; csr_layout and flux_family refuse a larger sector with
+#: MethodLimit before they allocate. The L=12 half-filled sector (12.0M
+#: entries) needs 279 MiB.
+MEMORY_BUDGET = 2**30
 
 
 def mode(site: int, sigma: int) -> int:
@@ -46,6 +55,76 @@ class HoppingTable:
     bond: np.ndarray       # int8
     direction: np.ndarray  # int8
     sign: np.ndarray       # int8
+
+
+@dataclass(frozen=True)
+class CSRLayout:
+    """The compressed-row pattern of hop terms (row[k], col[k]) plus every
+    diagonal entry (i, i), entries in (row, column) order: the order a COO
+    assembly of the same terms leaves them in, since no (row, column) pair
+    repeats. hop[k] is the entry of term k and diag[i] the entry of (i, i).
+    The arrays are read-only, as every operator on the layout shares them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray   # column of each entry
+    hop: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of a compressed-row pattern."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+def check_budget(dim: int, hops: int) -> None:
+    """Raise MethodLimit when the layout of `hops` terms plus the diagonal
+    on `dim` states, with one complex data array on it, would exceed
+    MEMORY_BUDGET."""
+    nnz = hops + dim
+    index = 4 if nnz < 2**31 else 8
+    need = index * (dim + 1 + nnz + hops + dim) + 16 * nnz
+    if need > MEMORY_BUDGET:
+        raise MethodLimit(f"{nnz} matrix entries need {need / 2**20:.0f} MiB for their "
+                          f"layout and one operator, over the {MEMORY_BUDGET / 2**20:.0f} "
+                          "MiB budget")
+
+
+def csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray) -> CSRLayout:
+    """The CSRLayout of the terms (rows[k], cols[k]), k off the diagonal and
+    no two alike, plus the dim diagonal entries; int32 wherever the entry
+    count allows. Refused by check_budget before anything is allocated."""
+    check_budget(dim, len(rows))
+    n = len(rows)
+    index = np.int32 if n + dim < 2**31 else np.int64
+    key = rows.astype(np.int64)
+    key *= dim
+    key += cols
+    order = np.argsort(key, kind="stable")  # hop tables are few runs sorted by row
+    del key
+    # a hop's entry: its rank among the hops, plus one diagonal per earlier
+    # row and its own row's when it lies right of the diagonal
+    hop = np.empty(n, dtype=index)
+    hop[order] = np.arange(n, dtype=index)
+    del order
+    hop += rows
+    hop += cols > rows
+    filled = np.zeros(n + dim, dtype=bool)
+    filled[hop] = True
+    diag = np.flatnonzero(~filled).astype(index)  # one gap per row, in row order
+    del filled
+    indices = np.empty(n + dim, dtype=index)
+    indices[hop] = cols
+    indices[diag] = np.arange(dim, dtype=index)
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=dim) + 1, out=indptr[1:])
+    for a in (indptr, indices, hop, diag):
+        a.flags.writeable = False
+    return CSRLayout(indptr, indices, hop, diag)
 
 
 @dataclass(eq=False)
@@ -93,7 +172,16 @@ class SectorBasis:
                     parts.append((dst[hit].astype(np.int32), src[hit].astype(np.int32),
                                   np.full(n, x, np.int8), np.full(n, direction, np.int8),
                                   1 - 2 * odd))
-        return HoppingTable(*(np.concatenate(p) for p in zip(*parts)))
+        columns = [np.concatenate(p) for p in zip(*parts)]
+        for c in columns:
+            c.flags.writeable = False
+        return HoppingTable(*columns)
+
+    @cached_property
+    def layout(self) -> CSRLayout:
+        """The CSR layout of the hopping table and the diagonal, built on
+        first use; every Hamiltonian on the basis stores its entries on it."""
+        return csr_layout(self.dim, self.hops.row, self.hops.col)
 
     def moved(self, m_to: int, m_from: int) -> tuple[np.ndarray, np.ndarray]:
         """c+_{m_to} c_{m_from} on every state, sign aside: the indices of

@@ -62,7 +62,13 @@ class TooLargeForDense(FluxRingError):
 
 
 class MultipletCut(FluxRingError):
-    """Saturated deflation: the locked ground vectors may cut a spin multiplet."""
+    """Ground vectors that may cut a spin multiplet: a saturated deflation,
+    or S^2 projected on them with an eigenvalue not of the form s(s+1)."""
+
+
+class DegenerateGround(FluxRingError):
+    """A ground level that theory makes simple came out degenerate within
+    the degeneracy window, so no single ground vector can be picked."""
 
 
 class RingTooLong(FluxRingError):

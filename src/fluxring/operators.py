@@ -4,19 +4,23 @@ Hopping operators are views of the basis hopping table
 (:attr:`fluxring.basis.SectorBasis.hops`), which holds the conjugate of
 every move, so matrices are exactly Hermitian (zero defect, not merely
 small). Fermionic signs follow the canonical mode order of
-:mod:`fluxring.basis`.
+:mod:`fluxring.basis`. Every Hamiltonian on a basis, from build_hamiltonian
+or a flux family, is a data array on the basis's one CSR layout
+(:attr:`fluxring.basis.SectorBasis.layout`) with every diagonal entry
+stored, and shares its read-only index arrays; the envelope and gauge
+helpers work on the data of operands that share a pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .basis import SectorBasis, mode
+from .basis import CSRLayout, SectorBasis, check_budget, csr_layout, entry_rows, mode
 from .errors import (
     BasisMismatch,
     FluxObstruction,
@@ -50,6 +54,13 @@ class SparseHermitian:
         out = np.zeros(m.shape[0], dtype=np.result_type(m.data, v))
         _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, v, out)
         return out
+
+
+def _with_data(pattern: CSRLayout | sparse.csr_matrix, data: np.ndarray) -> SparseHermitian:
+    """The operator holding data on the index arrays of pattern, shared."""
+    dim = len(pattern.indptr) - 1
+    return SparseHermitian(sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                                             shape=(dim, dim)))
 
 
 def _from_coo(dim: int, rows, cols, vals) -> SparseHermitian:
@@ -88,37 +99,32 @@ def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
 
     In hard-core mode the interaction term is absent and the basis itself
     excludes double occupancy, which realizes the projected Hamiltonian
-    P H P on the no-double-occupancy subspace.
+    P H P on the no-double-occupancy subspace. The matrix is a data array
+    on the basis layout: every diagonal entry is stored, zero or not.
     """
     _check_basis(spec, basis)
-    hops = basis.hops
-    t = spec.amplitudes()[hops.bond]
-    amp = np.where(hops.direction > 0, t, np.conj(t))
-    diag = _diagonal(spec, basis)
-    on = np.flatnonzero(diag)
-    return _from_coo(basis.dim, np.concatenate([hops.row, on]),
-                     np.concatenate([hops.col, on]),
-                     np.concatenate([hops.sign * amp, diag[on]]))
+    hops, layout = basis.hops, basis.layout
+    t = spec.amplitudes()  # a forward hop across bond x carries t_x, a backward one conj(t_x)
+    amp = np.concatenate([np.conj(t), t])[hops.bond + (hops.direction > 0) * np.int8(spec.L)]
+    amp *= hops.sign
+    data = np.empty(layout.nnz, dtype=complex)
+    data[layout.hop] = amp
+    del amp
+    data[layout.diag] = _diagonal(spec, basis)
+    return _with_data(layout, data)
 
 
 #: Windings of the terms that cross the last bond, in the order of
-#: FluxFamily._layout's up and down positions.
+#: _FamilyEntries' up and down positions.
 _WINDINGS = np.array([1, -1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
-class _CSRLayout:
-    """The CSR pattern of a flux family and its entries at phi = 0.
+class _FamilyEntries:
+    """A flux family's entries at phi = 0 on its CSR layout; up and down are
+    the entries of the terms with winding +1 and -1."""
 
-    Entries are in (row, column) order with every diagonal entry stored,
-    as the COO assembly of the same terms leaves them (no (row, col)
-    repeats, so nothing is summed). up and down are the positions of the
-    terms with winding +1 and -1.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    row: np.ndarray       # row of each entry
+    layout: CSRLayout
     data: np.ndarray      # complex; the winding entries are overwritten per phi
     up: np.ndarray
     down: np.ndarray
@@ -131,10 +137,11 @@ class FluxFamily:
     """phi-parametrized Hamiltonian family in the canonical gauge.
 
     The hopping structure (indices, magnitudes, fermion signs, diagonal) is
-    generated once, and so is its CSR pattern, on first evaluation; at each
-    phi only the terms that cross the last bond pick up the phase
-    exp(+-i phi). Used by flux scans to avoid re-walking the basis at every
-    grid point.
+    generated once, and so are its CSR layout and entries, on first
+    evaluation; at each phi only the terms that cross the last bond pick up
+    the phase exp(+-i phi). Used by flux scans to avoid re-walking the basis
+    at every grid point. A family whose terms are the hopping table of
+    `basis` uses the basis layout; any other builds its own.
     """
 
     dim: int
@@ -143,51 +150,43 @@ class FluxFamily:
     base: np.ndarray      # real: |t| * fermion sign
     winding: np.ndarray   # +1 / -1 for terms crossing the last bond, else 0
     diag: np.ndarray
+    basis: SectorBasis | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def _layout(self) -> _CSRLayout:
-        on = np.arange(self.dim)
-        rows = np.concatenate([self.rows, on])
-        cols = np.concatenate([self.cols, on])
-        order = np.lexsort((cols, rows))          # CSR entry -> term
-        entry = np.empty_like(order)              # term -> CSR entry
-        entry[order] = np.arange(len(order))
-        hop = entry[: len(self.rows)]
-        index = np.int32 if len(order) < 2**31 else np.int64
-        indptr = np.zeros(self.dim + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+    def _entries(self) -> _FamilyEntries:
+        layout = (self.basis.layout if self.basis is not None
+                  else csr_layout(self.dim, self.rows, self.cols))
+        data = np.empty(layout.nnz, dtype=complex)
+        data[layout.hop] = self.base
+        data[layout.diag] = self.diag
         up, down = self.winding > 0, self.winding < 0
-        return _CSRLayout(indptr, cols[order].astype(index), rows[order],
-                          np.concatenate([self.base, self.diag]).astype(complex)[order],
-                          hop[up], hop[down], self.base[up], self.base[down])
+        return _FamilyEntries(layout, data, layout.hop[up], layout.hop[down],
+                              self.base[up], self.base[down])
 
     def _data(self, data: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """data with the winding +1 and -1 entries set to phase[0] and
         phase[1] times their base amplitudes."""
-        layout = self._layout
-        data[layout.up] = layout.base_up * phase[0]
-        data[layout.down] = layout.base_down * phase[1]
+        entries = self._entries
+        data[entries.up] = entries.base_up * phase[0]
+        data[entries.down] = entries.base_down * phase[1]
         return data
 
-    def _csr(self, data: np.ndarray) -> SparseHermitian:
-        layout = self._layout
-        return SparseHermitian(sparse.csr_matrix(
-            (data, layout.indices, layout.indptr), shape=(self.dim, self.dim)))
-
     def dense(self, phi: float) -> np.ndarray:
-        layout = self._layout
+        entries = self._entries
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[layout.row, layout.indices] = self._data(layout.data.copy(),
-                                                   np.exp(1j * phi * _WINDINGS))
+        h[entry_rows(entries.layout.indptr), entries.layout.indices] = self._data(
+            entries.data.copy(), np.exp(1j * phi * _WINDINGS))
         return h
 
     def hamiltonian(self, phi: float) -> SparseHermitian:
-        return self._csr(self._data(self._layout.data.copy(), np.exp(1j * phi * _WINDINGS)))
+        entries = self._entries
+        return _with_data(entries.layout, self._data(entries.data.copy(),
+                                                     np.exp(1j * phi * _WINDINGS)))
 
     @property
     def nnz(self) -> int:
         """Entries stored per evaluation, every diagonal entry included."""
-        return len(self._layout.data)
+        return self._entries.layout.nnz
 
     def stacked(self, angles) -> SparseHermitian:
         """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
@@ -197,9 +196,10 @@ class FluxFamily:
         is, block for block, hamiltonian(angles[g]).matvec, bit for bit.
         It holds len(angles) copies of the family's entries.
         """
-        layout = self._layout
-        count, nnz = len(angles), len(layout.data)
-        data = np.tile(layout.data, (count, 1))
+        entries = self._entries
+        layout = entries.layout
+        count, nnz = len(angles), layout.nnz
+        data = np.tile(entries.data, (count, 1))
         for row, phi in zip(data, angles):
             self._data(row, np.exp(1j * phi * _WINDINGS))
         index = np.int32 if count * max(nnz, self.dim) < 2**31 else np.int64
@@ -213,8 +213,9 @@ class FluxFamily:
     def derivative(self, phi: float) -> SparseHermitian:
         """dH/dphi: i w exp(i w phi) times the base amplitude on the terms of
         winding w = +-1, zero on the rest of the same CSR pattern."""
-        return self._csr(self._data(np.zeros_like(self._layout.data),
-                                    1j * _WINDINGS * np.exp(1j * phi * _WINDINGS)))
+        entries = self._entries
+        return _with_data(entries.layout, self._data(
+            np.zeros_like(entries.data), 1j * _WINDINGS * np.exp(1j * phi * _WINDINGS)))
 
     def restrict(self, indices) -> FluxFamily:
         """The family on a span of ascending state indices closed under
@@ -228,13 +229,16 @@ class FluxFamily:
 
 
 def flux_family(spec: ModelSpec, basis: SectorBasis) -> FluxFamily:
-    """Build the canonical-gauge flux family for a sector (phases discarded)."""
+    """Build the canonical-gauge flux family for a sector (phases discarded)
+    on the basis layout. A sector over MEMORY_BUDGET raises MethodLimit
+    before any of it is allocated."""
     _check_basis(spec, basis)
     hops = basis.hops
+    check_budget(basis.dim, len(hops.row))
     winding = np.where(hops.bond == spec.L - 1, hops.direction, 0).astype(np.int8)
     return FluxFamily(basis.dim, hops.row, hops.col,
                       hops.sign * np.asarray(spec.hop_mag, dtype=float)[hops.bond],
-                      winding, _diagonal(spec, basis))
+                      winding, _diagonal(spec, basis), basis)
 
 
 def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
@@ -294,15 +298,38 @@ def apply_lowering(vec: np.ndarray, src: SectorBasis, dst: SectorBasis) -> np.nd
     return out
 
 
+#: Rows per block of the entrywise conjugation residual, which bounds its
+#: temporaries.
+_ROW_BLOCK = 4096
+
+
+def _canonical(m: sparse.csr_matrix) -> sparse.csr_matrix:
+    """m itself when its rows are sorted and free of repeats, else a copy
+    that is."""
+    if m.has_canonical_format:
+        return m
+    m = m.copy()
+    m.sum_duplicates()
+    return m
+
+
+def _same_pattern(a: sparse.csr_matrix, b: sparse.csr_matrix) -> bool:
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
 def negative_envelope(H: SparseHermitian) -> SparseHermitian:
     """Replace every off-diagonal entry by -|entry|; keep the diagonal.
 
     The diagonal is gauge invariant, so this is the only candidate for a
-    gauge-equivalent operator with non-positive off-diagonal entries.
+    gauge-equivalent operator with non-positive off-diagonal entries. The
+    result has H's pattern (repeated entries summed first).
     """
-    coo = H.mat.tocoo()
-    vals = np.where(coo.row == coo.col, coo.data, -np.abs(coo.data))
-    return _from_coo(H.dim, coo.row, coo.col, vals)
+    m = _canonical(H.mat)
+    data = np.zeros(m.nnz, dtype=complex)  # -|entry| + 0j, written in place
+    np.negative(np.abs(m.data, out=data.real), out=data.real)
+    on = entry_rows(m.indptr) == m.indices
+    data[on] = m.data[on]
+    return _with_data(m, data)
 
 
 @dataclass(frozen=True)
@@ -321,15 +348,32 @@ class DiagonalGauge:
                     and np.abs(self.phases.imag).max() <= tol)
 
     def apply(self, H: SparseHermitian) -> SparseHermitian:
-        g = sparse.diags(self.phases)
-        ginv = sparse.diags(np.conj(self.phases))
-        return SparseHermitian((g @ H.mat @ ginv).tocsr())
+        """g H g^{-1}, entry (i, j) g_i H_ij conj(g_j), on H's pattern."""
+        m = H.mat
+        return _with_data(m, self._conjugated(m, 0, m.shape[0]))
+
+    def _conjugated(self, m: sparse.csr_matrix, start: int, stop: int) -> np.ndarray:
+        """The entries of g m g^{-1} in rows start to stop."""
+        lo, hi = m.indptr[start], m.indptr[stop]
+        rows = entry_rows(m.indptr[start:stop + 1] - lo) + start
+        return self.phases[rows] * m.data[lo:hi] * np.conj(self.phases[m.indices[lo:hi]])
 
 
 def conjugation_residual(g: DiagonalGauge, H: SparseHermitian,
                          target: SparseHermitian) -> float:
-    d = g.apply(H).mat - target.mat
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    """max |g H g^{-1} - target| over the entries: one block of rows at a
+    time when the two share a pattern, else by a sparse difference."""
+    a, b = H.mat, target.mat
+    if not (a.has_canonical_format and b.has_canonical_format and _same_pattern(a, b)):
+        d = g.apply(H).mat - b
+        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    resid = 0.0
+    for start in range(0, H.dim, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, H.dim)
+        d = g._conjugated(a, start, stop) - b.data[a.indptr[start]:a.indptr[stop]]
+        if len(d):
+            resid = max(resid, float(np.abs(d).max()))
+    return resid
 
 
 def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
@@ -344,13 +388,14 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
     """
     if H.dim != target.dim:
         raise FluxObstruction("operators act on different dimensions")
-    a = H.mat.tocsr().copy()
-    b = target.mat.tocsr().copy()
-    a.sort_indices()
-    b.sort_indices()
-    if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+    a, b = _canonical(H.mat), _canonical(target.mat)
+    if not _same_pattern(a, b):
         raise FluxObstruction("sparsity patterns differ")
-    moduli_gap = float(np.abs(np.abs(a.data) - np.abs(b.data)).max()) if a.nnz else 0.0
+    moduli = np.abs(a.data)
+    gap = np.abs(b.data)
+    gap -= moduli
+    moduli_gap = float(np.abs(gap, out=gap).max()) if a.nnz else 0.0
+    del gap
     if moduli_gap > tol:
         raise FluxObstruction(f"entry moduli differ by {moduli_gap:.3e}")
     diag_gap = float(np.abs(a.diagonal() - b.diagonal()).max())
@@ -360,33 +405,47 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
     from scipy.sparse import csgraph
 
     dim = H.dim
-    rows = np.repeat(np.arange(dim), np.diff(a.indptr))
-    live = (rows != a.indices) & (np.abs(a.data) > tol)
-    shape = (dim + 1, dim + 1)  # vertex dim: a hub for one breadth-first search
-    graph = sparse.csr_matrix((np.ones(live.sum()), (rows[live], a.indices[live])), shape=shape)
-    labels = csgraph.connected_components(graph, directed=False)[1][:dim]
+    scale = float(moduli.max()) if a.nnz else 1.0
+    live = moduli > tol
+    del moduli
+    live &= entry_rows(a.indptr) != a.indices
+    # the live entries as a graph; vertex dim is a hub, joined below to each
+    # component's root, for one breadth-first search over all of them
+    before = np.zeros(a.nnz + 1, dtype=a.indptr.dtype)  # live entries before each
+    np.cumsum(live, out=before[1:])
+    indptr = np.append(before[a.indptr], before[-1])
+    del before
+    edges = a.indices[live]
+    del live
+    labels = csgraph.connected_components(_graph(edges, indptr), directed=False)[1][:dim]
     _, roots = np.unique(labels, return_index=True)  # smallest index per component
-    hub = sparse.csr_matrix((np.ones(len(roots)), (np.full(len(roots), dim), roots)), shape=shape)
-    parent = csgraph.breadth_first_order(graph + hub, dim, return_predecessors=True)[1]
-    parent = parent[:dim].astype(np.int64)
-    node, tree = np.arange(dim), parent != dim
+    roots.sort()
+    indptr[-1] += len(roots)
+    hubbed = _graph(np.concatenate([edges, roots.astype(edges.dtype)]), indptr)
+    del edges
+    parent = csgraph.breadth_first_order(hubbed, dim, return_predecessors=True)[1][:dim]
+    del hubbed
     # row j holds H[j, i]; along tree edge j -> i, g_i = conj(T[j,i]) / conj(H[j,i]) * g_j
-    k = np.searchsorted(rows * dim + a.indices, parent[tree] * dim + node[tree])
+    k = np.flatnonzero(parent[a.indices] == entry_rows(a.indptr))  # entries (parent[i], i)
     ratio = np.conj(b.data[k]) / np.conj(a.data[k])
     g = np.ones(dim, dtype=complex)
-    g[tree] = ratio / np.abs(ratio)
-    up = np.where(tree, parent, node)
+    g[a.indices[k]] = ratio / np.abs(ratio)
+    up = np.where(parent != dim, parent, np.arange(dim))
     while not np.array_equal(up, up[up]):  # pointer doubling up to each root
         g, up = g * g[up], up[up]
 
     check = DiagonalGauge(g)
-    resid = conjugation_residual(check, H, target)
-    scale = float(np.abs(a.data).max()) if a.nnz else 1.0
+    resid = conjugation_residual(check, SparseHermitian(a), SparseHermitian(b))
     if resid > tol * max(1.0, scale):
         raise FluxObstruction(
             f"cycle inconsistency: conjugation residual {resid:.3e} exceeds tolerance"
         )
     return check
+
+
+def _graph(edges: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
+    size = len(indptr) - 1
+    return sparse.csr_matrix((np.ones(len(edges)), edges, indptr), shape=(size, size))
 
 
 def extend_ring(spec: ModelSpec) -> ModelSpec:

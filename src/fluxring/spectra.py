@@ -197,7 +197,8 @@ def _spin_from_s2(value: float, tol: float = 1e-8) -> float:
     s = 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * value)))
     snapped = round(2.0 * s) / 2.0
     if abs(snapped * (snapped + 1.0) - value) > tol * max(1.0, abs(value)):
-        raise ValueError(f"S^2 eigenvalue {value} is not of the form s(s+1)")
+        raise MultipletCut(f"S^2 eigenvalue {value} is not of the form s(s+1): the "
+                           "vectors do not span whole spin multiplets")
     return snapped
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import fluxring as fr
 from fluxring import analysis
 from fluxring.analysis import _current, _current_root, _flux_roles, sector_basis_for
-from fluxring.errors import HypothesisViolated, MethodLimit, NotFourNPlusTwo
+from fluxring.errors import DegenerateGround, HypothesisViolated, MethodLimit, NotFourNPlusTwo
 from fluxring.model import angle_dist
 
 from oracles import filled_sum, regauge
@@ -555,6 +556,19 @@ def test_thermal_scan_one_spectrum_per_flux_point(monkeypatch):
     r = fr.thermal_scan(fr.make_spec(3, 3), betas=(0.5, 1.0, 2.0), grid_size=36)
     assert r.passed
     assert len(calls) == 36 + 4  # grid, then c +- h at the two critical points
+
+
+def test_degenerate_polarized_ground_fails_typed(monkeypatch):
+    # the spiral lowers the Perron-Frobenius vector of the polarized sector;
+    # a degenerate level there leaves no vector to lower, with or without -O
+    solve = analysis.ground
+    monkeypatch.setattr(analysis, "ground", lambda *a, **k: replace(solve(*a, **k), degeneracy=2))
+    spec = fr.make_spec(6, 2, U=fr.INFINITY)
+    with pytest.raises(DegenerateGround, match="2-fold"):
+        fr.ferromagnetic_state(spec)
+    with pytest.raises(DegenerateGround):
+        fr.spiral_state(spec)
+    assert issubclass(DegenerateGround, fr.FluxRingError)
 
 
 def test_ferromagnetic_state_properties():

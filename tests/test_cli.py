@@ -241,6 +241,30 @@ def test_verify_spiral_beyond_the_sign_search_exits_two(tmp_path):
     assert "26 blocks exceed" in res.stderr and "internal error" not in res.stderr
 
 
+def test_verify_spiral_on_a_degenerate_polarized_ground_exits_two(tmp_path, monkeypatch,
+                                                                   capsys):
+    from dataclasses import replace
+
+    from fluxring import analysis, cli
+
+    solve = analysis.ground
+    monkeypatch.setattr(analysis, "ground", lambda *a, **k: replace(solve(*a, **k), degeneracy=2))
+    path = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(6, 2, U=fr.INFINITY), path)
+    assert cli.run(["verify", "spiral", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "2-fold" in err and "internal error" not in err
+
+
+def test_sector_over_the_memory_budget_exits_two(ring4, monkeypatch, capsys):
+    from fluxring import basis, cli
+
+    monkeypatch.setattr(basis, "MEMORY_BUDGET", 1)
+    assert cli.run(["verify", "singlet", "--model", ring4]) == 2
+    err = capsys.readouterr().err
+    assert "budget" in err and "internal error" not in err
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import fluxring as fr
+from fluxring import basis as basis_module
 from fluxring.errors import (
     BasisMismatch,
     FluxObstruction,
     InteractionPresent,
+    MethodLimit,
     PotentialPresent,
 )
 from fluxring.basis import mode
 from fluxring.model import fold_angle, validate
-from fluxring.operators import SparseHermitian, _from_coo, conjugation_residual
+from fluxring.operators import SparseHermitian, _diagonal, _from_coo, conjugation_residual
 
 from oracles import DenseOracle, fourier_levels, filled_sum, hermiticity_defect
 
@@ -406,13 +409,17 @@ def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
         assert _bits(family.dense(angle)) == _bits(ref.toarray())
 
 
-def _sector_family(sector):
+def _random_sector_spec(sector):
     L, N, two_sz, hardcore, seed = sector
     rng = np.random.default_rng(seed)
     spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
                         rng.normal(0.0, 1.0, L),
                         fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
-    basis = fr.enumerate_sector(L, N, two_sz, hardcore)
+    return spec, fr.enumerate_sector(L, N, two_sz, hardcore), rng
+
+
+def _sector_family(sector):
+    spec, basis, rng = _random_sector_spec(sector)
     return basis, fr.flux_family(spec, basis), rng
 
 
@@ -442,3 +449,88 @@ def test_flux_family_derivative_is_the_flux_derivative(sector, phi):
     ref = family.hamiltonian(phi).mat
     assert _bits(d.mat.indptr) == _bits(ref.indptr)
     assert _bits(d.mat.indices) == _bits(ref.indices)
+
+
+@given(sectors())
+@settings(max_examples=40, deadline=None)
+def test_build_hamiltonian_equals_coo_assembly_bit_for_bit(sector):
+    # every hop term and every diagonal entry, zero or not, sent through
+    # COO -> CSR conversion: the reference for the basis layout
+    spec, basis, _ = _random_sector_spec(sector)
+    hops = basis.hops
+    t = spec.amplitudes()[hops.bond]
+    amp = np.where(hops.direction > 0, t, np.conj(t))
+    on = np.arange(basis.dim)
+    ref = _from_coo(basis.dim, np.concatenate([hops.row, on]), np.concatenate([hops.col, on]),
+                    np.concatenate([hops.sign * amp, _diagonal(spec, basis)])).mat
+    got = fr.build_hamiltonian(spec, basis).mat
+    assert _bits(got.indptr) == _bits(ref.indptr)
+    assert _bits(got.indices) == _bits(ref.indices)
+    assert _bits(got.data) == _bits(ref.data)
+
+
+@given(sectors(), st.floats(-20.0, 20.0))
+@settings(max_examples=20, deadline=None)
+def test_operators_on_one_basis_share_its_read_only_layout(sector, phi):
+    spec, basis, rng = _random_sector_spec(sector)
+    h = fr.build_hamiltonian(spec, basis)
+    family = fr.flux_family(spec, basis)
+    ref = _coo_assembly(family, phi)
+    gauge = fr.DiagonalGauge(np.exp(1j * rng.uniform(0, 2 * PI, basis.dim)))
+    layout = basis.layout
+    shared = (h, family.hamiltonian(phi), family.derivative(phi), fr.negative_envelope(h),
+              gauge.apply(h))
+    for op in shared:
+        assert np.shares_memory(op.mat.indices, layout.indices)
+        assert np.shares_memory(op.mat.indptr, layout.indptr)
+    for a in (layout.indptr, layout.indices, layout.hop, layout.diag, h.mat.indices,
+              basis.hops.row, basis.hops.col):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
+    # an in-place scipy call on one operator raises instead of rewriting
+    # the pattern under the others
+    with pytest.raises(ValueError):
+        h.mat.eliminate_zeros()
+    got = family.hamiltonian(phi).mat
+    assert _bits(got.indices) == _bits(ref.indices) and _bits(got.data) == _bits(ref.data)
+
+
+def test_sign_gauge_of_the_free_sector_stays_within_a_few_entries_per_entry():
+    # the spiral's free sector, L=10 N=6 (14,400 states): the envelope and
+    # the gauge work on the data of the shared pattern, with no COO round
+    # trip, sparse product or copied matrix
+    from scipy.sparse import csgraph  # noqa: F401  (its import is not the solve's)
+
+    spec = fr.make_spec(10, 6, np.random.default_rng(1).uniform(0.5, 2.0, 10), None, None, 0.0)
+    basis = fr.enumerate_sector(10, 6, 0)
+    h = fr.build_hamiltonian(spec, basis)
+    assert basis.dim == 14400
+    tracemalloc.start()
+    try:
+        gauge = fr.solve_sign_gauge(fr.negative_envelope(h), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gauge.is_sign_gauge()
+    assert peak < 4 * h.mat.data.nbytes, peak / h.mat.data.nbytes
+
+
+def test_layout_over_the_memory_budget_is_refused_before_allocation(monkeypatch):
+    spec = fr.make_spec(8, 6, U=2.0)
+    basis = fr.enumerate_sector(8, 6, 0)
+    hops = len(basis.hops.row)
+    nnz = hops + basis.dim
+    need = 4 * (basis.dim + 1 + nnz + hops + basis.dim) + 16 * nnz
+    monkeypatch.setattr(basis_module, "MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MethodLimit, match="budget"):
+            fr.build_hamiltonian(spec, basis)
+        with pytest.raises(MethodLimit, match="budget"):
+            fr.flux_family(spec, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need / 20, (peak, need)
+    monkeypatch.setattr(basis_module, "MEMORY_BUDGET", need)
+    assert fr.build_hamiltonian(spec, basis).mat.nnz == nnz

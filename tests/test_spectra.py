@@ -651,3 +651,17 @@ def test_vector_solves_below_the_deflation_crossover_stay_dense(monkeypatch):
         assert fr.ground(h, s2=s2).method == "dense"
         assert fr.ground(h, max_degeneracy=0).method == "dense"
     assert calls == []                         # neither a recurrence nor a replay
+
+
+def test_s2_projected_on_part_of_a_multiplet_sum_is_typed():
+    # an equal mix of a singlet and a triplet member spans no whole
+    # multiplet: <S^2> = 1 is no s(s+1)
+    basis = fr.enumerate_sector(4, 2, 0)
+    s2 = fr.build_total_spin(basis)
+    values, vectors = np.linalg.eigh(s2.to_dense())
+    mixed = (vectors[:, 0] + vectors[:, -1]) / math.sqrt(2.0)
+    assert values[0] == pytest.approx(0.0, abs=1e-12) and values[-1] == pytest.approx(2.0)
+    with pytest.raises(MultipletCut, match="not of the form s\\(s\\+1\\)"):
+        spectra._spin_content(mixed[:, None], s2)
+    assert issubclass(MultipletCut, fr.FluxRingError)
+    assert spectra._spin_content(vectors[:, -1:], s2) == (1.0,)
