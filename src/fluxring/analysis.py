@@ -524,8 +524,8 @@ def spiral_state(spec: ModelSpec):
                           f"of {SIGN_SEARCH_BLOCKS}")
     h_ferro = build_hamiltonian(spec_ferro, basis0)
     h_zero = build_hamiltonian(with_flux(spec, phi_zero), basis0)
-    envelope = h_ferro.mat - negative_envelope(h_zero).mat
-    envelope_gap = float(np.abs(envelope.data).max()) if envelope.nnz else 0.0
+    # both operands are data arrays on the layout of basis0
+    envelope_gap = float(np.abs(h_ferro.mat.data - negative_envelope(h_zero).mat.data).max())
 
     ferro = ferromagnetic_state(spec)
     pf_min_entry = float(ferro.real.min())

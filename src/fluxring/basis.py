@@ -26,6 +26,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BasisMismatch, EmptySector, MethodLimit, RingTooLong
 from .model import ModelSpec
@@ -34,8 +35,8 @@ from .model import ModelSpec
 MAX_SITES = 32
 
 #: Most bytes a CSR layout and the complex data of one operator on it may
-#: take together; csr_layout and flux_family refuse a larger sector with
-#: MethodLimit before they allocate. The L=12 half-filled sector (12.0M
+#: take together; SectorBasis.hops and csr_layout refuse a larger sector
+#: with MethodLimit before they allocate. The L=12 half-filled sector (12.0M
 #: entries) needs 279 MiB.
 MEMORY_BUDGET = 2**30
 
@@ -79,6 +80,12 @@ class CSRLayout:
 def entry_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of each entry of a compressed-row pattern."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+def _graph(edges: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
+    """The graph whose vertex i links to edges[indptr[i]:indptr[i + 1]]."""
+    size = len(indptr) - 1
+    return sparse.csr_matrix((np.ones(len(edges)), edges, indptr), shape=(size, size))
 
 
 def check_budget(dim: int, hops: int) -> None:
@@ -157,7 +164,9 @@ class SectorBasis:
 
     @cached_property
     def hops(self) -> HoppingTable:
-        """The hopping table of the basis, built on first use."""
+        """The hopping table of the basis, built on first use; over
+        MEMORY_BUDGET, MethodLimit is raised before any of it exists."""
+        check_budget(self.dim, self._move_count())
         codes, parts = self.codes, []
         for x in range(self.L):
             for sigma in (0, 1):
@@ -176,6 +185,16 @@ class SectorBasis:
         for c in columns:
             c.flags.writeable = False
         return HoppingTable(*columns)
+
+    def _move_count(self) -> int:
+        """Length of the hopping table, from the sector alone: across each of
+        2L directed bonds, C(L-2, n-1) placements of n particles of a kind (a
+        spin, or all N hard-core) fill the source and leave the target empty,
+        times the placements of the rest (the other spin, or the spin words)."""
+        L = self.L
+        kinds = ([(self.N, comb(self.N, self.n_up))] if self.hardcore else
+                 [(self.n_up, comb(L, self.n_down)), (self.n_down, comb(L, self.n_up))])
+        return 2 * L * sum(comb(L - 2, n - 1) * rest for n, rest in kinds if 0 < n < L)
 
     @cached_property
     def layout(self) -> CSRLayout:
@@ -272,12 +291,11 @@ def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
 def decompose_blocks(basis: SectorBasis, spec: ModelSpec) -> list[NecklaceBlock]:
     """Split a hard-core sector into connected components of the hopping graph.
 
-    Components of the hopping table, ordered by their smallest member; the
+    Components of the basis layout, ordered by their smallest member; the
     spin-word cyclic class of every member is cross-checked to be the
     component's, whose necklace period labels it. Membership depends only
     on the sparsity pattern, so it is gauge invariant.
     """
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     if not basis.hardcore:
@@ -286,10 +304,8 @@ def decompose_blocks(basis: SectorBasis, spec: ModelSpec) -> list[NecklaceBlock]
         raise BasisMismatch(
             f"basis (L={basis.L}, N={basis.N}) does not match model (L={spec.L}, N={spec.N})"
         )
-    t = basis.hops
-    graph = coo_matrix((np.ones(len(t.row), dtype=np.int8), (t.row, t.col)),
-                       shape=(basis.dim, basis.dim))
-    _, labels = connected_components(graph, directed=False)
+    layout = basis.layout
+    _, labels = connected_components(_graph(layout.indices, layout.indptr), directed=False)
     _, first = np.unique(labels, return_index=True)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     classes = _cyclic_classes(basis)

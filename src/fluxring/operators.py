@@ -13,14 +13,13 @@ helpers work on the data of operands that share a pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .basis import CSRLayout, SectorBasis, check_budget, csr_layout, entry_rows, mode
+from .basis import CSRLayout, SectorBasis, _graph, csr_layout, entry_rows, mode
 from .errors import (
     BasisMismatch,
     FluxObstruction,
@@ -63,15 +62,6 @@ def _with_data(pattern: CSRLayout | sparse.csr_matrix, data: np.ndarray) -> Spar
                                              shape=(dim, dim)))
 
 
-def _from_coo(dim: int, rows, cols, vals) -> SparseHermitian:
-    m = sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return SparseHermitian(m)
-
-
 def _check_basis(spec: ModelSpec, basis: SectorBasis) -> None:
     if basis.L != spec.L or basis.N != spec.N or basis.hardcore != spec.hardcore:
         raise BasisMismatch(
@@ -103,8 +93,13 @@ def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
     on the basis layout: every diagonal entry is stored, zero or not.
     """
     _check_basis(spec, basis)
+    return _hamiltonian(spec, basis, spec.amplitudes())
+
+
+def _hamiltonian(spec: ModelSpec, basis: SectorBasis, t: np.ndarray) -> SparseHermitian:
+    """The Hamiltonian of spec with bond amplitudes t on the basis layout."""
     hops, layout = basis.hops, basis.layout
-    t = spec.amplitudes()  # a forward hop across bond x carries t_x, a backward one conj(t_x)
+    # a forward hop across bond x carries t_x, a backward one conj(t_x)
     amp = np.concatenate([np.conj(t), t])[hops.bond + (hops.direction > 0) * np.int8(spec.L)]
     amp *= hops.sign
     data = np.empty(layout.nnz, dtype=complex)
@@ -115,78 +110,61 @@ def build_hamiltonian(spec: ModelSpec, basis: SectorBasis) -> SparseHermitian:
 
 
 #: Windings of the terms that cross the last bond, in the order of
-#: _FamilyEntries' up and down positions.
+#: FluxFamily's up and down entries.
 _WINDINGS = np.array([1, -1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
-class _FamilyEntries:
-    """A flux family's entries at phi = 0 on its CSR layout; up and down are
-    the entries of the terms with winding +1 and -1."""
-
-    layout: CSRLayout
-    data: np.ndarray      # complex; the winding entries are overwritten per phi
-    up: np.ndarray
-    down: np.ndarray
-    base_up: np.ndarray
-    base_down: np.ndarray
-
-
-@dataclass(frozen=True)
 class FluxFamily:
-    """phi-parametrized Hamiltonian family in the canonical gauge.
-
-    The hopping structure (indices, magnitudes, fermion signs, diagonal) is
-    generated once, and so are its CSR layout and entries, on first
-    evaluation; at each phi only the terms that cross the last bond pick up
-    the phase exp(+-i phi). Used by flux scans to avoid re-walking the basis
-    at every grid point. A family whose terms are the hopping table of
-    `basis` uses the basis layout; any other builds its own.
+    """phi-parametrized Hamiltonian family in the canonical gauge: its
+    Hamiltonian at flux 0 and the entries of the terms that cross the last
+    bond forward (up, winding +1) and backward (down, winding -1), which
+    pick up exp(+-i phi) at each phi. Flux scans evaluate it without
+    re-walking the basis; every evaluation shares the flux-0 index arrays.
     """
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    base: np.ndarray      # real: |t| * fermion sign
-    winding: np.ndarray   # +1 / -1 for terms crossing the last bond, else 0
-    diag: np.ndarray
-    basis: SectorBasis | None = field(default=None, repr=False, compare=False)
+    zero: sparse.csr_matrix
+    up: np.ndarray
+    down: np.ndarray
 
-    @cached_property
-    def _entries(self) -> _FamilyEntries:
-        layout = (self.basis.layout if self.basis is not None
-                  else csr_layout(self.dim, self.rows, self.cols))
-        data = np.empty(layout.nnz, dtype=complex)
-        data[layout.hop] = self.base
-        data[layout.diag] = self.diag
-        up, down = self.winding > 0, self.winding < 0
-        return _FamilyEntries(layout, data, layout.hop[up], layout.hop[down],
-                              self.base[up], self.base[down])
-
-    def _data(self, data: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """data with the winding +1 and -1 entries set to phase[0] and
-        phase[1] times their base amplitudes."""
-        entries = self._entries
-        data[entries.up] = entries.base_up * phase[0]
-        data[entries.down] = entries.base_down * phase[1]
-        return data
-
-    def dense(self, phi: float) -> np.ndarray:
-        entries = self._entries
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[entry_rows(entries.layout.indptr), entries.layout.indices] = self._data(
-            entries.data.copy(), np.exp(1j * phi * _WINDINGS))
-        return h
-
-    def hamiltonian(self, phi: float) -> SparseHermitian:
-        entries = self._entries
-        return _with_data(entries.layout, self._data(entries.data.copy(),
-                                                     np.exp(1j * phi * _WINDINGS)))
+    @property
+    def dim(self) -> int:
+        return self.zero.shape[0]
 
     @property
     def nnz(self) -> int:
         """Entries stored per evaluation, every diagonal entry included."""
-        return self._entries.layout.nnz
+        return self.zero.nnz
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each off-diagonal entry, one per hopping term."""
+        rows = entry_rows(self.zero.indptr)
+        return rows[rows != self.zero.indices]
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The diagonal, which no flux changes."""
+        return self.zero.diagonal().real
+
+    def _data(self, data: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """data with the winding +1 and -1 entries set to phase[..., 0] and
+        phase[..., 1] times their values at flux 0; a row of data per row
+        of phase."""
+        data[..., self.up] = self.zero.data[self.up] * phase[..., :1]
+        data[..., self.down] = self.zero.data[self.down] * phase[..., 1:]
+        return data
+
+    def dense(self, phi: float) -> np.ndarray:
+        m = self.zero
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        h[entry_rows(m.indptr), m.indices] = self._data(m.data.copy(),
+                                                        np.exp(1j * phi * _WINDINGS))
+        return h
+
+    def hamiltonian(self, phi: float) -> SparseHermitian:
+        return _with_data(self.zero, self._data(self.zero.data.copy(),
+                                                np.exp(1j * phi * _WINDINGS)))
 
     def stacked(self, angles) -> SparseHermitian:
         """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
@@ -196,49 +174,56 @@ class FluxFamily:
         is, block for block, hamiltonian(angles[g]).matvec, bit for bit.
         It holds len(angles) copies of the family's entries.
         """
-        entries = self._entries
-        layout = entries.layout
-        count, nnz = len(angles), layout.nnz
-        data = np.tile(entries.data, (count, 1))
-        for row, phi in zip(data, angles):
-            self._data(row, np.exp(1j * phi * _WINDINGS))
+        m = self.zero
+        count, nnz = len(angles), m.nnz
+        data = self._data(np.tile(m.data, (count, 1)),
+                          np.exp(1j * np.multiply.outer(angles, _WINDINGS)))
         index = np.int32 if count * max(nnz, self.dim) < 2**31 else np.int64
         shift = np.arange(count, dtype=index)[:, None]
-        indices = (layout.indices + shift * self.dim).ravel()
-        indptr = np.append((layout.indptr[:-1] + shift * nnz).ravel(), index(count * nnz))
+        indices = (m.indices + shift * self.dim).ravel()
+        indptr = np.append((m.indptr[:-1] + shift * nnz).ravel(), index(count * nnz))
         size = count * self.dim
         return SparseHermitian(sparse.csr_matrix((data.ravel(), indices, indptr),
                                                  shape=(size, size)))
 
     def derivative(self, phi: float) -> SparseHermitian:
-        """dH/dphi: i w exp(i w phi) times the base amplitude on the terms of
+        """dH/dphi: i w exp(i w phi) times the flux-0 value on the entries of
         winding w = +-1, zero on the rest of the same CSR pattern."""
-        entries = self._entries
-        return _with_data(entries.layout, self._data(
-            np.zeros_like(entries.data), 1j * _WINDINGS * np.exp(1j * phi * _WINDINGS)))
+        return _with_data(self.zero, self._data(np.zeros_like(self.zero.data),
+                                                1j * _WINDINGS * np.exp(1j * phi * _WINDINGS)))
 
     def restrict(self, indices) -> FluxFamily:
         """The family on a span of ascending state indices closed under
-        hopping (a hard-core block); terms leaving the span are dropped."""
+        hopping (a hard-core block): the rows and columns of those states,
+        with the entries of terms leaving the span dropped."""
+        m = self.zero
+        index = m.indptr.dtype
         idx = np.asarray(indices)
-        pos = np.full(self.dim, -1, dtype=np.int32)
-        pos[idx] = np.arange(len(idx), dtype=np.int32)
-        keep = (pos[self.rows] >= 0) & (pos[self.cols] >= 0)
-        return FluxFamily(len(idx), pos[self.rows[keep]], pos[self.cols[keep]],
-                          self.base[keep], self.winding[keep], self.diag[idx])
+        pos = np.full(self.dim, -1, dtype=index)
+        pos[idx] = np.arange(len(idx), dtype=index)
+        rows = pos[entry_rows(m.indptr)]
+        cols = pos[m.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        indptr = np.zeros(len(idx) + 1, dtype=index)
+        np.cumsum(np.bincount(rows[keep], minlength=len(idx)), out=indptr[1:])
+        cols = cols[keep]
+        for a in (indptr, cols):
+            a.flags.writeable = False
+        moved = np.cumsum(keep, dtype=index) - 1  # an entry's place among the kept
+        return FluxFamily(sparse.csr_matrix((m.data[keep], cols, indptr),
+                                            shape=(len(idx), len(idx))),
+                          moved[self.up[keep[self.up]]], moved[self.down[keep[self.down]]])
 
 
 def flux_family(spec: ModelSpec, basis: SectorBasis) -> FluxFamily:
-    """Build the canonical-gauge flux family for a sector (phases discarded)
-    on the basis layout. A sector over MEMORY_BUDGET raises MethodLimit
-    before any of it is allocated."""
+    """Build the canonical-gauge flux family for a sector (phases discarded):
+    its Hamiltonian at flux 0, amplitudes |t|, on the basis layout."""
     _check_basis(spec, basis)
-    hops = basis.hops
-    check_budget(basis.dim, len(hops.row))
-    winding = np.where(hops.bond == spec.L - 1, hops.direction, 0).astype(np.int8)
-    return FluxFamily(basis.dim, hops.row, hops.col,
-                      hops.sign * np.asarray(spec.hop_mag, dtype=float)[hops.bond],
-                      winding, _diagonal(spec, basis), basis)
+    hops, layout = basis.hops, basis.layout
+    zero = _hamiltonian(spec, basis, np.asarray(spec.hop_mag, dtype=float)).mat
+    last = hops.bond == spec.L - 1
+    return FluxFamily(zero, layout.hop[last & (hops.direction > 0)],
+                      layout.hop[last & (hops.direction < 0)])
 
 
 def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
@@ -264,21 +249,31 @@ def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:
 def build_total_spin(basis: SectorBasis) -> SparseHermitian:
     """Total-spin operator S^2 = Sz^2 + Sz + S- S+ with S+ = sum_x c+_{x,up} c_{x,dn}.
 
-    S- S+ = (S+)^dagger S+ is assembled from the one-site raising map into
-    the two_sz + 2 sector. Commutes with every ring Hamiltonian on the same
-    sector (spin-rotation invariance survives the hard-core projection).
+    S- S+ sums S-_x S+_y over sites: x = y counts a lone down spin at x, on
+    the diagonal; x != y swaps a lone down spin at y with a lone up spin at
+    x, amplitude 1 (each factor stays within one site: no fermion sign),
+    laid out by csr_layout under MEMORY_BUDGET. Commutes with every ring
+    Hamiltonian on the sector (spin rotation survives the hard-core projection).
     """
-    dim = basis.dim
+    codes, L = basis.codes, basis.L
+    # lone[s][x, i]: whether state i holds spin s (0 up, 1 down) alone at site x
+    lone = [np.array([(codes >> mode(x, s)) & ~(codes >> mode(x, 1 - s)) & 1
+                      for x in range(L)], dtype=bool) for s in (0, 1)]
+    flips = np.array([3 << mode(x, 0) for x in range(L)], dtype=np.uint64)
     sz = 0.5 * basis.two_sz
-    src, images = zip(*(basis.moved(mode(x, 0), mode(x, 1)) for x in range(basis.L)))
-    targets, target = np.unique(np.concatenate(images), return_inverse=True)
-    raise_op = sparse.csr_matrix(
-        (np.ones(len(target)), (target, np.concatenate(src))), shape=(len(targets), dim))
-    lower_raise = (raise_op.T @ raise_op).tocoo()
-    diag = np.arange(dim)
-    return _from_coo(dim, np.concatenate([diag, lower_raise.row]),
-                     np.concatenate([diag, lower_raise.col]),
-                     np.concatenate([np.full(dim, sz * sz + sz), lower_raise.data]))
+    diag = sz * sz + sz + lone[1].sum(axis=0, dtype=np.uint8)  # counts <= L: no int64 copy
+    rows, cols = [], []
+    for y in range(L):
+        # S-_x S+_y for every x (x = y finds no state); images are in the basis
+        xs, src = np.divmod(np.flatnonzero(lone[0] & lone[1][y]), basis.dim)
+        rows.append(np.searchsorted(codes, codes[src] ^ flips[xs] ^ flips[y]).astype(np.int32))
+        cols.append(src.astype(np.int32))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    layout = csr_layout(basis.dim, rows, cols)
+    data = np.zeros(layout.nnz, dtype=complex)
+    data[layout.hop] = 1.0
+    data[layout.diag] = diag
+    return _with_data(layout, data)
 
 
 def apply_lowering(vec: np.ndarray, src: SectorBasis, dst: SectorBasis) -> np.ndarray:
@@ -441,11 +436,6 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
             f"cycle inconsistency: conjugation residual {resid:.3e} exceeds tolerance"
         )
     return check
-
-
-def _graph(edges: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
-    size = len(indptr) - 1
-    return sparse.csr_matrix((np.ones(len(edges)), edges, indptr), shape=(size, size))
 
 
 def extend_ring(spec: ModelSpec) -> ModelSpec:

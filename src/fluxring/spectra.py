@@ -238,16 +238,9 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     want_vectors = want_vectors or s2 is not None
     if not want_vectors and max_degeneracy == 0:
         return _ground_energy(H, method)
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-    fallback = method == "auto" and dim <= DENSE_LIMIT
-    if method == "auto":
-        method = "dense" if dim <= min(LANCZOS_CROSSOVER, DENSE_LIMIT) else "lanczos"
+    method, budget, fallback = _plan(dim, method, LANCZOS_CROSSOVER)
 
     if method == "lanczos":
-        # 3*dim/5 iterations cost about one dense solve (see
-        # LANCZOS_CROSSOVER), so a fallback at most about doubles its cost.
-        budget = 3 * dim // 5 if fallback else None
         try:
             # Vectors go to verifiers that judge residuals down to 1e-9
             # (spiral_state), so they are converged and confirmed to a
@@ -282,8 +275,9 @@ def _ground_energy(H: SparseHermitian, method: str) -> GroundInfo:
     The recurrence reports degeneracy 1 and an infinite gap; the dense path
     (chosen, or the auto fallback) counts the ground level and its gap.
     """
-    method, max_iter, fallback = _energy_plan(H.dim, method)
+    method, budget, fallback = _plan(H.dim, method, ENERGY_CROSSOVER)
     if method == "lanczos":
+        max_iter = min(600, budget)
         (e0,), _, (resid,), _ = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
         if not math.isnan(e0):
             return GroundInfo(float(e0), 1, math.inf, None, None, "lanczos")
@@ -471,18 +465,17 @@ def _deflate(rows: np.ndarray, locked: np.ndarray) -> None:
         row -= (locked @ row.conj()).conj() @ locked
 
 
-def _energy_plan(dim: int, method: str) -> tuple[str, int, bool]:
-    """Solver of an energy-only solve at dimension dim: "dense" or
-    "lanczos", the recurrence's step budget, and whether an energy that
-    exhausts it falls back to dense (auto within DENSE_LIMIT, where 3*dim/5
-    steps cost about one dense solve, so a fallback at most about doubles
-    the cost)."""
+def _plan(dim: int, method: str, crossover: int) -> tuple[str, float, bool]:
+    """Solver at dimension dim ("dense" or "lanczos"; auto: dense up to
+    crossover), the steps its Lanczos attempt may take in all, and whether
+    a failure falls back to dense: under auto within DENSE_LIMIT, after
+    3*dim/5 steps, which cost about one dense solve (see LANCZOS_CROSSOVER)."""
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     fallback = method == "auto" and dim <= DENSE_LIMIT
     if method == "auto":
-        method = "dense" if dim <= min(ENERGY_CROSSOVER, DENSE_LIMIT) else "lanczos"
-    return method, min(600, 3 * dim // 5) if fallback else 600, fallback
+        method = "dense" if dim <= min(crossover, DENSE_LIMIT) else "lanczos"
+    return method, 3 * dim // 5 if fallback else math.inf, fallback
 
 
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
@@ -499,7 +492,8 @@ def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.nda
     """
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
     dim = family.dim
-    method, max_iter, fallback = _energy_plan(dim, method)
+    method, budget, fallback = _plan(dim, method, ENERGY_CROSSOVER)
+    max_iter = min(600, budget)
     if not angles:
         return np.empty(0)
     if method == "dense":
@@ -555,7 +549,7 @@ def _lowest_ritz_vector(d: np.ndarray, e: np.ndarray, blocks: tuple | None) -> n
     return y[:, 0]
 
 
-def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None = None,
+def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = math.inf,
                     resid_tol: float = 1e-8):
     """Ground energy, ground vectors and gap by deflation.
 
@@ -570,8 +564,8 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None 
     ||Hv - theta v|| must be at most resid_tol * max(1, |theta|), else
     NoConvergence is raised with it, as it is when a pass runs out.
 
-    budget, when given, caps the recurrence steps of all passes together;
-    NoConvergence is raised beyond it.
+    budget caps the recurrence steps of all passes together; NoConvergence
+    is raised beyond it.
     """
     found: list[np.ndarray] = []
     left = budget
@@ -580,15 +574,14 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: int | None 
     for _ in range(max_degeneracy + 1):
         if len(found) >= H.dim:
             break
-        max_iter = 600 if left is None else min(600, left)
+        max_iter = min(600, left)
         if max_iter < 1:
             raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
                                 f"after {len(found)} locked vectors")
         args = (lambda cols: H, H.dim, 1, max_iter, resid_tol,
                 np.vstack(found) if found else None, cut)
         (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args)
-        if left is not None:
-            left -= steps
+        left -= steps
         if math.isnan(theta):
             raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
                                 residual=float(resid))

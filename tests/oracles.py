@@ -8,6 +8,9 @@ agreement between the two is evidence, not tautology.
 
 regauge and hermiticity_defect are reference checks on package objects
 that several test modules share and the package itself never calls.
+from_coo and total_spin_coo assemble operators through scipy's COO -> CSR
+conversion, which sorts each row and sums repeated entries: the reference
+that the package's CSR layouts are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
+from fluxring.basis import mode
 from fluxring.model import angle_dist, fold_angle, validate
 
 
@@ -153,3 +158,31 @@ def hermiticity_defect(H) -> float:
     """max |H - H^dagger| of a SparseHermitian."""
     d = H.mat - H.mat.getH()
     return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
+def from_coo(dim: int, rows, cols, vals) -> sparse.csr_matrix:
+    """The dim x dim complex CSR matrix of the terms (rows[k], cols[k], vals[k]),
+    through COO, with repeated entries summed and each row sorted."""
+    m = sparse.coo_matrix(
+        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
+    ).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+def total_spin_coo(basis) -> sparse.csr_matrix:
+    """S^2 = Sz^2 + Sz + S- S+ on a fluxring SectorBasis, with S- S+ the
+    sparse product (S+)^dagger S+ of the one-site raising map into the
+    two_sz + 2 sector, every diagonal entry stored."""
+    dim = basis.dim
+    sz = 0.5 * basis.two_sz
+    src, images = zip(*(basis.moved(mode(x, 0), mode(x, 1)) for x in range(basis.L)))
+    targets, target = np.unique(np.concatenate(images), return_inverse=True)
+    raise_op = sparse.csr_matrix(
+        (np.ones(len(target)), (target, np.concatenate(src))), shape=(len(targets), dim))
+    lower_raise = (raise_op.T @ raise_op).tocoo()
+    diag = np.arange(dim)
+    return from_coo(dim, np.concatenate([diag, lower_raise.row]),
+                    np.concatenate([diag, lower_raise.col]),
+                    np.concatenate([np.full(dim, sz * sz + sz), lower_raise.data]))

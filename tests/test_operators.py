@@ -19,9 +19,16 @@ from fluxring.errors import (
 )
 from fluxring.basis import mode
 from fluxring.model import fold_angle, validate
-from fluxring.operators import SparseHermitian, _diagonal, _from_coo, conjugation_residual
+from fluxring.operators import SparseHermitian, _diagonal, conjugation_residual
 
-from oracles import DenseOracle, fourier_levels, filled_sum, hermiticity_defect
+from oracles import (
+    DenseOracle,
+    filled_sum,
+    fourier_levels,
+    from_coo,
+    hermiticity_defect,
+    total_spin_coo,
+)
 
 PI = math.pi
 
@@ -369,15 +376,25 @@ def test_operators_match_oracle_entry_by_entry(sector, phi):
     assert np.abs(fr.build_total_spin(basis).to_dense() - s2).max() < 1e-12
 
 
-def _coo_assembly(family, phi):
-    """The family at phi with every term sent through COO -> CSR conversion,
-    which sorts each row and sums repeats: the reference for the cached
-    CSR pattern of FluxFamily."""
-    on = np.arange(family.dim)
-    vals = family.base * np.exp(1j * phi * family.winding)
-    return _from_coo(family.dim, np.concatenate([family.rows, on]),
-                     np.concatenate([family.cols, on]),
-                     np.concatenate([vals, family.diag.astype(complex)])).mat
+def _coo_assembly(spec, basis, phi, keep=None):
+    """The canonical-gauge Hamiltonian of spec at flux phi, built from the
+    spec and the hopping table with every term sent through COO -> CSR
+    conversion: the reference for FluxFamily. With keep (ascending state
+    indices), on those states alone, terms leaving them dropped."""
+    hops = basis.hops
+    base = hops.sign * np.asarray(spec.hop_mag, dtype=float)[hops.bond]
+    winding = np.where(hops.bond == spec.L - 1, hops.direction, 0).astype(np.int8)
+    rows, cols, diag = hops.row, hops.col, _diagonal(spec, basis)
+    if keep is not None:
+        pos = np.full(basis.dim, -1)
+        pos[keep] = np.arange(len(keep))
+        inside = (pos[rows] >= 0) & (pos[cols] >= 0)
+        rows, cols = pos[rows[inside]], pos[cols[inside]]
+        base, winding, diag = base[inside], winding[inside], diag[keep]
+    on = np.arange(len(diag))
+    vals = base * np.exp(1j * phi * winding)
+    return from_coo(len(diag), np.concatenate([rows, on]), np.concatenate([cols, on]),
+                    np.concatenate([vals, diag.astype(complex)]))
 
 
 def _bits(a):
@@ -394,14 +411,17 @@ def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
                         fr.INFINITY if hardcore else rng.uniform(-3.0, 3.0, L))
     basis = fr.enumerate_sector(L, N, two_sz, hardcore)
     family = fr.flux_family(spec, basis)
+    keep = None
     if restrict and hardcore and N > 0:
         blocks = fr.decompose_blocks(basis, spec)
-        family = family.restrict(blocks[int(rng.integers(len(blocks)))].member_indices)
+        keep = np.array(blocks[int(rng.integers(len(blocks)))].member_indices)
     elif restrict:
         keep = np.flatnonzero(rng.random(basis.dim) < 0.5)
-        family = family.restrict(keep if len(keep) else [0])
+        keep = keep if len(keep) else np.array([0])
+    if keep is not None:
+        family = family.restrict(keep)
     for angle in (phi, np.float64(phi), phi + 2 * PI, -phi):
-        ref = _coo_assembly(family, angle)
+        ref = _coo_assembly(spec, basis, angle, keep)
         got = family.hamiltonian(angle).mat
         assert _bits(got.indptr) == _bits(ref.indptr)
         assert _bits(got.indices) == _bits(ref.indices)
@@ -461,8 +481,8 @@ def test_build_hamiltonian_equals_coo_assembly_bit_for_bit(sector):
     t = spec.amplitudes()[hops.bond]
     amp = np.where(hops.direction > 0, t, np.conj(t))
     on = np.arange(basis.dim)
-    ref = _from_coo(basis.dim, np.concatenate([hops.row, on]), np.concatenate([hops.col, on]),
-                    np.concatenate([hops.sign * amp, _diagonal(spec, basis)])).mat
+    ref = from_coo(basis.dim, np.concatenate([hops.row, on]), np.concatenate([hops.col, on]),
+                   np.concatenate([hops.sign * amp, _diagonal(spec, basis)]))
     got = fr.build_hamiltonian(spec, basis).mat
     assert _bits(got.indptr) == _bits(ref.indptr)
     assert _bits(got.indices) == _bits(ref.indices)
@@ -475,7 +495,7 @@ def test_operators_on_one_basis_share_its_read_only_layout(sector, phi):
     spec, basis, rng = _random_sector_spec(sector)
     h = fr.build_hamiltonian(spec, basis)
     family = fr.flux_family(spec, basis)
-    ref = _coo_assembly(family, phi)
+    ref = _coo_assembly(spec, basis, phi)
     gauge = fr.DiagonalGauge(np.exp(1j * rng.uniform(0, 2 * PI, basis.dim)))
     layout = basis.layout
     shared = (h, family.hamiltonian(phi), family.derivative(phi), fr.negative_envelope(h),
@@ -534,3 +554,50 @@ def test_layout_over_the_memory_budget_is_refused_before_allocation(monkeypatch)
     assert peak < need / 20, (peak, need)
     monkeypatch.setattr(basis_module, "MEMORY_BUDGET", need)
     assert fr.build_hamiltonian(spec, basis).mat.nnz == nnz
+
+
+@given(sectors())
+@settings(max_examples=40, deadline=None)
+def test_total_spin_equals_product_and_coo_assembly_bit_for_bit(sector):
+    L, N, two_sz, hardcore, _ = sector
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore)
+    ref = total_spin_coo(basis)
+    got = fr.build_total_spin(basis).mat
+    assert _bits(got.indptr) == _bits(ref.indptr)
+    assert _bits(got.indices) == _bits(ref.indices)
+    assert _bits(got.data) == _bits(ref.data)
+
+
+@st.composite
+def ring_sectors(draw):
+    L = draw(st.integers(2, 9))
+    hardcore = draw(st.booleans())
+    N = draw(st.integers(0, L if hardcore else 2 * L))
+    two_sz = draw(st.sampled_from([s for s in range(-N, N + 1, 2)
+                                   if abs(s) <= 2 * L - N or hardcore]))
+    return L, N, two_sz, hardcore
+
+
+@given(ring_sectors())
+@settings(max_examples=60, deadline=None)
+def test_hopping_table_length_follows_from_the_sector(sector):
+    basis = fr.enumerate_sector(*sector)
+    assert basis._move_count() == len(basis.hops.row)
+
+
+def test_hopping_table_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
+    # L=12 half filling: 11,176,704 moves, which the table stores in 11 bytes each
+    basis = fr.enumerate_sector(12, 12, 0)
+    spec = fr.make_spec(12, 12, U=2.0)
+    moves = 11_176_704
+    monkeypatch.setattr(basis_module, "MEMORY_BUDGET", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MethodLimit, match=f"{moves + basis.dim} matrix entries"):
+            basis.hops
+        with pytest.raises(MethodLimit, match="budget"):
+            fr.flux_family(spec, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * moves / 100, peak

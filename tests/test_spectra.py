@@ -606,8 +606,12 @@ def _crowded_triangle(dim):
     rest are levels crowded at the bottom of [0, 1]. The ground level is
     isolated below the crowd except at pi, where it meets the crowd at 0."""
     diag = np.concatenate([[0.5] * 3, (np.arange(dim - 3) / (dim - 4)) ** 2])
-    return FluxFamily(dim, np.array([1, 0, 2, 1, 0, 2]), np.array([0, 1, 1, 2, 2, 0]),
-                      np.full(6, -0.5), np.array([1, -1, 0, 0, 0, 0], dtype=np.int8), diag)
+    on = np.arange(dim)
+    zero = sparse.csr_matrix((np.concatenate([np.full(6, -0.5), diag]).astype(complex),
+                              (np.concatenate([[1, 0, 2, 1, 0, 2], on]),
+                               np.concatenate([[0, 1, 1, 2, 2, 0], on]))), shape=(dim, dim))
+    # rows 0 and 1 hold columns 0, 1, 2: the flux threads entries (1, 0) and (0, 1)
+    return FluxFamily(zero, np.array([zero.indptr[1]]), np.array([zero.indptr[0] + 1]))
 
 
 def test_batched_energy_out_of_budget_falls_back_alone(monkeypatch):
