@@ -46,7 +46,6 @@ from .analysis import (
     VerificationReport,
     even_optimal_flux,
     ferromagnetic_state,
-    ground_manifold_spins,
     refine_argmin,
     scan_flux,
     spiral_state,
@@ -68,10 +67,10 @@ __all__ = [
     "VerificationReport", "build_hamiltonian", "build_one_particle",
     "build_total_spin", "decompose_blocks", "enumerate_sector",
     "even_optimal_flux", "extend_ring", "ferromagnetic_state", "flux_family",
-    "full_spectrum", "gen_fixture", "ground", "ground_manifold_spins",
-    "load_model", "lowest_sum", "make_spec", "necklace_period",
-    "negative_envelope", "refine_argmin", "save_model", "scan_flux",
-    "solve_sign_gauge", "spiral_state", "thermal_scan", "validate",
-    "verify_block_lemma", "verify_doubling", "verify_even", "verify_odd",
-    "verify_relation", "verify_singlet", "with_flux",
+    "full_spectrum", "gen_fixture", "ground", "load_model", "lowest_sum",
+    "make_spec", "necklace_period", "negative_envelope", "refine_argmin",
+    "save_model", "scan_flux", "solve_sign_gauge", "spiral_state",
+    "thermal_scan", "validate", "verify_block_lemma", "verify_doubling",
+    "verify_even", "verify_odd", "verify_relation", "verify_singlet",
+    "with_flux",
 ]

@@ -34,10 +34,10 @@ from .model import ModelSpec
 #: Largest ring whose 2L modes fit the uint64 configuration codes.
 MAX_SITES = 32
 
-#: Most bytes a CSR layout and the complex data of one operator on it may
-#: take together; SectorBasis.hops and csr_layout refuse a larger sector
-#: with MethodLimit before they allocate. The L=12 half-filled sector (12.0M
-#: entries) needs 279 MiB.
+#: Most bytes the term list of a CSR layout, the layout and the complex
+#: data of one operator on it may take together; SectorBasis.hops and
+#: csr_layout refuse a larger sector with MethodLimit before they allocate.
+#: The L=12 half-filled sector (11.2M moves, 12.0M entries) needs 396 MiB.
 MEMORY_BUDGET = 2**30
 
 
@@ -89,16 +89,17 @@ def _graph(edges: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
 
 
 def check_budget(dim: int, hops: int) -> None:
-    """Raise MethodLimit when the layout of `hops` terms plus the diagonal
-    on `dim` states, with one complex data array on it, would exceed
-    MEMORY_BUDGET."""
+    """Raise MethodLimit when `hops` terms, the layout of them plus the
+    diagonal on `dim` states and one complex data array on it would exceed
+    MEMORY_BUDGET. A term is counted at the 11 bytes of a hopping-table
+    move, which bounds S^2's 8-byte (row, column) pairs as well."""
     nnz = hops + dim
     index = 4 if nnz < 2**31 else 8
-    need = index * (dim + 1 + nnz + hops + dim) + 16 * nnz
+    need = 11 * hops + index * (dim + 1 + nnz + hops + dim) + 16 * nnz
     if need > MEMORY_BUDGET:
         raise MethodLimit(f"{nnz} matrix entries need {need / 2**20:.0f} MiB for their "
-                          f"layout and one operator, over the {MEMORY_BUDGET / 2**20:.0f} "
-                          "MiB budget")
+                          f"terms, layout and one operator, over the "
+                          f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
 
 
 def csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray) -> CSRLayout:

@@ -177,7 +177,6 @@ class FluxCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.grid) != len(self.values):

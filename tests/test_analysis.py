@@ -320,6 +320,26 @@ def test_verify_singlet_random_draws():
         assert r.measured["minimal_sector_spins"] == [0.0]
 
 
+@pytest.mark.parametrize("L,N,u", [(3, 3, 0.0), (4, 2, 2.0), (5, 3, -1.0), (5, 4, 3.0),
+                                   (6, 4, 2.0), (6, 6, 1.0)])
+def test_verify_singlet_reads_the_spin_in_the_minimal_sector_only(monkeypatch, L, N, u):
+    # S^2 is built once, for the minimal sector; every sector's energy is
+    # the dense ground energy of its own Hamiltonian
+    rng = np.random.default_rng(L * 10 + N)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), None, rng.normal(0, 1, L), u)
+    built = []
+    total_spin = analysis.build_total_spin
+    monkeypatch.setattr(analysis, "build_total_spin",
+                        lambda basis: built.append(basis.two_sz) or total_spin(basis))
+    r = fr.verify_singlet(spec)
+    assert built == [N % 2]
+    energies = r.measured["sector_energies"]
+    assert list(energies) == list(range(N % 2, N + 1, 2))
+    for two_sz, energy in energies.items():
+        h = fr.build_hamiltonian(spec, fr.enumerate_sector(L, N, two_sz))
+        assert abs(energy - fr.ground(h, method="dense").energy) < 1e-12, two_sz
+
+
 def test_verify_singlet_control_fails():
     r = fr.verify_singlet(fr.with_flux(fr.make_spec(4, 2), PI))
     assert not r.passed
@@ -372,6 +392,20 @@ def test_spiral_state_n2(L):
     assert r.measured["energy_residual"] < 1e-9
     assert r.measured["pf_min_entry"] > 0
     assert state.shape == (sector_basis_for(fr.make_spec(L, 2, U=fr.INFINITY)).dim,)
+
+
+def test_spiral_report_judges_the_gauge_conjugation(monkeypatch):
+    spec = fr.make_spec(6, 2, U=fr.INFINITY)
+    _, r = fr.spiral_state(spec)
+    assert r.passed
+    assert r.tolerance == {"spin_expectation": 1e-8, "energy_residual": 1e-9,
+                           "norm_drift": 1e-12, "envelope_matches_sign_gauge": 1e-12,
+                           "gauge_conjugation_residual": 1e-10}
+    monkeypatch.setattr(analysis, "conjugation_residual", lambda *a: 1.0)
+    _, r = fr.spiral_state(spec)
+    assert not r.passed
+    assert r.measured["gauge_conjugation_residual"] == 1.0
+    assert r.tolerance["gauge_conjugation_residual"] < 1.0
 
 
 def test_spiral_state_rejects_other_n():
@@ -515,6 +549,16 @@ def test_thermal_scan_odd_judged_at_every_beta():
     assert r.measured["critical_point_log_derivative"][300.0] < 1e-8
 
 
+ODD_UNCLAIMED = (fr.make_spec(5, 3), fr.make_spec(5, 3, U=fr.INFINITY), fr.make_spec(5, 5, U=2.0))
+
+
+def test_thermal_scan_refuses_odd_n_away_from_free_half_filling():
+    # nothing is claimed there, so a report would pass without judging
+    for spec in ODD_UNCLAIMED:
+        with pytest.raises(HypothesisViolated, match="free half filling"):
+            fr.thermal_scan(spec, grid_size=12)
+
+
 def test_thermal_scan_even_argmax():
     r = fr.thermal_scan(fr.make_spec(4, 2, U=1.0), betas=(0.5, 1.0, 2.0), grid_size=36)
     assert r.passed
@@ -582,6 +626,32 @@ def test_ferromagnetic_state_properties():
     assert np.vdot(ferro, s2.matvec(ferro)).real == pytest.approx(
         s_max * (s_max + 1), abs=1e-10)
     assert ferro.real.min() > 0  # positive in the sign-fixed gauge
+
+
+def lowered_ferromagnet(spec):
+    """The ferromagnet as the polarized ground vector lowered sector by
+    sector with apply_lowering, normalized and phase-fixed."""
+    from fluxring.operators import apply_lowering
+
+    L, N = spec.L, spec.N
+    src = fr.enumerate_sector(L, N, N, hardcore=True)
+    vec = fr.ground(fr.build_hamiltonian(analysis._sign_fixed_spec(spec), src)).vectors[:, 0]
+    for two_sz in range(N - 2, -1, -2):
+        dst = fr.enumerate_sector(L, N, two_sz, hardcore=True)
+        vec, src = apply_lowering(vec, src, dst), dst
+    vec = vec / np.linalg.norm(vec)
+    return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
+
+
+@pytest.mark.parametrize("L", range(4, 10))
+def test_ferromagnetic_state_equals_the_lowering_chain(L):
+    rng = np.random.default_rng(L)
+    for N in range(1, L + 1):
+        spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), None, rng.normal(0, 1, L),
+                            fr.INFINITY)
+        ferro = fr.ferromagnetic_state(spec)
+        assert ferro.shape == (sector_basis_for(spec).dim,)
+        assert np.abs(ferro - lowered_ferromagnet(spec)).max() < 1e-14, N
 
 
 def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):

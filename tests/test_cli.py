@@ -183,6 +183,18 @@ def test_verify_thermo_filled_hardcore_ring_exits_two(tmp_path):
     assert res.stdout == ""
 
 
+def test_verify_thermo_odd_n_away_from_free_half_filling_exits_two(tmp_path, capsys):
+    from fluxring import cli
+
+    for k, spec in enumerate((fr.make_spec(5, 3), fr.make_spec(5, 3, U=fr.INFINITY),
+                              fr.make_spec(5, 5, U=2.0))):
+        path = tmp_path / f"odd{k}.json"
+        fr.save_model(spec, path)
+        assert cli.run(["verify", "thermo", "--model", str(path), "--grid", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "free half filling" in err and "internal error" not in err
+
+
 def test_verifiers_on_hop_free_sectors_exit_two(tmp_path):
     # N = 0, hard-core N = 0 and free N = 2L: flat curves, not failed claims
     for name, spec in (("empty", fr.make_spec(4, 0)),

@@ -540,7 +540,7 @@ def test_layout_over_the_memory_budget_is_refused_before_allocation(monkeypatch)
     basis = fr.enumerate_sector(8, 6, 0)
     hops = len(basis.hops.row)
     nnz = hops + basis.dim
-    need = 4 * (basis.dim + 1 + nnz + hops + basis.dim) + 16 * nnz
+    need = 11 * hops + 4 * (basis.dim + 1 + nnz + hops + basis.dim) + 16 * nnz
     monkeypatch.setattr(basis_module, "MEMORY_BUDGET", need - 1)
     tracemalloc.start()
     try:
@@ -601,3 +601,17 @@ def test_hopping_table_over_the_memory_budget_is_refused_before_it_is_built(monk
     finally:
         tracemalloc.stop()
     assert peak < 11 * moves / 100, peak
+
+
+def test_budget_counts_the_hopping_table_it_guards(monkeypatch):
+    # the table's 11 bytes per move join the layout and one operator: a
+    # budget that holds those two alone no longer admits the table
+    basis = fr.enumerate_sector(8, 6, 0)
+    hops = basis._move_count()
+    nnz = hops + basis.dim
+    layout_and_operator = 4 * (basis.dim + 1 + nnz + hops + basis.dim) + 16 * nnz
+    monkeypatch.setattr(basis_module, "MEMORY_BUDGET", layout_and_operator + 11 * hops - 1)
+    with pytest.raises(MethodLimit, match=f"{nnz} matrix entries"):
+        basis.hops
+    monkeypatch.setattr(basis_module, "MEMORY_BUDGET", layout_and_operator + 11 * hops)
+    assert len(basis.hops.row) == hops
