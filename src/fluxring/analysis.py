@@ -140,20 +140,18 @@ def flux_grid(grid_size: int) -> np.ndarray:
     return np.arange(grid_size) * (TWO_PI / grid_size)
 
 
-def _shifted(values: np.ndarray, grid: np.ndarray, p: int, energies) -> np.ndarray:
-    """E(phi_i + 2*pi/p) at every grid angle: the curve G/p steps on when p
-    divides G (separate solves of other matrices), else energies(angles),
-    which solves the shifted grid."""
+def _shifted(values: np.ndarray, grid: np.ndarray, p: int, family: FluxFamily) -> np.ndarray:
+    """E(phi_i + 2*pi/p) at every grid angle, for family's curve values on
+    grid: the curve G/p steps on when p divides G (separate solves of other
+    matrices), else the shifted grid solved on family."""
     if len(grid) % p == 0:
         return np.roll(values, -(len(grid) // p))
-    return energies(grid + TWO_PI / p)
+    return _ground_energies(family, grid + TWO_PI / p)
 
 
-def scan_flux(spec: ModelSpec, two_sz: int | None = None, grid_size: int = 720,
-              method: str = "auto") -> FluxCurve:
-    """Ground energy over a uniform flux grid on [0, 2*pi)."""
+def scan_flux(family: FluxFamily, grid_size: int = 720, method: str = "auto") -> FluxCurve:
+    """Ground energy of one sector's family over a uniform flux grid on [0, 2*pi)."""
     grid = flux_grid(grid_size)
-    family = flux_family(spec, sector_basis_for(spec, two_sz))
     return FluxCurve(grid, _ground_energies(family, grid, method))
 
 
@@ -206,9 +204,8 @@ def _current_root(current, a: float, b: float, xtol: float) -> tuple[float, floa
     return (a * jb - b * ja) / (jb - ja), min(ea, eb)
 
 
-def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
-                  method: str = "auto") -> list[float]:
-    """All global minimizers of the scanned energy, refined to REFINE_XTOL in angle.
+def refine_argmin(curve: FluxCurve, family: FluxFamily, method: str = "auto") -> list[float]:
+    """All global minimizers of family's scanned energy, refined to REFINE_XTOL in angle.
 
     Each grid-local minimum is refined to the root of the persistent
     current dE/dphi between its two grid neighbours; one without an upward
@@ -221,8 +218,6 @@ def refine_argmin(curve: FluxCurve, spec: ModelSpec, two_sz: int | None = None,
     if float(values.max() - values.min()) <= VALUE_TOL:
         return [float(g) for g in curve.grid]
 
-    basis = sector_basis_for(spec, two_sz)
-    family = flux_family(spec, basis)
     current = lambda phi: _current(family, phi, method)
 
     spacing = TWO_PI / n
@@ -276,8 +271,9 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     if spec.N % 2 or spec.N > spec.L:
         raise HypothesisViolated("requires even N <= L")
     _require_hopping(spec)
-    curve = scan_flux(spec, two_sz=0, grid_size=grid_size)
-    minima = refine_argmin(curve, spec, two_sz=0)
+    family = flux_family(spec, sector_basis_for(spec, 0))
+    curve = scan_flux(family, grid_size=grid_size)
+    minima = refine_argmin(curve, family)
     expected = _even_optima(spec)
     deviation = max(min(angle_dist(x, e) for e in expected) for x in minima)
     measured = {
@@ -291,8 +287,7 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
                        {"angle": (ANGLE_MATCH_TOL, [deviation], [])})
 
     covered = max(min(angle_dist(e, x) for x in minima) for e in expected)
-    shifted = _shifted(curve.values, curve.grid, spec.N, lambda angles: _ground_energies(
-        flux_family(spec, sector_basis_for(spec, 0)), angles))
+    shifted = _shifted(curve.values, curve.grid, spec.N, family)
     resid = float(np.abs(shifted - curve.values).max())
     measured.update(period=TWO_PI / spec.N, period_residual=resid, argmin_coverage=covered)
     return _report("hardcore-optimal-flux", spec, measured,
@@ -315,10 +310,11 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
         raise HypothesisViolated("requires V = 0; potential disorder can move the optimum")
 
     grid_size += grid_size % 2  # need the half-turn shift on the grid
-    curve = scan_flux(spec, two_sz=1, grid_size=grid_size, method=method)
-    half_turn = _shifted(curve.values, curve.grid, 2, None)  # grid_size is even
+    family = flux_family(spec, sector_basis_for(spec, 1))
+    curve = scan_flux(family, grid_size=grid_size, method=method)
+    half_turn = _shifted(curve.values, curve.grid, 2, family)  # grid_size is even
     period_resid = float(np.abs(curve.values - half_turn).max())
-    minima = refine_argmin(curve, spec, two_sz=1, method=method)
+    minima = refine_argmin(curve, family, method=method)
     expected = [0.5 * math.pi, 1.5 * math.pi]
     deviation = max(min(angle_dist(x, e) for e in expected) for x in minima)
     coverage = max(min(angle_dist(e, x) for x in minima) for e in expected)
@@ -327,8 +323,9 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
     chain_resid = 0.0
     for k in range(0, grid_size, max(1, grid_size // 8)):
         phi, e_many = float(curve.grid[k]), float(curve.values[k])
-        split = lowest_sum(spec, n, phi) + lowest_sum(spec, n + 1, phi)
-        halfshift = lowest_sum(spec, n, phi) + lowest_sum(spec, n, phi + math.pi)
+        lower = lowest_sum(spec, n, phi)
+        split = lower + lowest_sum(spec, n + 1, phi)
+        halfshift = lower + lowest_sum(spec, n, phi + math.pi)
         chain_resid = max(chain_resid, abs(e_many - split), abs(split - halfshift))
 
     measured = {
@@ -419,9 +416,10 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
         raise HypothesisViolated("requires even N < L")
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
+    family = flux_family(spec, basis)
     s2 = build_total_spin(basis)
-    g0 = ground(build_hamiltonian(with_flux(spec, phi0), basis), s2=s2)
-    g1 = ground(build_hamiltonian(with_flux(spec, phi1), basis), s2=s2)
+    g0 = ground(family.hamiltonian(phi0), s2=s2)
+    g1 = ground(family.hamiltonian(phi1), s2=s2)
 
     s_max = spec.N / 2.0
     has_ferro_0 = s_max in g0.spins()
@@ -607,8 +605,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     curves = np.column_stack([_ground_energies(sub, grid) for sub in subs])  # (G, K)
     period_resid = 0.0
     for k, (b, sub) in enumerate(zip(blocks, subs)):
-        shifted = _shifted(curves[:, k], grid, b.period,
-                           lambda angles: _ground_energies(sub, angles))
+        shifted = _shifted(curves[:, k], grid, b.period, sub)
         period_resid = max(period_resid, float(np.abs(shifted - curves[:, k]).max()))
 
     full = [k for k, b in enumerate(blocks) if b.period == spec.N]

@@ -78,7 +78,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = _load(args)
-    curve = analysis.scan_flux(spec, two_sz=args.two_sz, grid_size=args.grid)
+    family = flux_family(spec, analysis.sector_basis_for(spec, args.two_sz))
+    curve = analysis.scan_flux(family, grid_size=args.grid)
     lines = ["phi,energy"]
     lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(curve.grid, curve.values)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -131,9 +132,8 @@ def cmd_verify(args) -> int:
 def cmd_thermo(args) -> int:
     spec = _load(args)
     betas = tuple(args.beta) if args.beta else (0.5, 1.0, 2.0)
-    two_sz = args.two_sz if args.two_sz is not None else spec.N % 2
     grid = analysis.flux_grid(args.grid)
-    family = flux_family(spec, enumerate_sector(spec.L, spec.N, two_sz, spec.hardcore))
+    family = flux_family(spec, analysis.sector_basis_for(spec, args.two_sz))
     log_p = log_partition_sweep((family.hamiltonian(phi) for phi in grid), betas)
     lines = ["phi,beta,log_partition"]
     for beta, row in zip(betas, log_p):

@@ -297,6 +297,9 @@ def apply_lowering(vec: np.ndarray, src: SectorBasis, dst: SectorBasis) -> np.nd
 #: temporaries.
 _ROW_BLOCK = 4096
 
+#: Tolerance of every check in solve_sign_gauge and is_sign_gauge.
+_GAUGE_TOL = 1e-10
+
 
 def _canonical(m: sparse.csr_matrix) -> sparse.csr_matrix:
     """m itself when its rows are sorted and free of repeats, else a copy
@@ -337,10 +340,10 @@ class DiagonalGauge:
     def dim(self) -> int:
         return len(self.phases)
 
-    def is_sign_gauge(self, tol: float = 1e-10) -> bool:
-        """True when every phase is +-1 (real gauge)."""
-        return bool(np.abs(np.abs(self.phases.real) - 1.0).max() <= tol
-                    and np.abs(self.phases.imag).max() <= tol)
+    def is_sign_gauge(self) -> bool:
+        """True when every phase is +-1 (real gauge), within _GAUGE_TOL."""
+        return bool(np.abs(np.abs(self.phases.real) - 1.0).max() <= _GAUGE_TOL
+                    and np.abs(self.phases.imag).max() <= _GAUGE_TOL)
 
     def apply(self, H: SparseHermitian) -> SparseHermitian:
         """g H g^{-1}, entry (i, j) g_i H_ij conj(g_j), on H's pattern."""
@@ -371,8 +374,7 @@ def conjugation_residual(g: DiagonalGauge, H: SparseHermitian,
     return resid
 
 
-def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
-                     tol: float = 1e-10) -> DiagonalGauge:
+def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian) -> DiagonalGauge:
     """Find the diagonal unitary g with g H g^{-1} = target.
 
     Phases are fixed along a breadth-first spanning tree of the connectivity
@@ -391,17 +393,17 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
     gap -= moduli
     moduli_gap = float(np.abs(gap, out=gap).max()) if a.nnz else 0.0
     del gap
-    if moduli_gap > tol:
+    if moduli_gap > _GAUGE_TOL:
         raise FluxObstruction(f"entry moduli differ by {moduli_gap:.3e}")
     diag_gap = float(np.abs(a.diagonal() - b.diagonal()).max())
-    if diag_gap > tol:
+    if diag_gap > _GAUGE_TOL:
         raise FluxObstruction(f"diagonals differ by {diag_gap:.3e}")
 
     from scipy.sparse import csgraph
 
     dim = H.dim
     scale = float(moduli.max()) if a.nnz else 1.0
-    live = moduli > tol
+    live = moduli > _GAUGE_TOL
     del moduli
     live &= entry_rows(a.indptr) != a.indices
     # the live entries as a graph; vertex dim is a hub, joined below to each
@@ -431,7 +433,7 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian,
 
     check = DiagonalGauge(g)
     resid = conjugation_residual(check, SparseHermitian(a), SparseHermitian(b))
-    if resid > tol * max(1.0, scale):
+    if resid > _GAUGE_TOL * max(1.0, scale):
         raise FluxObstruction(
             f"cycle inconsistency: conjugation residual {resid:.3e} exceeds tolerance"
         )

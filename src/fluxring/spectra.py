@@ -179,23 +179,23 @@ class FluxCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.grid) != len(self.values):
+        n = len(self.grid)
+        if n != len(self.values):
             raise ValueError("grid and values differ in length")
-        if len(self.grid) == 0 or self.grid[0] != 0.0:
-            raise ValueError("grid must start at 0")
-        if np.any(np.diff(self.grid) <= 0) or self.grid[-1] >= 2 * math.pi:
-            raise ValueError("grid must increase strictly within [0, 2*pi)")
+        # refine_argmin brackets each grid minimum by its neighbours 2*pi/n away
+        if n == 0 or np.abs(self.grid - np.arange(n) * (2 * math.pi / n)).max() > 1e-12:
+            raise ValueError("grid must be the uniform grid 2*pi*k/n, k = 0..n-1")
 
     def minimum(self) -> tuple[float, float]:
         k = int(np.argmin(self.values))
         return float(self.grid[k]), float(self.values[k])
 
 
-def _spin_from_s2(value: float, tol: float = 1e-8) -> float:
+def _spin_from_s2(value: float) -> float:
     """Invert s(s+1) = value onto the nearest (half-)integer spin."""
     s = 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * value)))
     snapped = round(2.0 * s) / 2.0
-    if abs(snapped * (snapped + 1.0) - value) > tol * max(1.0, abs(value)):
+    if abs(snapped * (snapped + 1.0) - value) > 1e-8 * max(1.0, abs(value)):
         raise MultipletCut(f"S^2 eigenvalue {value} is not of the form s(s+1): the "
                            "vectors do not span whole spin multiplets")
     return snapped

@@ -134,15 +134,17 @@ def test_criterion_4_doubling_identity():
 
 def test_criterion_5_potential_disorder_counterexample():
     spec = fr.gen_fixture("remark5", t=50.0)
-    curve = fr.scan_flux(spec, two_sz=1, grid_size=90)
-    minima = fr.refine_argmin(curve, spec, two_sz=1)
+    family = flux_family(spec, sector_basis_for(spec, 1))
+    curve = fr.scan_flux(family, grid_size=90)
+    minima = fr.refine_argmin(curve, family)
     targets = (PI - REMARK_ANGLE, PI + REMARK_ANGLE)
     dev5 = max(min(angle_dist(m, t) for t in targets) for m in minima)
     cover5 = max(min(angle_dist(t, m) for m in minima) for t in targets)
 
     eff = fr.make_spec(4, 5)
-    curve_eff = fr.scan_flux(eff, two_sz=1, grid_size=90)
-    minima_eff = fr.refine_argmin(curve_eff, eff, two_sz=1)
+    family_eff = flux_family(eff, sector_basis_for(eff, 1))
+    curve_eff = fr.scan_flux(family_eff, grid_size=90)
+    minima_eff = fr.refine_argmin(curve_eff, family_eff)
     dev_eff = max(min(angle_dist(m, t) for t in (REMARK_ANGLE, REMARK_MIRROR))
                   for m in minima_eff)
     e_min = fr.ground(fr.build_hamiltonian(fr.with_flux(eff, minima_eff[0]),

@@ -24,7 +24,8 @@ L4N5_ARGMIN = (1.8545904360032244, 4.428594871176362)  # 4 arcsin(1/sqrt5), mirr
 
 
 def test_scan_flux_odd_halffill_uniform():
-    curve = fr.scan_flux(fr.make_spec(3, 3), two_sz=1, grid_size=48)
+    spec = fr.make_spec(3, 3)
+    curve = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec, 1)), grid_size=48)
     phi_min, val = curve.minimum()
     assert val == pytest.approx(E3_HALF, abs=1e-10)
     assert min(angle_dist(phi_min, c) for c in (PI / 2, 3 * PI / 2)) < 2 * PI / 48
@@ -32,8 +33,9 @@ def test_scan_flux_odd_halffill_uniform():
 
 def test_scan_flux_overfilled_ring():
     spec = fr.make_spec(4, 5)
-    curve = fr.scan_flux(spec, grid_size=64)
-    minima = fr.refine_argmin(curve, spec)
+    family = fr.flux_family(spec, sector_basis_for(spec))
+    curve = fr.scan_flux(family, grid_size=64)
+    minima = fr.refine_argmin(curve, family)
     assert len(minima) == 2
     for got, want in zip(sorted(minima), L4N5_ARGMIN):
         assert angle_dist(got, want) < 1e-6
@@ -44,13 +46,15 @@ def test_scan_flux_overfilled_ring():
 
 
 def test_scan_flux_vacuum_constant_zero():
-    curve = fr.scan_flux(fr.make_spec(4, 0), grid_size=16)
+    spec = fr.make_spec(4, 0)
+    curve = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec)), grid_size=16)
     assert np.abs(curve.values).max() == 0.0
 
 
 def test_scan_flux_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        fr.scan_flux(fr.make_spec(3, 1), grid_size=4)
+        spec = fr.make_spec(3, 1)
+        fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec)), grid_size=4)
 
 
 def test_grids_below_eight_points_raise():
@@ -71,8 +75,8 @@ def test_scan_matches_arbitrary_gauge_point():
     # scan values agree with a direct build in any other gauge of equal flux
     rng = np.random.default_rng(6)
     spec = fr.make_spec(5, 2, rng.uniform(0.5, 2, 5), None, rng.normal(0, 1, 5), 2.0)
-    curve = fr.scan_flux(spec, grid_size=16)
     basis = sector_basis_for(spec)
+    curve = fr.scan_flux(fr.flux_family(spec, basis), grid_size=16)
     for i in (0, 5, 11):
         phi = float(curve.grid[i])
         parts = rng.uniform(0, 2 * PI, 4)
@@ -83,7 +87,8 @@ def test_scan_matches_arbitrary_gauge_point():
 
 def test_refine_argmin_flat_curve():
     curve = fr.FluxCurve(np.arange(12) * (2 * PI / 12), np.zeros(12))
-    out = fr.refine_argmin(curve, fr.make_spec(4, 0))
+    spec = fr.make_spec(4, 0)
+    out = fr.refine_argmin(curve, fr.flux_family(spec, sector_basis_for(spec)))
     assert len(out) == 12
 
 
@@ -137,11 +142,12 @@ def test_current_root_closes_on_smooth_roots_and_cusps(root):
 def test_refine_argmin_solves_a_handful_of_points(monkeypatch):
     rng = np.random.default_rng(5)
     spec = fr.make_spec(6, 4, rng.uniform(0.5, 2, 6), None, rng.normal(0, 1, 6), 3.0)
-    curve = fr.scan_flux(spec, two_sz=0, grid_size=64)
+    family = fr.flux_family(spec, sector_basis_for(spec, 0))
+    curve = fr.scan_flux(family, grid_size=64)
     calls = []
     ground = analysis.ground
     monkeypatch.setattr(analysis, "ground", lambda *a, **k: calls.append(1) or ground(*a, **k))
-    minima = fr.refine_argmin(curve, spec, two_sz=0)
+    minima = fr.refine_argmin(curve, family)
     assert len(minima) == 1 and angle_dist(minima[0], PI) <= 1e-10
     assert len(calls) <= 8
 
@@ -211,22 +217,54 @@ def test_verify_even_hardcore():
         assert min(angle_dist(m, want) for m in mins) < 1e-6
 
 
+def _count_builds(monkeypatch) -> dict:
+    """Count the sector enumerations, flux families and Hamiltonians that
+    analysis builds from here on."""
+    counts = dict.fromkeys(("enumerate_sector", "flux_family", "build_hamiltonian"), 0)
+    for name in counts:
+        def spy(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, spy)
+    return counts
+
+
 def test_verify_even_hardcore_period_on_every_grid_point(monkeypatch):
     # N = 4 divides 64: E(phi + pi/2) is the curve 16 steps on, no extra solve;
-    # at 66 points the shifted angles are solved, one per grid point
+    # at 66 points the shifted angles are solved, one per grid point, on the
+    # family that the scan and the refinement use
     spec = fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None, fr.INFINITY)
     calls = []
     energies = fr.analysis._ground_energies
     monkeypatch.setattr(fr.analysis, "_ground_energies",
                         lambda *a, **k: calls.extend(a[1]) or energies(*a, **k))
+    builds = _count_builds(monkeypatch)
     for grid, solved in ((64, 0), (66, 66)):
         calls.clear()
+        builds.update(dict.fromkeys(builds, 0))
         r = fr.verify_even(spec, grid_size=grid)
         assert r.passed
         assert r.measured["period_residual"] < 1e-12
         shifted = list(fr.analysis.flux_grid(grid) + PI / 2)
         assert list(calls[:grid]) == list(fr.analysis.flux_grid(grid))  # the scan
         assert [p for p in calls[grid:] if p in shifted] == shifted[:solved]
+        assert builds == {"enumerate_sector": 1, "flux_family": 1, "build_hamiltonian": 0}
+
+
+def test_each_verification_builds_its_sector_once(monkeypatch):
+    # the scan, the refinement and both flux roles all evaluate one flux
+    # family of one sector basis (hard-core verify_even: the test above)
+    rng = np.random.default_rng(3)
+    even = fr.make_spec(6, 4, rng.uniform(0.5, 2, 6), None, rng.normal(0, 1, 6), 3.0)
+    relation = fr.make_spec(8, 6, rng.uniform(0.5, 2, 8), None, None, fr.INFINITY)
+    runs = [lambda: fr.verify_even(even, grid_size=64),
+            lambda: fr.verify_odd(fr.gen_fixture("random-hop", seed=2, L=5), grid_size=32),
+            lambda: fr.verify_relation(relation)]
+    builds = _count_builds(monkeypatch)
+    for run in runs:
+        builds.update(dict.fromkeys(builds, 0))
+        assert run().passed
+        assert builds == {"enumerate_sector": 1, "flux_family": 1, "build_hamiltonian": 0}
 
 
 def test_verify_even_rejects_filled_hardcore_ring():

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fluxring as fr
@@ -52,6 +53,21 @@ def test_scan_rerun_byte_identical(ring3, tmp_path):
     run_cli("scan", "--model", ring3, "--grid", "90", "--out", str(a))
     run_cli("scan", "--model", ring3, "--grid", "90", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_of_a_chosen_sector_matches_its_family(tmp_path):
+    # --two-sz 2 scans the sector of one more up spin than the minimal one
+    rng = np.random.default_rng(11)
+    spec = fr.make_spec(6, 4, rng.uniform(0.5, 2, 6), None, rng.normal(0, 1, 6), 3.0)
+    path, out = tmp_path / "ring6.json", tmp_path / "s.csv"
+    fr.save_model(spec, path)
+    res = run_cli("scan", "--model", str(path), "--grid", "24", "--two-sz", "2",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    family = fr.flux_family(spec, fr.enumerate_sector(6, 4, 2))
+    curve = fr.scan_flux(family, grid_size=24)
+    want = ["phi,energy"] + [f"{p:.12g},{v:.12g}" for p, v in zip(curve.grid, curve.values)]
+    assert out.read_text().splitlines() == want
 
 
 def test_verify_odd_passes(tmp_path):

@@ -669,3 +669,22 @@ def test_s2_projected_on_part_of_a_multiplet_sum_is_typed():
         spectra._spin_content(mixed[:, None], s2)
     assert issubclass(MultipletCut, fr.FluxRingError)
     assert spectra._spin_content(vectors[:, -1:], s2) == (1.0,)
+
+
+def test_flux_curve_takes_only_the_uniform_grid():
+    # refine_argmin brackets each grid minimum by x -+ 2*pi/n, so a curve on
+    # a clustered grid (here 100 points on [0, 1.4), 9 on [1.4, 2*pi)) would
+    # be refined on wrong brackets
+    clustered = np.concatenate([np.linspace(0.0, 1.4, 100, endpoint=False),
+                                np.linspace(1.4, 2 * PI, 9, endpoint=False)])
+    with pytest.raises(ValueError, match="uniform"):
+        fr.FluxCurve(clustered, np.zeros(len(clustered)))
+    for bad in ([], [0.1, 1.0, 2.0], [0.0, 1.0, 2.0], np.arange(9) * (2 * PI / 8)):
+        with pytest.raises(ValueError):
+            fr.FluxCurve(np.asarray(bad, dtype=float), np.zeros(len(bad)))
+    with pytest.raises(ValueError, match="length"):
+        fr.FluxCurve(fr.analysis.flux_grid(8), np.zeros(7))
+    for n in (8, 9, 64, 90, 109, 720, 1999):
+        for grid in (fr.analysis.flux_grid(n), np.linspace(0.0, 2 * PI, n, endpoint=False),
+                     np.array([2 * PI * k / n for k in range(n)])):
+            fr.FluxCurve(grid, np.zeros(n))
