@@ -24,6 +24,7 @@ from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
     FluxFamily,
+    _check_basis,
     build_hamiltonian,
     build_total_spin,
     conjugation_residual,
@@ -457,9 +458,9 @@ def _sign_fixed_spec(spec: ModelSpec) -> ModelSpec:
     return validate(ModelSpec(spec.L, spec.N, spec.hop_mag, phases, spec.V, spec.U))
 
 
-def ferromagnetic_state(spec: ModelSpec) -> np.ndarray:
-    """Minimal-Sz member (Sz = 0 for even N) of the maximal-spin ground
-    multiplet at the pi-role flux.
+def ferromagnetic_state(spec: ModelSpec, basis: SectorBasis) -> np.ndarray:
+    """Member in basis, a hard-core sector of spec, of the maximal-spin
+    ground multiplet at the pi-role flux.
 
     Read off the ground vector of the fully polarized (spinless) sector in
     the sign-fixed gauge: S^- turns a spin between the two adjacent modes
@@ -467,16 +468,18 @@ def ferromagnetic_state(spec: ModelSpec) -> np.ndarray:
     k times gives each state with k down spins k! times the amplitude of
     its charge configuration. Normalized and phase-fixed to be entrywise
     positive (the Perron-Frobenius property of that gauge). A polarized
-    ground level found degenerate raises DegenerateGround.
+    ground level found degenerate raises DegenerateGround; a basis that is
+    not hard-core or has another L or N raises BasisMismatch.
     """
     _require_hardcore(spec)
+    _check_basis(spec, basis)
     basis_pol = enumerate_sector(spec.L, spec.N, spec.N, hardcore=True)
     info = ground(build_hamiltonian(_sign_fixed_spec(spec), basis_pol))
     if info.degeneracy != 1:  # Perron-Frobenius makes it simple in this gauge
         raise DegenerateGround(f"the polarized ground level is {info.degeneracy}-fold "
                                "within the degeneracy window, so no single "
                                "Perron-Frobenius vector is defined")
-    codes = sector_basis_for(spec).codes
+    codes = basis.codes
     vec = info.vectors[basis_pol.locate((codes | codes >> 1) & 0x5555555555555555), 0]
     vec = vec / np.linalg.norm(vec)
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
@@ -490,12 +493,13 @@ def spiral_state(spec: ModelSpec):
     Sz = 0) is carried by a sign gauge onto a singlet ground state at the
     zero-role flux. The gauge doing it is not unique, because the
     hard-core operator is block diagonal. Within each block the phases are
-    inherited from the finite-coupling problem (connected free sector, so
-    unique up to a global phase); the remaining freedom is one constant
-    per block, and the claim is that some choice of those constants turns
-    the ferromagnet into a singlet. That choice is found by exact
-    enumeration of per-block sign patterns, and the winner is certified by
-    the measured S^2 expectation, the eigenvalue residual, and the
+    those of the gauge carrying the negative envelope of H(zero role) to
+    H(zero role) on the hard-core sector; every block is connected and
+    both operators are real, so they are unique up to one sign per block.
+    The claim is that some choice of those block constants turns the
+    ferromagnet into a singlet. That choice is found by exact enumeration
+    of per-block sign patterns, and the winner is certified by the
+    measured S^2 expectation, the eigenvalue residual, and the
     conjugation property of the assembled gauge. Returns (state, report);
     the state lives in the Sz = 0 hard-core basis. A sector of more than
     SIGN_SEARCH_BLOCKS blocks raises MethodLimit before anything is built.
@@ -505,10 +509,9 @@ def spiral_state(spec: ModelSpec):
     if spec.N % 4 != 2:
         raise NotFourNPlusTwo(f"N={spec.N} is not of the form 4n+2")
 
-    L, N = spec.L, spec.N
-    phi_zero, phi_pi = _flux_roles(L)
+    phi_zero, phi_pi = _flux_roles(spec.L)
     # In the sign-fixed gauge the hard-core matrix has non-positive entries
-    # and equals the envelope of H(zero role) restricted to hard-core states.
+    # and equals the envelope of H(zero role).
     spec_ferro = _sign_fixed_spec(spec)
     assert angle_dist(spec_ferro.flux, phi_pi) < 1e-12
 
@@ -519,31 +522,19 @@ def spiral_state(spec: ModelSpec):
                           f"of {SIGN_SEARCH_BLOCKS}")
     h_ferro = build_hamiltonian(spec_ferro, basis0)
     h_zero = build_hamiltonian(with_flux(spec, phi_zero), basis0)
+    envelope = negative_envelope(h_zero)
     # both operands are data arrays on the layout of basis0
-    envelope_gap = float(np.abs(h_ferro.mat.data - negative_envelope(h_zero).mat.data).max())
+    envelope_gap = float(np.abs(h_ferro.mat.data - envelope.mat.data).max())
 
-    ferro = ferromagnetic_state(spec)
+    ferro = ferromagnetic_state(spec, basis0)
     pf_min_entry = float(ferro.real.min())
     pf_imag = float(np.abs(ferro.imag).max())
 
-    # Within-block phases are inherited from the finite-coupling problem,
-    # whose free-sector graph is connected and therefore pins the gauge up
-    # to one global phase there.
-    free_spec = validate(ModelSpec(L, N, spec.hop_mag,
-                                   with_flux(spec, phi_zero).hop_phase,
-                                   spec.V, (0.0,) * L))
-    free_basis = enumerate_sector(L, N, 0, hardcore=False)
-    h_free = build_hamiltonian(free_spec, free_basis)
-    gauge_free = solve_sign_gauge(negative_envelope(h_free), h_free)
-    restricted = gauge_free.phases[free_basis.locate(basis0.codes)]
-    del free_basis, h_free, gauge_free  # the free sector's table, layout and operators
-
-    # The restriction leaves one constant per hard-core block free (any
-    # per-block constant is itself a gauge of the block-diagonal operator).
-    # The claim is that some choice sends the ferromagnet to a singlet;
-    # solve for it by exact enumeration of sign patterns.
+    # Any per-block constant is itself a gauge of the block-diagonal
+    # operator, so the phases are fixed up to the signs searched below.
+    phases = solve_sign_gauge(envelope, h_zero).phases
     s2 = build_total_spin(basis0)
-    base_state = restricted * ferro
+    base_state = phases * ferro
     block_of = np.empty(basis0.dim, dtype=np.intp)
     for k, b in enumerate(blocks):
         block_of[list(b.member_indices)] = k
@@ -554,7 +545,7 @@ def spiral_state(spec: ModelSpec):
         if s2_val < best_s2:
             best_signs, best_s2, state = signs, s2_val, cand
 
-    gauge = DiagonalGauge(np.array(best_signs)[block_of] * restricted)
+    gauge = DiagonalGauge(np.array(best_signs)[block_of] * phases)
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
     e0 = ground(h_zero, want_vectors=False, max_degeneracy=0).energy

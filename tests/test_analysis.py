@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 import fluxring as fr
 from fluxring import analysis
 from fluxring.analysis import _current, _current_root, _flux_roles, sector_basis_for
-from fluxring.errors import DegenerateGround, HypothesisViolated, MethodLimit, NotFourNPlusTwo
+from fluxring.errors import (
+    BasisMismatch,
+    DegenerateGround,
+    HypothesisViolated,
+    MethodLimit,
+    NotFourNPlusTwo,
+)
 from fluxring.model import angle_dist
 
 from oracles import filled_sum, regauge
@@ -647,7 +654,7 @@ def test_degenerate_polarized_ground_fails_typed(monkeypatch):
     monkeypatch.setattr(analysis, "ground", lambda *a, **k: replace(solve(*a, **k), degeneracy=2))
     spec = fr.make_spec(6, 2, U=fr.INFINITY)
     with pytest.raises(DegenerateGround, match="2-fold"):
-        fr.ferromagnetic_state(spec)
+        fr.ferromagnetic_state(spec, sector_basis_for(spec, 0))
     with pytest.raises(DegenerateGround):
         fr.spiral_state(spec)
     assert issubclass(DegenerateGround, fr.FluxRingError)
@@ -655,8 +662,8 @@ def test_degenerate_polarized_ground_fails_typed(monkeypatch):
 
 def test_ferromagnetic_state_properties():
     spec = fr.make_spec(6, 4, U=fr.INFINITY)
-    ferro = fr.ferromagnetic_state(spec)
     basis = sector_basis_for(spec, 0)
+    ferro = fr.ferromagnetic_state(spec, basis)
     s2 = fr.build_total_spin(basis)
     import numpy as np
 
@@ -687,9 +694,86 @@ def test_ferromagnetic_state_equals_the_lowering_chain(L):
     for N in range(1, L + 1):
         spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), None, rng.normal(0, 1, L),
                             fr.INFINITY)
-        ferro = fr.ferromagnetic_state(spec)
+        ferro = fr.ferromagnetic_state(spec, sector_basis_for(spec))
         assert ferro.shape == (sector_basis_for(spec).dim,)
         assert np.abs(ferro - lowered_ferromagnet(spec)).max() < 1e-14, N
+
+
+def test_ferromagnetic_state_refuses_a_foreign_basis():
+    # a free basis, or one of another L or N, holds states with no charge
+    # configuration in the polarized sector, where locate's -1 would read
+    # the last entry
+    spec = fr.make_spec(6, 2, U=fr.INFINITY)
+    for basis in (fr.enumerate_sector(6, 2, 0), fr.enumerate_sector(7, 2, 0, hardcore=True),
+                  fr.enumerate_sector(6, 4, 0, hardcore=True)):
+        with pytest.raises(BasisMismatch):
+            fr.ferromagnetic_state(spec, basis)
+
+
+def test_spiral_walks_each_hardcore_sector_once(monkeypatch):
+    # the Sz = 0 sector feeds the gauge, the search and the ferromagnet's
+    # codes; the polarized sector its Perron-Frobenius vector
+    walks, built_on = [], []
+    enumerate_sector, build_hamiltonian = analysis.enumerate_sector, analysis.build_hamiltonian
+
+    def walk(L, N, two_sz, hardcore=False):
+        walks.append((L, N, two_sz, hardcore))
+        return enumerate_sector(L, N, two_sz, hardcore)
+
+    def build(spec, basis):
+        built_on.append(basis.hardcore)
+        return build_hamiltonian(spec, basis)
+
+    monkeypatch.setattr(analysis, "enumerate_sector", walk)
+    monkeypatch.setattr(analysis, "build_hamiltonian", build)
+    _, r = fr.spiral_state(fr.make_spec(7, 6, U=fr.INFINITY))
+    assert r.passed
+    assert sorted(walks) == [(7, 6, 0, True), (7, 6, 6, True)]
+    assert built_on and all(built_on)
+
+
+def free_sector_spiral(spec):
+    """The spiral state with its within-block phases restricted from the
+    gauge of the free (U = 0) Sz = 0 sector at the zero-role flux, whose
+    connected hopping graph pins them up to one global phase, then the
+    same exact search over per-block signs."""
+    L, N = spec.L, spec.N
+    phi_zero, _ = _flux_roles(L)
+    basis0 = sector_basis_for(spec, 0)
+    free_spec = fr.validate(fr.ModelSpec(L, N, spec.hop_mag,
+                                         fr.with_flux(spec, phi_zero).hop_phase,
+                                         spec.V, (0.0,) * L))
+    free_basis = fr.enumerate_sector(L, N, 0, hardcore=False)
+    h_free = fr.build_hamiltonian(free_spec, free_basis)
+    gauge = fr.solve_sign_gauge(fr.negative_envelope(h_free), h_free)
+    base = gauge.phases[free_basis.locate(basis0.codes)] * fr.ferromagnetic_state(spec, basis0)
+    s2 = fr.build_total_spin(basis0)
+    block_of = np.empty(basis0.dim, dtype=np.intp)
+    for k, b in enumerate(fr.decompose_blocks(basis0, spec)):
+        block_of[list(b.member_indices)] = k
+    candidates = [np.array(signs)[block_of] * base
+                  for signs in itertools.product((1.0, -1.0), repeat=block_of.max() + 1)]
+    return min(candidates, key=lambda c: np.vdot(c, s2.matvec(c)).real)
+
+
+def _random_ring(L, N, seed):
+    rng = np.random.default_rng(seed)
+    return fr.make_spec(L, N, rng.uniform(0.5, 2, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0, 1, L), fr.INFINITY)
+
+
+@pytest.mark.parametrize("spec", [fr.make_spec(5, 2, U=fr.INFINITY),
+                                  fr.make_spec(7, 6, U=fr.INFINITY),
+                                  fr.make_spec(8, 6, U=fr.INFINITY),
+                                  _random_ring(8, 6, 4)],
+                         ids=["L5N2", "L7N6", "L8N6", "L8N6-random"])
+def test_spiral_state_equals_the_free_sector_construction(spec):
+    # the hard-core gauge fixes the same phases within each block as the
+    # free sector's, up to the block constants that the search chooses
+    state, r = fr.spiral_state(spec)
+    assert r.passed, r.measured
+    ref = free_sector_spiral(spec)
+    assert min(np.abs(state - ref).max(), np.abs(state + ref).max()) < 1e-12
 
 
 def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
@@ -721,7 +805,7 @@ def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
     singlets = manifold @ s2_vecs[:, np.abs(s2_vals) < 1e-8]
 
     spiral, _ = fr.spiral_state(spec)
-    ferro = fr.ferromagnetic_state(spec)
+    ferro = fr.ferromagnetic_state(spec, basis0)
 
     free_basis = fr.enumerate_sector(L, N, 0, hardcore=False)
     idx = free_basis.locate(basis0.codes)

@@ -516,7 +516,7 @@ def test_operators_on_one_basis_share_its_read_only_layout(sector, phi):
 
 
 def test_sign_gauge_of_the_free_sector_stays_within_a_few_entries_per_entry():
-    # the spiral's free sector, L=10 N=6 (14,400 states): the envelope and
+    # the free Sz = 0 sector at L=10 N=6 (14,400 states): the envelope and
     # the gauge work on the data of the shared pattern, with no COO round
     # trip, sparse product or copied matrix
     from scipy.sparse import csgraph  # noqa: F401  (its import is not the solve's)
