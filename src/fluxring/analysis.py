@@ -19,7 +19,13 @@ from itertools import product
 import numpy as np
 
 from .basis import SectorBasis, decompose_blocks, enumerate_sector
-from .errors import DegenerateGround, HypothesisViolated, MethodLimit, NotFourNPlusTwo
+from .errors import (
+    DegenerateGround,
+    HypothesisViolated,
+    MethodLimit,
+    MultipletCut,
+    NotFourNPlusTwo,
+)
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
     DiagonalGauge,
@@ -36,7 +42,9 @@ from .operators import (
 from .spectra import (
     GROUND_TOL,
     FluxCurve,
+    GroundInfo,
     _ground_energies,
+    _spin_content,
     ground,
     log_partition_sweep,
     lowest_sum,
@@ -401,6 +409,48 @@ def _flux_roles(L: int) -> tuple[float, float]:
     return (0.0, math.pi) if L % 2 == 0 else (math.pi, 0.0)
 
 
+def _hardcore_grounds(spec: ModelSpec, basis: SectorBasis, family: FluxFamily,
+                      angles) -> list[GroundInfo]:
+    """The ground level of a hard-core sector's family at each angle, with
+    its spin content, solved block by block.
+
+    The hard-core operator is block diagonal (decompose_blocks), so its
+    ground space is the direct sum of the ground spaces of the blocks that
+    reach the minimum (Aizenman & Lieb, PRL 65, 1470 (1990)). Each block is
+    solved on its restricted family under ground's policy; the blocks
+    within GROUND_TOL * max(1, |E0|) of the lowest energy keep their
+    vectors, embedded in the sector, and S^2, which mixes blocks, is
+    diagonalized on their joint span. A block whose solve ends without
+    clearing its ground level (a saturated deflation) raises MultipletCut.
+    """
+    blocks = decompose_blocks(basis, spec)
+    subs = [family.restrict(b.member_indices) for b in blocks]
+    s2 = build_total_spin(basis)
+    out = []
+    for phi in angles:
+        infos = [ground(sub.hamiltonian(phi)) for sub in subs]
+        for b, info in zip(blocks, infos):
+            if math.isinf(info.gap) and info.degeneracy < b.dimension:
+                raise MultipletCut(
+                    f"block {b.representative} at phi={phi}: {info.degeneracy} locked "
+                    "ground vectors without clearing the ground level: the multiplet "
+                    "may be cut, so its spin content is undefined")
+        e0 = min(info.energy for info in infos)
+        cut = e0 + GROUND_TOL * max(1.0, abs(e0))
+        low = [k for k, info in enumerate(infos) if info.energy <= cut]
+        gap = min([infos[k].energy + infos[k].gap - e0 for k in low]
+                  + [info.energy - e0 for info in infos if info.energy > cut])
+        vectors = np.zeros((basis.dim, sum(infos[k].degeneracy for k in low)), dtype=complex)
+        col = 0
+        for k in low:
+            deg = infos[k].degeneracy
+            vectors[list(blocks[k].member_indices), col:col + deg] = infos[k].vectors
+            col += deg
+        method = "+".join(sorted({info.method for info in infos}))
+        out.append(GroundInfo(e0, col, gap, vectors, _spin_content(vectors, s2), method))
+    return out
+
+
 def verify_relation(spec: ModelSpec) -> VerificationReport:
     """Hard-core even N < L: absence of a maximal-spin ground state at the
     zero-role flux is equivalent to a strict drop of the N-level sum at the
@@ -408,7 +458,8 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
     ground energies at both fluxes coincide with the pi-role level sum.
 
     Both sides of the biconditional are evaluated independently: spin
-    content via the projected S^2, the level sums from the one-particle
+    content via S^2 projected onto the ground space, which is solved block
+    by block (_hardcore_grounds), the level sums from the one-particle
     problem. Since the absence always holds, the biconditional asks for
     the strict drop, a gap judged against the strictness tolerance.
     """
@@ -417,10 +468,7 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
         raise HypothesisViolated("requires even N < L")
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
-    family = flux_family(spec, basis)
-    s2 = build_total_spin(basis)
-    g0 = ground(family.hamiltonian(phi0), s2=s2)
-    g1 = ground(family.hamiltonian(phi1), s2=s2)
+    g0, g1 = _hardcore_grounds(spec, basis, flux_family(spec, basis), (phi0, phi1))
 
     s_max = spec.N / 2.0
     has_ferro_0 = s_max in g0.spins()

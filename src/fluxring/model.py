@@ -45,6 +45,14 @@ def angle_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def unit_phase(theta) -> np.ndarray:
+    """exp(i*theta) elementwise, exactly -1 at theta = +-pi, where np.exp
+    leaves an imaginary part of 1.2e-16 (it is exactly 1 at 0 already), so
+    that operators at the time-reversal-invariant fluxes 0 and pi are real."""
+    theta = np.asarray(theta)
+    return np.where(np.abs(theta) == math.pi, -1.0 + 0j, np.exp(1j * theta))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable Hubbard-ring model.
@@ -77,8 +85,9 @@ class ModelSpec:
         return fold_angle(math.fsum(self.hop_phase))
 
     def amplitudes(self) -> np.ndarray:
-        """Complex bond amplitudes t_x = |t_x| exp(i theta_x)."""
-        return np.asarray(self.hop_mag) * np.exp(1j * np.asarray(self.hop_phase))
+        """Complex bond amplitudes t_x = |t_x| exp(i theta_x), exactly
+        -|t_x| at theta_x = pi."""
+        return np.asarray(self.hop_mag) * unit_phase(self.hop_phase)
 
     def u_values(self) -> np.ndarray:
         if self.hardcore:

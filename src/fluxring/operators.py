@@ -26,7 +26,7 @@ from .errors import (
     InteractionPresent,
     PotentialPresent,
 )
-from .model import ModelSpec, fold_angle, validate
+from .model import ModelSpec, fold_angle, unit_phase, validate
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ class FluxFamily:
     """phi-parametrized Hamiltonian family in the canonical gauge: its
     Hamiltonian at flux 0 and the entries of the terms that cross the last
     bond forward (up, winding +1) and backward (down, winding -1), which
-    pick up exp(+-i phi) at each phi. Flux scans evaluate it without
+    pick up exp(+-i phi) at each phi (unit_phase: exactly -1 at pi, so
+    the family is real at 0 and pi). Flux scans evaluate it without
     re-walking the basis; every evaluation shares the flux-0 index arrays.
     """
 
@@ -156,15 +157,18 @@ class FluxFamily:
         return data
 
     def dense(self, phi: float) -> np.ndarray:
+        """hamiltonian(phi).to_dense(), bit for bit: each entry is placed as
+        0 + entry, as toarray sums it, which turns the -0.0 imaginary part
+        of a negative entry times -1 (at pi) into +0.0."""
         m = self.zero
         h = np.zeros((self.dim, self.dim), dtype=complex)
         h[entry_rows(m.indptr), m.indices] = self._data(m.data.copy(),
-                                                        np.exp(1j * phi * _WINDINGS))
+                                                        unit_phase(phi * _WINDINGS)) + 0.0
         return h
 
     def hamiltonian(self, phi: float) -> SparseHermitian:
         return _with_data(self.zero, self._data(self.zero.data.copy(),
-                                                np.exp(1j * phi * _WINDINGS)))
+                                                unit_phase(phi * _WINDINGS)))
 
     def stacked(self, angles) -> SparseHermitian:
         """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
@@ -177,7 +181,7 @@ class FluxFamily:
         m = self.zero
         count, nnz = len(angles), m.nnz
         data = self._data(np.tile(m.data, (count, 1)),
-                          np.exp(1j * np.multiply.outer(angles, _WINDINGS)))
+                          unit_phase(np.multiply.outer(angles, _WINDINGS)))
         index = np.int32 if count * max(nnz, self.dim) < 2**31 else np.int64
         shift = np.arange(count, dtype=index)[:, None]
         indices = (m.indices + shift * self.dim).ravel()
@@ -190,7 +194,7 @@ class FluxFamily:
         """dH/dphi: i w exp(i w phi) times the flux-0 value on the entries of
         winding w = +-1, zero on the rest of the same CSR pattern."""
         return _with_data(self.zero, self._data(np.zeros_like(self.zero.data),
-                                                1j * _WINDINGS * np.exp(1j * phi * _WINDINGS)))
+                                                1j * _WINDINGS * unit_phase(phi * _WINDINGS)))
 
     def restrict(self, indices) -> FluxFamily:
         """The family on a span of ascending state indices closed under

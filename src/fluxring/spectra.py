@@ -24,6 +24,14 @@ and DENSE_LIMIT a Lanczos attempt that does not converge within about the
 cost of a dense solve, whose replayed vector misses its residual, or whose
 deflation saturates, falls back to dense, so auto returns what dense
 would. Above DENSE_LIMIT nothing is densified and Lanczos failures raise.
+
+A densified operator whose entries are all real is diagonalized as a real
+matrix. Every Hamiltonian at flux 0 or pi is real: its phase factors are
+exactly +-1 there (model.unit_phase). The choice is read from the data.
+A hard-core sector is block diagonal, and the spin-flux relation solves
+its ground level block by block through ground
+(analysis._hardcore_grounds), so a level of one state per block needs no
+deflation across the whole sector.
 """
 
 from __future__ import annotations
@@ -618,11 +626,18 @@ def _check_dense(dim: int) -> None:
 
 def _densify(H: SparseHermitian) -> np.ndarray:
     _check_dense(H.dim)
-    return H.to_dense()
+    return _real_if_real(H.to_dense())
+
+
+def _real_if_real(dense: np.ndarray) -> np.ndarray:
+    """dense, or its real part when every entry is real (a Hamiltonian at
+    flux 0 or pi), which LAPACK's real solvers diagonalize in real
+    arithmetic."""
+    return dense if dense.imag.any() else dense.real
 
 
 def _lowest_eigenvalue(dense: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(dense)[0])
+    return float(np.linalg.eigvalsh(_real_if_real(dense))[0])
 
 
 def full_spectrum(H: SparseHermitian) -> np.ndarray:

@@ -6,6 +6,10 @@ states as sorted tuples, fermion parities from list positions. It shares
 no code or conventions with fluxring.operators beyond the physics, so
 agreement between the two is evidence, not tautology.
 
+hardcore_block_energies gives the ground energies of a hard-core Sz = 0
+block from one-particle levels alone, each from its own L x L eigensolve,
+with no call into fluxring's sectors, operators or spectra.
+
 regauge and hermiticity_defect are reference checks on package objects
 that several test modules share and the package itself never calls.
 from_coo and total_spin_coo assemble operators through scipy's COO -> CSR
@@ -141,6 +145,29 @@ class DenseOracle:
                     if i is not None:
                         S2[i, j] += s1 * s2
         return S2
+
+
+def one_particle_levels(spec, phi: float) -> np.ndarray:
+    """Levels of the one-particle ring of spec at total flux phi: |t_x| on
+    bond x (sites x, x+1), exp(i phi) on the closing bond, V on the diagonal."""
+    L = spec.L
+    h = np.diag(np.asarray(spec.V, dtype=complex))
+    for x in range(L):
+        t = spec.hop_mag[x] * (np.exp(1j * phi) if x == L - 1 else 1.0)
+        h[(x + 1) % L, x] += t
+        h[x, (x + 1) % L] += np.conj(t)
+    return np.linalg.eigvalsh(h)
+
+
+def hardcore_block_energies(spec, period: int, phi: float) -> np.ndarray:
+    """Ground energies of spinless spec.N-fermion rings at the fluxes
+    phi + 2*pi*j/period, j < period: the sum of the N lowest one-particle
+    levels at each. In Sz = 0 a hard-core block of necklace period p is
+    unitarily equivalent to the direct sum of these p rings (the factorized
+    U = infinity wave function: Ogata & Shiba, Phys. Rev. B 41, 2326
+    (1990)), so the block's ground energy is their minimum."""
+    return np.array([one_particle_levels(spec, phi + 2.0 * np.pi * j / period)[:spec.N].sum()
+                     for j in range(period)])
 
 
 def spectrum(matrix: np.ndarray) -> np.ndarray:

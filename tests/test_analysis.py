@@ -15,11 +15,12 @@ from fluxring.errors import (
     DegenerateGround,
     HypothesisViolated,
     MethodLimit,
+    MultipletCut,
     NotFourNPlusTwo,
 )
 from fluxring.model import angle_dist
 
-from oracles import filled_sum, regauge
+from oracles import filled_sum, hardcore_block_energies, regauge
 
 PI = math.pi
 
@@ -411,6 +412,75 @@ def test_verify_relation_uniform_and_random():
                         fr.INFINITY)
     r = fr.verify_relation(spec)
     assert r.passed, r.measured
+
+
+def _random_hardcore(L, N, seed, potentials=False):
+    rng = np.random.default_rng(seed)
+    return fr.make_spec(L, N, rng.uniform(0.5, 2, L), None,
+                        rng.normal(0, 1, L) if potentials else None, fr.INFINITY)
+
+
+@pytest.mark.parametrize("spec", [_random_hardcore(10, 6, 1, potentials=True),
+                                  _random_hardcore(11, 10, 5)], ids=["L10N6", "L11N10"])
+def test_hardcore_grounds_match_the_one_particle_oracle(spec):
+    # a block of period p is the direct sum over j < p of spinless rings at
+    # phi + 2*pi*j/p: the ground energy is the least of their level sums, and
+    # the ground level holds one state per (block, j) pair that reaches it
+    basis = sector_basis_for(spec, 0)
+    family = fr.flux_family(spec, basis)
+    blocks = fr.decompose_blocks(basis, spec)
+    roles = _flux_roles(spec.L)
+    for phi, g in zip(roles, analysis._hardcore_grounds(spec, basis, family, roles)):
+        sums = np.concatenate([hardcore_block_energies(spec, b.period, phi) for b in blocks])
+        e0 = float(sums.min())
+        assert abs(g.energy - e0) <= 1e-12 * max(1.0, abs(e0))
+        assert g.degeneracy == np.count_nonzero(sums <= e0 + 1e-9 * max(1.0, abs(e0))) > 1
+        assert g.vectors.shape == (basis.dim, g.degeneracy)
+        assert np.abs(g.vectors.conj().T @ g.vectors - np.eye(g.degeneracy)).max() < 1e-12
+        h = family.hamiltonian(phi)
+        assert np.abs(h.matvec(g.vectors) - g.energy * g.vectors).max() < 1e-10
+
+
+def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
+    # hard-core L=11 N=10: 26 blocks with one ground state each at both
+    # roles, more than the 8 that a deflation over the whole sector locks
+    # (it raised MultipletCut); each block is solved on its own
+    spec = _random_hardcore(11, 10, 5)
+    dims = []
+    solve = analysis.ground
+    monkeypatch.setattr(analysis, "ground",
+                        lambda h, **k: dims.append((h.dim, k.get("s2"))) or solve(h, **k))
+    r = fr.verify_relation(spec)
+    assert r.passed, r.measured
+    assert r.measured["ground_spins_zero"] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert r.measured["ground_spins_pi"] == [0.0, 1.0, 2.0, 3.0, 5.0]
+    assert max(r.measured["energy_equality_residual"],
+               r.measured["energy_vs_levelsum_residual"]) < 1e-13
+    assert len(dims) == 2 * 26
+    assert all(dim < 2772 and s2 is None for dim, s2 in dims)
+
+
+def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
+    # uniform hard-core L=7 N=4 at pi/4: the period-4 block has a two-fold
+    # ground level, the period-2 block a simple one at the same energy
+    spec = fr.make_spec(7, 4, U=fr.INFINITY)
+    basis = sector_basis_for(spec, 0)
+    family = fr.flux_family(spec, basis)
+    (g,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
+    assert g.degeneracy == 3
+    # Lanczos with no dense fallback, as above DENSE_LIMIT: room for three
+    # vectors clears the two-fold level, room for two saturates on it
+    solve = fr.ground
+    monkeypatch.setattr(analysis, "ground",
+                        lambda h, **k: solve(h, method="lanczos", max_degeneracy=2, **k))
+    (lanczos,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
+    assert lanczos.method == "lanczos" and lanczos.degeneracy == 3
+    assert lanczos.spins() == g.spins()
+    assert abs(lanczos.energy - g.energy) < 1e-12
+    monkeypatch.setattr(analysis, "ground",
+                        lambda h, **k: solve(h, method="lanczos", max_degeneracy=1, **k))
+    with pytest.raises(MultipletCut, match="multiplet may be cut"):
+        analysis._hardcore_grounds(spec, basis, family, [PI / 4])
 
 
 def test_verify_relation_odd_ring_swaps_roles():

@@ -284,6 +284,33 @@ def test_verify_spiral_on_a_degenerate_polarized_ground_exits_two(tmp_path, monk
     assert "2-fold" in err and "internal error" not in err
 
 
+def test_verify_relation_beyond_eight_ground_states_exits_zero(tmp_path):
+    # hard-core L=11 N=10: 26 ground states in Sz = 0, one per block; a
+    # deflation over the whole sector locked 8 and exited 2
+    path = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(11, 10, np.random.default_rng(5).uniform(0.5, 2, 11), None,
+                               None, fr.INFINITY), path)
+    res = run_cli("verify", "relation", "--model", str(path))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["measured"]["ground_spins_pi"] == [0.0, 1.0, 2.0, 3.0, 5.0]
+
+
+def test_verify_relation_on_a_saturated_block_exits_two(tmp_path, monkeypatch, capsys):
+    # one locked vector and no pass past it: each block's ground level is
+    # left uncleared, so its multiplets may be cut
+    from fluxring import analysis, cli
+
+    solve = analysis.ground
+    monkeypatch.setattr(analysis, "ground",
+                        lambda h, **k: solve(h, method="lanczos", max_degeneracy=0, **k))
+    path = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(8, 6, np.random.default_rng(1).uniform(0.5, 2, 8), None, None,
+                               fr.INFINITY), path)
+    assert cli.run(["verify", "relation", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "multiplet may be cut" in err and "internal error" not in err
+
+
 def test_sector_over_the_memory_budget_exits_two(ring4, monkeypatch, capsys):
     from fluxring import basis, cli
 

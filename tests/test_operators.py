@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -392,7 +392,8 @@ def _coo_assembly(spec, basis, phi, keep=None):
         rows, cols = pos[rows[inside]], pos[cols[inside]]
         base, winding, diag = base[inside], winding[inside], diag[keep]
     on = np.arange(len(diag))
-    vals = base * np.exp(1j * phi * winding)
+    turn = phi * winding  # exp(i * turn), exactly -1 at +-pi: real at flux pi
+    vals = base * np.where(np.abs(turn) == PI, -1.0, np.exp(1j * turn))
     return from_coo(len(diag), np.concatenate([rows, on]), np.concatenate([cols, on]),
                     np.concatenate([vals, diag.astype(complex)]))
 
@@ -402,6 +403,8 @@ def _bits(a):
 
 
 @given(sectors(), st.floats(-20.0, 20.0), st.booleans())
+@example((6, 4, 0, True, 1), PI, True)
+@example((5, 4, 0, False, 2), PI, False)
 @settings(max_examples=40, deadline=None)
 def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
     L, N, two_sz, hardcore, seed = sector

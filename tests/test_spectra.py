@@ -45,6 +45,32 @@ def test_ground_examples():
     assert (one.energy, one.degeneracy) == (2.5, 1)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_real_dense_solve_at_pi_agrees_with_the_complex_solve(seed):
+    # at flux pi every phase factor is exactly -1, so H(pi) is real and the
+    # dense solve runs in real arithmetic; the complex solve of the same
+    # matrix gives the same levels and the same ground space
+    rng = np.random.default_rng(seed)
+    spec = fr.make_spec(7, 4, rng.uniform(0.5, 2, 7), rng.uniform(0, 2 * PI, 7),
+                        rng.normal(0, 1, 7), fr.INFINITY)
+    basis = fr.enumerate_sector(7, 4, 0, True)
+    h = fr.flux_family(spec, basis).hamiltonian(PI)
+    assert not h.mat.data.imag.any()
+    direct = fr.build_hamiltonian(fr.with_flux(spec, PI), basis).mat
+    assert not direct.data.imag.any() and (direct != h.mat).nnz == 0
+    info = fr.ground(h, method="dense")
+    assert info.vectors.dtype == np.float64                  # the real path
+    complex_vals, complex_vecs = np.linalg.eigh(h.to_dense())
+    scale = np.abs(complex_vals).max()
+    assert np.abs(spectra.full_spectrum(h) - complex_vals).max() <= 1e-14 * scale
+    assert abs(info.energy - complex_vals[0]) <= 1e-14
+    assert info.degeneracy == np.count_nonzero(complex_vals <= info.energy + 1e-9)
+    assert info.gap > 1e-3
+    ground_space = complex_vecs[:, :info.degeneracy]
+    projector = ground_space @ ground_space.conj().T
+    assert np.abs(info.vectors @ info.vectors.T - projector).max() <= 1e-12
+
+
 def test_ground_residuals():
     spec = fr.make_spec(5, 3, (1.3, 0.7, 1.1, 0.9, 1.4), None, None, 2.0)
     basis = fr.enumerate_sector(5, 3, 1)
