@@ -10,6 +10,7 @@ digits, LF endings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -216,9 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built once per process: building it
+    costs about 1 ms, and in-process callers run many commands. Each parse
+    starts from a fresh namespace, so no call sees another's options."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FluxRingError as exc:

@@ -10,20 +10,28 @@ for a whole flux grid at once, one column per angle, and ground's
 energy-only solve (no vectors, no spin operator, max_degeneracy=0) is its
 batch of one; each column is checked on its own schedule, sparser while its
 lowest Ritz value still moves far, and computes a Ritz vector only at a
-check that can stop. Every other solve resolves degenerate ground levels by
-deflation: the ground vectors found so far are locked, projected out of
-the recurrence at every step, until a pass's value clears the degeneracy
-gap. A ground vector costs a replay: the same recurrence runs again from
-the same start and sums the Lanczos vectors with the Ritz coefficients,
-and one more product with H confirms its residual.
+check that can stop. From a column's third check on, the bisection for
+its lowest Ritz value is warm-started: the previous value bounds it from
+above (Cauchy interlacing), and an inertia test certifies the bottom of
+the window searched below it. Every other solve resolves degenerate
+ground levels by deflation: the ground vectors found so far are locked,
+projected out of the recurrence at every step, until a pass's value
+clears the degeneracy gap. A ground vector costs a replay: the same
+recurrence runs again from the same start and sums the Lanczos vectors
+with the Ritz coefficients, and one more product with H confirms its
+residual.
 
 method="auto" picks between them by sector dimension, dense up to a
 crossover and Lanczos above, at crossovers measured below: one for
-energy-only solves and one for solves with vectors. Between the crossover
-and DENSE_LIMIT a Lanczos attempt that does not converge within about the
-cost of a dense solve, whose replayed vector misses its residual, or whose
-deflation saturates, falls back to dense, so auto returns what dense
-would. Above DENSE_LIMIT nothing is densified and Lanczos failures raise.
+energy-only solves (ENERGY_CROSSOVER = 48) and one for solves with vectors
+(LANCZOS_CROSSOVER = 220). Between the crossover and DENSE_LIMIT a Lanczos
+attempt that does not converge within its step budget, whose replayed
+vector misses its residual, or whose deflation saturates, falls back to
+dense, so auto returns what dense would. The budgets differ: an energy
+alone gets dim steps, where the recurrence is exact in exact arithmetic,
+and a solve with vectors 3*dim/5 for all its passes, about the cost of one
+dense solve; no recurrence runs past 600 steps. Above DENSE_LIMIT nothing
+is densified and Lanczos failures raise.
 
 A densified operator whose entries are all real is diagonalized as a real
 matrix. Every Hamiltonian at flux 0 or pi is real: its phase factors are
@@ -64,29 +72,37 @@ DENSE_LIMIT = 2000
 #: the ratios are what count.
 #:
 #: Energy only (ENERGY_CROSSOVER): a scan of 64 angles, dense per angle
-#: against _ground_energies, and one solve of each; best of 7 interleaved
-#: runs, median over 5 draws (best of 3 and 2 draws at 400 and 1225), with
-#: the per-column check schedule. Below dimension about 60 the recurrence needs
-#: more steps than its budget of 3*dim/5 and every angle falls back; at 64
-#: every angle did on 1 of 5 draws (3x the dense loop), and from 78 up the
-#: batch won 3x or more on every draw. One solve alone pays the per-step
-#: overhead a batch shares, so it turns cheaper only between 147 and 168;
-#: energy-only solves outside scans are rare, and keeping one crossover
-#: keeps an angle's energy the same in a scan and alone.
+#: against _ground_energies, and one solve of each, the recurrence under its
+#: budget of dim steps and with its fallback; best of 7 interleaved runs
+#: (one solve: best of 3, 7 times), median over 5 draws (3 draws and best of
+#: 3 at 225 and 400), with the range of the recurrence/dense ratio over the
+#: draws. At 25 nearly every angle needed more than its 25 steps on 4 of 5
+#: draws and fell back; from 36 up at most 2 of 64 angles did on any draw,
+#: and the batch won on every draw, by 16-26% at 36 and by 30% or more from
+#: 45. One solve alone pays the per-step overhead a batch shares: it costs
+#: 5-7x dense at 36-49 and 3-5x up to 64, and turns cheaper only between 100
+#: and 147. The crossover sits between 45 and 49, where the batch first
+#: saves 30% on every draw; one crossover keeps an angle's energy the same,
+#: bit for bit, in a scan and alone.
 #:
-#:                                  64 angles               one angle
-#:    dim  sector                dense      batch       dense  recurrence
-#:     36  L=6 N=2                11.0       16.7        0.15     1.46
-#:     55  L=11 N=2 2Sz=2         18.0       33.4        0.37     2.46
-#:     64  L=8 N=2                27.7       13.0        0.57     2.14
-#:     78  L=13 N=2 2Sz=2         47.8       15.8        0.70     1.59
-#:    100  L=5 N=4                76.2       19.4        1.18     2.04
-#:    147  L=7 N=3 2Sz=1         174.5       22.6        2.28     2.32
-#:    168  hard-core L=8 N=6     262.2       39.9        3.16     2.78
-#:    225  L=6 N=4               552.8       44.5        6.55     2.52
-#:    400  L=6 N=6              2521.6       69.6       39.35     3.50
-#:   1225  L=7 N=6             50049.7      195.6      619.40     3.58
-ENERGY_CROSSOVER = 72
+#:                                 64 angles                  one angle
+#:    dim  sector              dense  batch    ratio     dense  recurrence  ratio
+#:     25  L=5 N=2              6.74  13.26  0.91-1.98   0.083   1.049  11.2-13.1
+#:     36  L=6 N=2             12.39  10.16  0.74-0.84   0.180   1.321   6.9-7.5
+#:     45  L=10 N=2 2Sz=2      16.52  10.02  0.57-0.69   0.246   1.451   5.7-5.9
+#:     49  L=7 N=2             18.98  11.91  0.55-0.70   0.285   1.620   5.1-6.0
+#:     55  L=11 N=2 2Sz=2      22.78  12.15  0.48-0.58   0.343   1.509   4.2-4.8
+#:     56  hard-core L=8 N=6   22.99  12.69  0.54-0.58   0.346   1.633   4.7-4.8
+#:         period-2 block
+#:     64  L=8 N=2             29.62  13.85  0.42-0.66   0.439   1.577   3.3-3.9
+#:     78  L=13 N=2 2Sz=2      28.90  11.38  0.29-0.46   0.449   1.082   2.2-2.7
+#:    100  L=5 N=4             49.80  13.70  0.23-0.29   0.757   0.955  1.25-1.30
+#:    147  L=7 N=3 2Sz=1      113.70  17.85  0.14-0.17   1.747   1.179  0.55-0.69
+#:    168  hard-core L=8 N=6  156.30  29.44  0.18-0.20   2.287   1.759  0.75-0.77
+#:         period-6 block
+#:    225  L=6 N=4            309.83  25.66  0.08-0.09   4.814   1.222  0.25-0.26
+#:    400  L=6 N=6           1419.50  42.38  0.02-0.03  21.418   1.293  0.05-0.07
+ENERGY_CROSSOVER = 48
 
 #: With vectors (LANCZOS_CROSSOVER), mean over 5 draws (random phases and
 #: potentials) of the best of 5 runs, and the range of the Lanczos/dense
@@ -127,12 +143,15 @@ _STACK_ENTRIES = 2**15
 #: _CHECK_FIRST steps, and each next one after the steps of the first row
 #: whose bound the lowest Ritz value's move since the previous check
 #: exceeds, relative to max(1, |theta|) (the first check counts as a large
-#: move). A check costs a dstebz call, 33 us at 70 steps, against a few us
-#: for a column step at dimension 168. Measured per column on the block
-#: lemma of hard-core L=8 N=6 (six models, blocks of 56 and 168, 90
-#: angles) and on verify_even at L <= 6 (63 scans of 64 angles), with the
-#: median of 15 interleaved runs of their recurrences, in ms (2 cores, 1
-#: BLAS thread); no column ran out of its budget:
+#: move). A check costs a bisection (dstebz): on the block lemma below
+#: (42 rows on average) 24-27 us from the Gershgorin interval and 19 us in
+#: a warm-started window, its inertia test included (see _WINDOW), against
+#: about 3 us for a column step. Measured
+#: per column on the block lemma of hard-core L=8 N=6 (six models, blocks
+#: of 56 and 168, 90 angles) and on verify_even at L <= 6 (63 scans of 64
+#: angles), with the median of 15 interleaved runs of their recurrences, in
+#: ms (2 cores, 1 BLAS thread), with cold checks, the late gap 5 and the
+#: 56-state blocks solved dense; no column ran out of its budget:
 #:
 #:                               block lemma              verify_even
 #:    steps after a check   checks  steps    ms     checks  steps    ms
@@ -152,8 +171,39 @@ _STACK_ENTRIES = 2**15
 #: ground vectors of random sectors up to dimension 400 under
 #: method="lanczos" missed their residual (all at dimension 40 or less),
 #: with checks every 5 steps 4; with the rule none of 3000 did.
+#:
+#: Warm-started checks cost less, so the late gap was measured again on
+#: the block lemma of the six models of seeds 1-3 of the hardcore_blocks
+#: pool (their 56-state blocks now on the recurrence, 2160 columns) and
+#: the 27 verify_even scans of seeds 1-3 of even_scan that run the
+#: recurrence (1728 columns), in CPU ms over 30 interleaved runs, best and
+#: median (quartiles 250-400 ms apart):
+#:
+#:                          block lemma                verify_even
+#:    late gap      checks  steps  best  median   checks  steps  best  median
+#:    5               6.51  68.47   745     976     4.27  42.99   778     928
+#:    4               6.54  67.63   758     955     4.28  42.07   744     960
+#:    3               6.56  66.73   743     965     4.30  41.13   764     992
+#:    2               6.66  65.93   735     951     4.34  40.23   748     983
+#:
+#: The times tie within the machine's spread, so the counts decide: a gap
+#: of 3 stops 1.7 and 1.9 steps per column earlier than 5, about 6 us, for
+#: 0.05 more checks, about 1 us; a gap of 2 saves 0.8-0.9 steps more for
+#: 0.04-0.10 more checks.
 _CHECK_FIRST = 5
-_CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 5))
+_CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 3))
+
+#: Unit roundoff of float64, which LAPACK's bisection tolerance scales.
+_EPS = float(np.finfo(float).eps)
+
+#: Warm start of a column's checks after its second (_lowest_ritz_value):
+#: the window certified reaches _WINDOW times the Ritz value's last move
+#: below its previous value. On the block lemma columns of seed 1, the drop
+#: from one check to the next exceeded the last move in 3.7% of checks, and
+#: 4 times it in 1.5%; on the six models above the inertia test failed in
+#: 1.7% of warm-started checks, which then bisect cold. A window twice as
+#: wide costs one more bisection step, about 0.3 us.
+_WINDOW = 4
 
 #: Relative width of the ground-level window: eigenvalues within
 #: GROUND_TOL * max(1, |E_min|) of E_min count as degenerate ground states.
@@ -224,8 +274,8 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     crossover dense and larger ones by Lanczos: ENERGY_CROSSOVER for the
     energy alone and LANCZOS_CROSSOVER for every other solve. Inside
     DENSE_LIMIT it falls back to dense when Lanczos does not converge within
-    a budget that costs about one dense solve (a replayed vector whose true
-    residual misses counts as not converged), or when the deflation
+    its step budget (see _plan; a replayed vector whose true residual
+    misses counts as not converged), or when the deflation
     saturates (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so
     the degeneracy found is only a lower bound).
     GroundInfo.method names the solver whose answer is returned. The
@@ -245,7 +295,7 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     want_vectors = want_vectors or s2 is not None
     if not want_vectors and max_degeneracy == 0:
         return _ground_energy(H, method)
-    method, budget, fallback = _plan(dim, method, LANCZOS_CROSSOVER)
+    method, budget, fallback = _plan(dim, method, energy_only=False)
 
     if method == "lanczos":
         try:
@@ -282,7 +332,7 @@ def _ground_energy(H: SparseHermitian, method: str) -> GroundInfo:
     The recurrence reports degeneracy 1 and an infinite gap; the dense path
     (chosen, or the auto fallback) counts the ground level and its gap.
     """
-    method, budget, fallback = _plan(H.dim, method, ENERGY_CROSSOVER)
+    method, budget, fallback = _plan(H.dim, method, energy_only=True)
     if method == "lanczos":
         max_iter = min(600, budget)
         (e0,), _, (resid,), _ = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
@@ -355,8 +405,13 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     short of a breakdown; from the step where it would be in exact
     arithmetic (dim less the locked rows) a column is checked at every
     step, since past it the recurrence only repeats converged values and a
-    replayed vector degrades. Under auto's budget of 3*dim/5 steps no
-    column gets there.
+    replayed vector degrades. Under auto's budgets only an energy-only
+    column gets there, at its last step: it may take dim steps, a solve
+    with vectors 3*dim/5.
+
+    Each check after a column's second warm-starts its bisection from the
+    column's previous Ritz value and last move (_lowest_ritz_value), which
+    agrees with a cold bisection to a few ulps of ||T||, not bit for bit.
 
     locked rows (orthonormal) are projected out of the start vector and of
     every column at every step, so the recurrence runs in their orthogonal
@@ -391,8 +446,10 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     v, v_prev = np.tile(start, (count, 1)), None
     alphas = np.empty((count, max_iter))
     betas = np.empty((count, max_iter))
-    scale = np.ones(count)
+    scale = np.ones(count)                       # max(1, |alpha|): a breakdown's scale
+    beta_max = np.zeros(count)                   # with scale, 2 * beta_max bounds ||T||
     theta_last = np.full(count, np.nan)          # NaN: no check yet
+    drop = np.full(count, np.nan)                # its move at that check, NaN at the first
     due = np.full(count, min(_CHECK_FIRST, space) - 1)  # step index of each column's next check
     live = np.ones(count, dtype=bool)            # stopped columns stay, zeroed, until compacted
     stopped = 0
@@ -417,13 +474,15 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
         last = k == max_iter - 1
         if replay is None:
             np.maximum(scale, np.abs(a), out=scale)
+            np.maximum(beta_max, b, out=beta_max)
             breakdown = b <= 1e-13 * scale       # never on a stopped column: its scale is NaN
             checked = np.flatnonzero(live if last else breakdown | (due == k))
         else:
             checked = ()                         # a replay stops where its column did
         for j in checked:
             d, e = alphas[j, : k + 1], betas[j, :k]
-            theta, blocks = _lowest_ritz_value(d, e)
+            theta, blocks = _lowest_ritz_value(d, e, theta_last[j], drop[j],
+                                               scale[j] + 2.0 * beta_max[j])
             rel = max(1.0, abs(theta))
             move = abs(theta - theta_last[j])   # NaN at the first check
             held = move <= 1e-14 * rel
@@ -439,7 +498,7 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
             if converged:
                 energies[cols[j]], ritz[cols[j]] = theta, y
             elif not last:
-                theta_last[j] = theta
+                theta_last[j], drop[j] = theta, move
                 gap = next(gap for bound, gap in _CHECK_SCHEDULE if not move <= bound * rel)
                 due[j] = min(k + gap, max(k + 1, space - 1))
                 continue
@@ -453,7 +512,8 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
             cols, v, w, b = cols[live], v[live], w[live], b[live]
             v_prev = None if v_prev is None else v_prev[live]
             alphas, betas = alphas[live], betas[live]
-            scale, theta_last, due = scale[live], theta_last[live], due[live]
+            scale, beta_max, due = scale[live], beta_max[live], due[live]
+            theta_last, drop = theta_last[live], drop[live]
             live, stopped = live[live], 0
             op = stack(cols)
         elif stopped:
@@ -472,17 +532,23 @@ def _deflate(rows: np.ndarray, locked: np.ndarray) -> None:
         row -= (locked @ row.conj()).conj() @ locked
 
 
-def _plan(dim: int, method: str, crossover: int) -> tuple[str, float, bool]:
+def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
     """Solver at dimension dim ("dense" or "lanczos"; auto: dense up to
-    crossover), the steps its Lanczos attempt may take in all, and whether
-    a failure falls back to dense: under auto within DENSE_LIMIT, after
-    3*dim/5 steps, which cost about one dense solve (see LANCZOS_CROSSOVER)."""
+    ENERGY_CROSSOVER for an energy-only solve, up to LANCZOS_CROSSOVER for
+    any other), the steps its Lanczos attempt may take in all, and whether
+    a failure falls back to dense: under auto within DENSE_LIMIT. Under the
+    fallback an energy alone may take dim steps, the step at which the
+    recurrence is exact in exact arithmetic, and a solve with vectors
+    3*dim // 5, about the cost of one dense solve (see ENERGY_CROSSOVER and
+    LANCZOS_CROSSOVER); no single recurrence runs more than 600 steps."""
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
+    crossover, budget = (ENERGY_CROSSOVER, dim) if energy_only else (LANCZOS_CROSSOVER,
+                                                                     3 * dim // 5)
     fallback = method == "auto" and dim <= DENSE_LIMIT
     if method == "auto":
         method = "dense" if dim <= min(crossover, DENSE_LIMIT) else "lanczos"
-    return method, 3 * dim // 5 if fallback else math.inf, fallback
+    return method, budget if fallback else math.inf, fallback
 
 
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
@@ -499,7 +565,7 @@ def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.nda
     """
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
     dim = family.dim
-    method, budget, fallback = _plan(dim, method, ENERGY_CROSSOVER)
+    method, budget, fallback = _plan(dim, method, energy_only=True)
     max_iter = min(600, budget)
     if not angles:
         return np.empty(0)
@@ -522,7 +588,9 @@ def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.nda
     return out
 
 
-def _lowest_ritz_value(d: np.ndarray, e: np.ndarray) -> tuple[float, tuple | None]:
+def _lowest_ritz_value(d: np.ndarray, e: np.ndarray, bound: float = math.nan,
+                       drop: float = math.nan, norm: float = math.nan
+                       ) -> tuple[float, tuple | None]:
     """Lowest eigenvalue of the real symmetric tridiagonal matrix with
     diagonal d and off-diagonal e, by LAPACK dstebz (bisection, block
     order), and the block data _lowest_ritz_vector needs for its vector.
@@ -532,11 +600,38 @@ def _lowest_ritz_value(d: np.ndarray, e: np.ndarray) -> tuple[float, tuple | Non
     shortcut, bit for bit, without its argument checks. The vector costs a
     dstein call on top of the value, so the Lanczos checks ask for it only
     where they use it.
+
+    Given a bound and a drop (a column's previous Ritz value and its last
+    move) and a norm at least ||T||, the search is warm-started: by Cauchy interlacing the lowest
+    eigenvalue only falls as rows are appended to T (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, sections 7.9 and 10.1), so only the window
+    (bound - (_WINDOW + 1) * drop, bound + 1e-13 * max(1, |bound|)] is
+    bisected, once an inertia test certifies that no eigenvalue lies at or
+    below floor = bound - _WINDOW * drop: T - floor has positive LDL^T
+    pivots (dpttrf). The extra drop below the floor covers rounding in the
+    two inertia counts, and the slack above the bound its own rounding, ten
+    times the stall test's 1e-14; the window stops there, since each other
+    eigenvalue in it costs a bisection of its own. An uncertified window,
+    one that holds no eigenvalue, or one no wider than the bisection's own
+    tolerance, about ulp * ||T|| (8 ulp * norm here), falls back to the
+    bisection of the whole matrix: dstebz would return the middle of so narrow a window unrefined,
+    and a column's Ritz value would then seem to stall where a cold
+    bisection sees it still move by rounding. A windowed value agrees with
+    the full bisection's to a few ulps of ||T||, not bit for bit.
     """
     if len(d) == 1:
         return float(d[0]), None
-    from scipy.linalg.lapack import dstebz
+    from scipy.linalg.lapack import dpttrf, dstebz
 
+    floor = bound - _WINDOW * drop
+    low, high = floor - drop, bound + 1e-13 * max(1.0, abs(bound))
+    if (high - low > 8 * _EPS * norm                     # False for NaN: no move yet
+            and dpttrf(d - floor, e, overwrite_d=1)[2] == 0):
+        m, w, iblock, isplit, info = dstebz(d, e, 1, low, high, 0, 0, 0.0, "B")
+        if info == 0 and m:
+            i = 0 if m == 1 else int(np.argmin(w[:m]))
+            iblock[0] = iblock[i]
+            return float(w[i]), (w[i:i + 1], iblock, isplit)
     m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise NoConvergence(f"LAPACK dstebz returned info={info}")

@@ -441,6 +441,34 @@ def test_hardcore_grounds_match_the_one_particle_oracle(spec):
         assert np.abs(h.matvec(g.vectors) - g.energy * g.vectors).max() < 1e-10
 
 
+def _block_lemma_models():
+    # the two block-lemma models of the hardcore_blocks benchmark pool of
+    # seed 1: per model it draws |t| for a blocks (L=8), a spiral (L=10) and
+    # a relation (L=8) verification in turn
+    rng = np.random.default_rng([1, 4])
+    draws = [rng.uniform(0.5, 2.0, L) for _ in range(2) for L in (8, 10, 8)]
+    return [fr.make_spec(8, 6, t, None, None, fr.INFINITY) for t in draws[::3]]
+
+
+@pytest.mark.parametrize("spec,grid", [
+    *((spec, analysis.flux_grid(90)) for spec in _block_lemma_models()),
+    (_random_hardcore(11, 10, 5), (0.0, 0.7, PI, 4.4)),
+    (_random_hardcore(12, 8, 5), (0.0, 0.7, PI, 4.4)),
+], ids=["L8N6-model0", "L8N6-model1", "L11N10", "L12N8"])
+def test_block_curves_match_the_one_particle_oracle(spec, grid):
+    # every block curve of verify_block_lemma against the block's least
+    # level sum over its p spinless rings
+    basis = sector_basis_for(spec, 0)
+    family = fr.flux_family(spec, basis)
+    blocks = fr.decompose_blocks(basis, spec)
+    if spec.L == 8:         # its period-2 block runs the recurrence too
+        assert min(b.dimension for b in blocks) == 56 > fr.spectra.ENERGY_CROSSOVER
+    for b in blocks:
+        curve = analysis._ground_energies(family.restrict(b.member_indices), grid)
+        exact = np.array([hardcore_block_energies(spec, b.period, phi).min() for phi in grid])
+        assert np.all(np.abs(curve - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact))), b.period
+
+
 def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     # hard-core L=11 N=10: 26 blocks with one ground state each at both
     # roles, more than the 8 that a deflation over the whole sector locks

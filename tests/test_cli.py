@@ -386,3 +386,22 @@ def test_ring_beyond_64_modes_exits_two(tmp_path):
     res = run_cli("spectrum", "--model", str(path), "--nup", "1", "--ndown", "0")
     assert res.returncode == 2
     assert "64-bit" in res.stderr
+
+
+def test_in_process_runs_each_get_their_own_defaults(ring4, tmp_path, capsys):
+    # one parser serves every run in a process: options given to one run,
+    # of the same or another subcommand, leave the next run's defaults alone
+    from fluxring import cli
+
+    seeded, plain, csv = (tmp_path / name for name in ("seeded.json", "plain.json", "s.csv"))
+    assert cli.run(["verify", "singlet", "--model", ring4, "--phi", "pi",
+                    "--seeds", "1", "--out", str(seeded)]) == 1
+    assert cli.run(["scan", "--model", ring4, "--grid", "8", "--out", str(csv)]) == 0
+    assert cli.run(["verify", "singlet", "--model", ring4, "--out", str(plain)]) == 0
+    assert len(json.loads(seeded.read_text())["instances"]) == 2
+    report = json.loads(plain.read_text())              # flux 0 again, no variants
+    assert "instances" not in report and report["passed"] is True
+    assert len(csv.read_text().splitlines()) == 9
+    assert cli.run(["scan", "--model", ring4, "--out", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 721          # the default grid again
+    assert capsys.readouterr().out == ""

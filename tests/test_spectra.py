@@ -354,6 +354,61 @@ def test_lowest_ritz_equals_eigh_tridiagonal_bit_for_bit(n, seed, split):
     assert y.dtype == vecs.dtype and y.tobytes() == vecs[:, 0].tobytes()
 
 
+def _gershgorin(d, e):
+    off = np.abs(np.concatenate([[0.0], e, [0.0]]))
+    return float((np.abs(d) + off[:-1] + off[1:]).max())
+
+
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 10),
+       st.floats(0.0, 1e3))
+@example(3, 0, True, 1, 0.0)
+@settings(max_examples=80, deadline=None)
+def test_warm_started_ritz_value_agrees_with_the_full_bisection(n, seed, split, back, drop):
+    # the bound is a genuine earlier Ritz value, of T's leading block, and
+    # the drop any width: the windowed value is the lowest eigenvalue to a
+    # few ulps of ||T||, and its vector an eigenvector
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * rng.uniform(0.1, 100.0)
+    e = rng.normal(size=n - 1)
+    if split and n > 2:
+        e[rng.integers(n - 1)] = 0.0       # two decoupled blocks
+    k = max(1, n - back)
+    bound, _ = spectra._lowest_ritz_value(d[:k], e[:k - 1])
+    full, _ = spectra._lowest_ritz_value(d, e)
+    norm = _gershgorin(d, e)
+    theta, blocks = spectra._lowest_ritz_value(d, e, bound, drop, norm)
+    assert abs(theta - full) <= 4 * np.finfo(float).eps * norm
+    y = spectra._lowest_ritz_vector(d, e, blocks)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+    assert np.linalg.norm(t @ y - theta * y) <= 1e-12 * max(1.0, norm)
+
+
+def test_warm_started_check_falls_back_when_the_value_drops_below_its_window(capfd):
+    # a row appended late with a very negative diagonal and a small
+    # coupling puts the lowest value far below the window that the earlier
+    # checks set: the inertia test fails, and the check returns the full
+    # bisection's value and vector, bit for bit, with nothing printed by
+    # LAPACK on the way; so does a window no wider than the bisection's
+    # tolerance, which would come back unrefined
+    rng = np.random.default_rng(3)
+    d, e = 0.1 * rng.normal(size=40), np.ones(39)      # a ring's Laplacian, disordered
+    thetas = [spectra._lowest_ritz_value(d[:k], e[:k - 1])[0] for k in (30, 35)]
+    bound, drop = thetas[1], thetas[0] - thetas[1]
+    assert drop > 0.0
+    norm = _gershgorin(d, e)
+    warm, _ = spectra._lowest_ritz_value(d, e, bound, drop, norm)     # inside its window
+    assert abs(warm - spectra._lowest_ritz_value(d, e)[0]) <= 4e-16 * norm
+    d, e = np.append(d, -1e3), np.append(e, 1e-3)
+    full, full_blocks = spectra._lowest_ritz_value(d, e)
+    theta, blocks = spectra._lowest_ritz_value(d, e, bound, drop, _gershgorin(d, e))
+    assert theta == full == pytest.approx(-1e3, abs=1e-6)
+    assert _bits(spectra._lowest_ritz_vector(d, e, blocks)) == \
+        _bits(spectra._lowest_ritz_vector(d, e, full_blocks))
+    assert spectra._lowest_ritz_value(d, e, full, 0.0, 1e6)[0] == full
+    assert capfd.readouterr() == ("", "")
+
+
 def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkeypatch):
     # a 168-state block of hard-core L=8 N=6 over 90 angles: every column is
     # checked on its own schedule, fewer times than every 5 steps would, and
@@ -369,8 +424,8 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
     events = []
     value, vector = spectra._lowest_ritz_value, spectra._lowest_ritz_vector
 
-    def spy_value(d, e):
-        theta, blocks = value(d, e)
+    def spy_value(d, e, *window):              # every check, warm-started or not
+        theta, blocks = value(d, e, *window)
         events.append(("value", len(d), theta))
         return theta, blocks
 
@@ -547,8 +602,9 @@ def test_energy_only_solves_never_replay(monkeypatch):
 
 def test_energy_recurrence_out_of_budget_falls_back_to_dense():
     # levels (j/299)^2, crowded at the bottom: the recurrence takes about
-    # 435 steps, more than the 3*dim/5 = 180 an auto solve at dimension 300
-    # allows, and fewer than the 600 of an explicit Lanczos solve
+    # 435 steps, more than the dim = 300 an auto energy solve at dimension
+    # 300 allows (and than the 180 below), and fewer than the 600 of an
+    # explicit Lanczos solve
     h = SparseHermitian(sparse.diags(np.linspace(0.0, 1.0, 300) ** 2 + 0j).tocsr())
     assert np.isnan(spectra._lanczos_energies(lambda cols: h, h.dim, 1, max_iter=180)[0][0])
     auto = fr.ground(h, want_vectors=False, max_degeneracy=0)
