@@ -40,12 +40,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    def default(o):
-        if isinstance(o, float) and not math.isfinite(o):
-            return None
-        raise TypeError(type(o))
-
-    return json.dumps(payload, indent=2, default=default, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _load(args) -> ModelSpec:

@@ -340,10 +340,6 @@ class DiagonalGauge:
 
     phases: np.ndarray  # unit-modulus complex, one per basis state
 
-    @property
-    def dim(self) -> int:
-        return len(self.phases)
-
     def is_sign_gauge(self) -> bool:
         """True when every phase is +-1 (real gauge), within _GAUGE_TOL."""
         return bool(np.abs(np.abs(self.phases.real) - 1.0).max() <= _GAUGE_TOL
@@ -363,12 +359,12 @@ class DiagonalGauge:
 
 def conjugation_residual(g: DiagonalGauge, H: SparseHermitian,
                          target: SparseHermitian) -> float:
-    """max |g H g^{-1} - target| over the entries: one block of rows at a
-    time when the two share a pattern, else by a sparse difference."""
+    """max |g H g^{-1} - target| over the entries, one block of rows at a
+    time. The two must share one canonical pattern (sorted rows, no
+    repeats), else FluxObstruction is raised."""
     a, b = H.mat, target.mat
     if not (a.has_canonical_format and b.has_canonical_format and _same_pattern(a, b)):
-        d = g.apply(H).mat - b
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+        raise FluxObstruction("operands do not share one canonical sparsity pattern")
     resid = 0.0
     for start in range(0, H.dim, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, H.dim)

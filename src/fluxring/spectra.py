@@ -5,12 +5,15 @@ Ground states come from one of two solvers. The dense one diagonalizes
 the densified matrix (LAPACK, lowest levels only when vectors are wanted).
 The iterative one is the plain three-term Lanczos recurrence of
 _lanczos_energies, with a deterministic start vector, which keeps three
-vectors per column and serves every Lanczos solve. _ground_energies runs it
-for a whole flux grid at once, one column per angle, and ground's
-energy-only solve (no vectors, no spin operator, max_degeneracy=0) is its
-batch of one; each column is checked on its own schedule, sparser while its
-lowest Ritz value still moves far, and computes a Ritz vector only at a
-check that can stop. From a column's third check on, the bisection for
+vectors per column and serves every Lanczos solve. Energies alone come from
+one loop, _lowest_energies: _ground_energies runs it for a whole flux grid
+at once, one column per angle, and ground's energy-only solve (no vectors,
+no spin operator, max_degeneracy=0) for its one operator, so an energy is
+the same, bit for bit, alone and in a scan. Such a solve reports
+degeneracy 1, an infinite gap and no vectors, whichever solver answered.
+Each column is checked on its own schedule, sparser while its lowest Ritz
+value still moves far, and computes a Ritz vector only at a check that
+can stop. From a column's third check on, the bisection for
 its lowest Ritz value is warm-started: the previous value bounds it from
 above (Cauchy interlacing), and an inertia test certifies the bottom of
 the window searched below it. Every other solve resolves degenerate
@@ -30,7 +33,7 @@ vector misses its residual, or whose deflation saturates, falls back to
 dense, so auto returns what dense would. The budgets differ: an energy
 alone gets dim steps, where the recurrence is exact in exact arithmetic,
 and a solve with vectors 3*dim/5 for all its passes, about the cost of one
-dense solve; no recurrence runs past 600 steps. Above DENSE_LIMIT nothing
+dense solve; no recurrence runs past _MAX_STEPS. Above DENSE_LIMIT nothing
 is densified and Lanczos failures raise.
 
 A densified operator whose entries are all real is diagonalized as a real
@@ -127,9 +130,9 @@ ENERGY_CROSSOVER = 48
 #: One crossover serves both within the spread: one vector turns cheaper
 #: between 169 (a tie) and 225 (cheaper on every draw), a counted
 #: degeneracy between 196 and 300 (at 225 and 256 one sector is cheaper
-#: and one ties or is dearer). The budget, min(600, 3*dim // 5)
-#: recurrence steps for all passes of a solve together (replays not
-#: counted), costs about one dense solve: a step costs 30-50 us up to
+#: and one ties or is dearer). The budget, 3*dim // 5 recurrence steps
+#: for all passes of a solve together (replays not counted, and no pass
+#: past _MAX_STEPS), costs about one dense solve: a step costs 30-50 us up to
 #: dimension 400, mostly fixed Python overhead.
 LANCZOS_CROSSOVER = 220
 
@@ -193,6 +196,9 @@ _STACK_ENTRIES = 2**15
 _CHECK_FIRST = 5
 _CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 3))
 
+#: Most steps one recurrence of _lanczos_energies takes, whatever its budget.
+_MAX_STEPS = 600
+
 #: Unit roundoff of float64, which LAPACK's bisection tolerance scales.
 _EPS = float(np.finfo(float).eps)
 
@@ -244,10 +250,6 @@ class FluxCurve:
         if n == 0 or np.abs(self.grid - np.arange(n) * (2 * math.pi / n)).max() > 1e-12:
             raise ValueError("grid must be the uniform grid 2*pi*k/n, k = 0..n-1")
 
-    def minimum(self) -> tuple[float, float]:
-        k = int(np.argmin(self.values))
-        return float(self.grid[k]), float(self.values[k])
-
 
 def _spin_from_s2(value: float) -> float:
     """Invert s(s+1) = value onto the nearest (half-)integer spin."""
@@ -281,8 +283,10 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     GroundInfo.method names the solver whose answer is returned. The
     Lanczos path counts at most max_degeneracy + 1 ground vectors;
     max_degeneracy=0 asks for one ground vector, or with want_vectors=False
-    for the energy alone (the plain recurrence, the batch of one of
-    _ground_energies), and then reports degeneracy 1.
+    for the energy alone. That energy-only solve runs the loop of a flux
+    scan (_lowest_energies) on H alone, so its energy is bit for bit the
+    one _ground_energies gives, and it counts no level: whichever solver
+    answered, it reports degeneracy 1, gap inf and no vectors.
 
     When s2 is given (and vectors are computed), the spin content of the
     ground eigenspace is obtained by diagonalizing the projected S^2. A
@@ -294,7 +298,9 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
         raise EmptySector("operator has dimension 0")
     want_vectors = want_vectors or s2 is not None
     if not want_vectors and max_degeneracy == 0:
-        return _ground_energy(H, method)
+        (e0,), method = _lowest_energies(1, dim, H.mat.nnz, lambda ks: H,
+                                         lambda k: H.to_dense(), method)
+        return GroundInfo(float(e0), 1, math.inf, None, None, method)
     method, budget, fallback = _plan(dim, method, energy_only=False)
 
     if method == "lanczos":
@@ -326,25 +332,6 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
     return GroundInfo(e0, deg, gap, vectors, spin, method)
 
 
-def _ground_energy(H: SparseHermitian, method: str) -> GroundInfo:
-    """The energy-only solve of ground: the batch of one of _ground_energies.
-
-    The recurrence reports degeneracy 1 and an infinite gap; the dense path
-    (chosen, or the auto fallback) counts the ground level and its gap.
-    """
-    method, budget, fallback = _plan(H.dim, method, energy_only=True)
-    if method == "lanczos":
-        max_iter = min(600, budget)
-        (e0,), _, (resid,), _ = _lanczos_energies(lambda cols: H, H.dim, 1, max_iter)
-        if not math.isnan(e0):
-            return GroundInfo(float(e0), 1, math.inf, None, None, "lanczos")
-        if not fallback:
-            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
-                                residual=float(resid))
-    e0, deg, gap, _ = _dense_ground(H, False, 0)
-    return GroundInfo(e0, deg, gap, None, None, "dense")
-
-
 def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
     """Energy, full degeneracy, gap and ground vectors of the densified H.
 
@@ -371,7 +358,7 @@ def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
     return e0, deg, gap, vectors
 
 
-def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
+def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
                       resid_tol: float = 1e-8, locked: np.ndarray | None = None,
                       cut: float = math.inf, replay: np.ndarray | None = None):
     """Lowest eigenvalues of count Hermitian operators of dimension dim by
@@ -386,7 +373,8 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     column that stops stays in the batch with its vectors zeroed; once a
     quarter of the batch has stopped, the batch drops them and stack is
     called again for the rest. An energy that does not converge within
-    max_iter steps is NaN, with the residual of its last check.
+    max_iter steps, and never more than _MAX_STEPS, is NaN, with the
+    residual of its last check; steps then holds the steps it ran.
 
     No reorthogonalization and no Krylov basis: three vectors per column.
     Rounding makes the Lanczos vectors lose orthogonality as Ritz values
@@ -429,6 +417,7 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: int = 600,
     Ritz values. So a column's energy is the same, bit for bit, in a batch
     of any size.
     """
+    max_iter = min(max_iter, _MAX_STEPS)
     n_locked = 0 if locked is None else len(locked)
     space = dim - n_locked                       # the largest Krylov space
     rng = np.random.default_rng(LANCZOS_SEED + n_locked)
@@ -540,7 +529,8 @@ def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
     fallback an energy alone may take dim steps, the step at which the
     recurrence is exact in exact arithmetic, and a solve with vectors
     3*dim // 5, about the cost of one dense solve (see ENERGY_CROSSOVER and
-    LANCZOS_CROSSOVER); no single recurrence runs more than 600 steps."""
+    LANCZOS_CROSSOVER); _lanczos_energies caps each recurrence at
+    _MAX_STEPS."""
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     crossover, budget = (ENERGY_CROSSOVER, dim) if energy_only else (LANCZOS_CROSSOVER,
@@ -552,40 +542,49 @@ def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
 
 
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
-    """Ground energy of family.hamiltonian(phi) at every angle (folded).
-
-    Each energy equals, bit for bit, that of ground(family.hamiltonian(phi),
-    want_vectors=False, max_degeneracy=0, method=method), whichever angles
-    are solved with it: the same policy picks the solver by dimension, the
-    dense path diagonalizes each angle alone, and the recurrence runs every
-    angle as one column of _lanczos_energies on family.stacked, in batches
-    holding at most about _STACK_ENTRIES matrix entries. Under auto an
-    angle that exhausts its budget is solved dense alone; under "lanczos"
-    it raises NoConvergence.
-    """
+    """Ground energy of family.hamiltonian(phi) at every angle (folded), by
+    _lowest_energies on family.stacked: bit for bit that of
+    ground(family.hamiltonian(phi), want_vectors=False, max_degeneracy=0,
+    method=method), whichever angles are solved with it."""
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
-    dim = family.dim
+    return _lowest_energies(len(angles), family.dim, family.nnz,
+                            lambda ks: family.stacked([angles[k] for k in ks]),
+                            lambda k: family.dense(angles[k]), method,
+                            lambda k: f" at phi={angles[k]}")[0]
+
+
+def _lowest_energies(count: int, dim: int, nnz: int, stack, dense, method: str,
+                     where=lambda k: "") -> tuple[np.ndarray, str]:
+    """Lowest eigenvalues of count Hermitian operators of dimension dim with
+    nnz entries each, and the solver that answered ("dense" after any
+    fallback): the energy-only solve of ground and _ground_energies alike.
+
+    The solver is _plan's. Dense diagonalizes each dense(k), operator k
+    densified, alone. The recurrence runs operator k as a column of
+    _lanczos_energies, stack(ks) being the block-diagonal operator of those
+    numbered ks, in batches of at most about _STACK_ENTRIES entries. A NaN
+    energy raises NoConvergence (where(k) names operator k) or, under
+    auto's fallback, is solved dense alone.
+    """
     method, budget, fallback = _plan(dim, method, energy_only=True)
-    max_iter = min(600, budget)
-    if not angles:
-        return np.empty(0)
+    if not count:
+        return np.empty(0), method
     if method == "dense":
         _check_dense(dim)
-        return np.array([_lowest_eigenvalue(family.dense(phi)) for phi in angles])
+        return np.array([_lowest_eigenvalue(dense(k)) for k in range(count)]), method
 
-    out = np.empty(len(angles))
-    resid = np.empty(len(angles))
-    batches = min(len(angles), -(-len(angles) * family.nnz // _STACK_ENTRIES))
-    for batch in np.array_split(np.arange(len(angles)), batches):
-        chosen = [angles[k] for k in batch]
-        out[batch], _, resid[batch], _ = _lanczos_energies(
-            lambda cols: family.stacked([chosen[c] for c in cols]), dim, len(batch), max_iter)
-    for k in np.flatnonzero(np.isnan(out)):
+    out, steps, resid = np.empty(count), np.empty(count, dtype=int), np.empty(count)
+    batches = min(count, max(1, -(-count * nnz // _STACK_ENTRIES)))
+    for batch in np.array_split(np.arange(count), batches):
+        out[batch], steps[batch], resid[batch], _ = _lanczos_energies(
+            lambda cols: stack(batch[cols]), dim, len(batch), budget)
+    failed = np.flatnonzero(np.isnan(out))
+    for k in failed:
         if not fallback:
-            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations at phi={angles[k]}",
+            raise NoConvergence(f"Lanczos exhausted {steps[k]} iterations{where(k)}",
                                 residual=float(resid[k]))
-        out[k] = _lowest_eigenvalue(family.dense(angles[k]))
-    return out
+        out[k] = _lowest_eigenvalue(dense(k))
+    return out, "dense" if len(failed) else method
 
 
 def _lowest_ritz_value(d: np.ndarray, e: np.ndarray, bound: float = math.nan,
@@ -676,16 +675,15 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
     for _ in range(max_degeneracy + 1):
         if len(found) >= H.dim:
             break
-        max_iter = min(600, left)
-        if max_iter < 1:
+        if left < 1:
             raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
                                 f"after {len(found)} locked vectors")
-        args = (lambda cols: H, H.dim, 1, max_iter, resid_tol,
+        args = (lambda cols: H, H.dim, 1, left, resid_tol,
                 np.vstack(found) if found else None, cut)
         (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args)
         left -= steps
         if math.isnan(theta):
-            raise NoConvergence(f"Lanczos exhausted {max_iter} iterations",
+            raise NoConvergence(f"Lanczos exhausted {steps} iterations",
                                 residual=float(resid))
         if e0 is None:
             e0 = theta

@@ -34,7 +34,8 @@ L4N5_ARGMIN = (1.8545904360032244, 4.428594871176362)  # 4 arcsin(1/sqrt5), mirr
 def test_scan_flux_odd_halffill_uniform():
     spec = fr.make_spec(3, 3)
     curve = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec, 1)), grid_size=48)
-    phi_min, val = curve.minimum()
+    k = int(np.argmin(curve.values))
+    phi_min, val = curve.grid[k], curve.values[k]
     assert val == pytest.approx(E3_HALF, abs=1e-10)
     assert min(angle_dist(phi_min, c) for c in (PI / 2, 3 * PI / 2)) < 2 * PI / 48
 
@@ -586,7 +587,7 @@ def test_spiral_gauge_alternates_sign_on_cyclic_spin_shifts():
         assert abs(b / a + 1.0) < 1e-10
 
 
-def test_verify_block_lemma_small_and_l7():
+def test_verify_block_lemma_small_and_l7(monkeypatch):
     r = fr.verify_block_lemma(fr.make_spec(4, 2, U=fr.INFINITY), grid_size=30)
     assert r.passed
     assert [b["period"] for b in r.measured["blocks"]] == [2]
@@ -600,6 +601,22 @@ def test_verify_block_lemma_small_and_l7():
     r = fr.verify_block_lemma(fr.make_spec(7, 6, U=fr.INFINITY), grid_size=18)
     assert r.passed
     assert sorted(b["period"] for b in r.measured["blocks"]) == [2, 6, 6, 6]
+
+    # 45 grid points hold no pi: each block solves its energy at pi apart
+    pi_solves = []
+    energies = fr.analysis._ground_energies
+
+    def recording_energies(family, angles, *args, **kwargs):
+        if list(angles) == [PI]:
+            pi_solves.append(family.dim)
+        return energies(family, angles, *args, **kwargs)
+
+    monkeypatch.setattr(fr.analysis, "_ground_energies", recording_energies)
+    r = fr.verify_block_lemma(fr.make_spec(6, 4, U=fr.INFINITY), grid_size=45)
+    assert r.passed
+    assert r.measured["pi_block_minima_spread"] < 1e-10
+    assert r.measured["diamagnetic_violation"] < 1e-10
+    assert pi_solves == [b["dimension"] for b in r.measured["blocks"]] == [60, 30]
 
 
 def test_verify_block_lemma_shift_off_the_grid(monkeypatch):

@@ -102,6 +102,9 @@ def test_spectrum_subcommand(ring4):
     assert data["degeneracy"] == 4
     assert data["spin_content"] == [0.0, 1.0]
     assert set(data) == {"energy", "degeneracy", "gap", "spin_content"}
+    from fluxring import cli
+    with pytest.raises(ValueError):              # JSON holds no inf or NaN
+        cli._json_text({"gap": math.inf})
 
 
 def test_blocks_subcommand(tmp_path):

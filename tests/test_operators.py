@@ -206,6 +206,21 @@ def test_solve_sign_gauge_rejects_different_moduli():
         fr.solve_sign_gauge(h, other)
 
 
+def test_conjugation_residual_refuses_operands_off_one_pattern():
+    # entrywise residuals compare stored entries, so a different pattern or
+    # a repeated entry (not canonical) is refused, not compared
+    h = fr.build_hamiltonian(fr.make_spec(4, 2, U=2.0), fr.enumerate_sector(4, 2, 0))
+    g = fr.DiagonalGauge(np.ones(h.dim, dtype=complex))
+    assert conjugation_residual(g, h, h) == 0.0
+    diagonal = SparseHermitian(sparse.diags(h.mat.diagonal()).tocsr())
+    m = sparse.csr_matrix(([1.0, 1.0], [0, 0], [0, 2, 2]), shape=(2, 2))
+    repeated = SparseHermitian(m)
+    assert not m.has_canonical_format
+    for a, b in ((h, diagonal), (diagonal, h), (repeated, repeated)):
+        with pytest.raises(FluxObstruction, match="pattern"):
+            conjugation_residual(g, a, b)
+
+
 def hole_particle_down(spec):
     """Model whose one-particle spectrum is the negation of the original's.
 

@@ -213,6 +213,18 @@ def test_auto_degenerate_and_saturated_deflation():
     assert fr.ground(h, max_degeneracy=2, method="lanczos").degeneracy == 3
 
 
+def test_energy_only_solves_count_no_level():
+    # the same 4-fold level: an energy alone reports degeneracy 1 and no
+    # gap whichever solver answers, dense included
+    h = fr.build_hamiltonian(fr.make_spec(6, 4), fr.enumerate_sector(6, 4, 0))
+    infos = {m: fr.ground(h, want_vectors=False, max_degeneracy=0, method=m)
+             for m in ("dense", "lanczos", "auto")}
+    for m, info in infos.items():
+        assert (info.degeneracy, info.gap, info.vectors) == (1, math.inf, None), m
+        assert abs(info.energy - infos["dense"].energy) <= 1e-12
+    assert [info.method for info in infos.values()] == ["dense", "lanczos", "lanczos"]
+
+
 def _recording_recurrence(monkeypatch):
     """Spy on _lanczos_energies: one entry per call, its steps or "replay"."""
     calls = []
