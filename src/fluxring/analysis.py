@@ -40,11 +40,10 @@ from .operators import (
     solve_sign_gauge,
 )
 from .spectra import (
-    GROUND_TOL,
     FluxCurve,
     GroundInfo,
     _ground_energies,
-    _spin_content,
+    _ground_window,
     ground,
     log_partition_sweep,
     lowest_sum,
@@ -169,8 +168,7 @@ def _current(family: FluxFamily, phi: float, method: str) -> tuple[float, float,
     dE/dphi there: dH/dphi projected onto the ground vectors
     (Hellmann-Feynman), whose eigenvalues are the one-sided slopes of E."""
     phi = fold_angle(phi)
-    info = ground(family.hamiltonian(phi), want_vectors=True, max_degeneracy=0,
-                  method=method)
+    info = ground(family.hamiltonian(phi), max_degeneracy=0, method=method)
     block = info.vectors.conj().T @ family.derivative(phi).matvec(info.vectors)
     slopes = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
     return info.energy, float(slopes[0]), float(slopes[-1])
@@ -376,32 +374,34 @@ def verify_singlet(spec: ModelSpec) -> VerificationReport:
     (even N) or S = 1/2 (odd N) -- i.e. degeneracy one in the minimal
     sector, the expected spin there, and every sector with |2Sz| > 2S
     strictly above the ground energy. Every multiplet has a member in the
-    minimal sector, so S^2 and the degeneracy are read there alone; the
-    sectors above it give their ground energies only (negative sectors
-    mirror them by the up-down exchange symmetry of the Hamiltonian).
+    minimal sector, so S^2 and the degeneracy are read there alone, S^2
+    built once the Hamiltonian's solve is done; the sectors above it give
+    their ground energies only (negative sectors mirror them by the
+    up-down exchange symmetry of the Hamiltonian).
     """
     two_sz_min = minimal_two_sz(spec.N)
     expected_spin = 0.0 if spec.N % 2 == 0 else 0.5
     basis = sector_basis_for(spec)
-    base = ground(build_hamiltonian(spec, basis), s2=build_total_spin(basis))
+    base = ground(build_hamiltonian(spec, basis))
+    spins = base.spins(build_total_spin(basis))
     del basis  # its hopping table and layout, before the next sector's
     energies = {two_sz_min: base.energy}
     for two_sz in range(two_sz_min + 2, spec.N + 1, 2):
         h = build_hamiltonian(spec, sector_basis_for(spec, two_sz))
-        energies[two_sz] = ground(h, want_vectors=False, max_degeneracy=0).energy
+        energies[two_sz] = ground(h, want_vectors=False).energy
     e0 = min(energies.values())
     above = {ts: e - e0 for ts, e in energies.items() if ts > 2 * expected_spin}
     measured = {
         "sector_energies": energies,
         "minimal_sector_degeneracy": base.degeneracy,
-        "minimal_sector_spins": sorted(base.spins()),
+        "minimal_sector_spins": sorted(spins),
         "expected_spin": expected_spin,
         "excess_above_ground": above,
     }
-    window = GROUND_TOL * max(1.0, abs(e0))
     return _report("unique-singlet-ground", spec, measured,
-                   {"degeneracy_window": (window, [abs(base.energy - e0)], above.values())},
-                   exact=base.degeneracy == 1 and base.spins() == {expected_spin})
+                   {"degeneracy_window": (_ground_window(e0), [abs(base.energy - e0)],
+                                          above.values())},
+                   exact=base.degeneracy == 1 and spins == {expected_spin})
 
 
 def _flux_roles(L: int) -> tuple[float, float]:
@@ -411,32 +411,31 @@ def _flux_roles(L: int) -> tuple[float, float]:
 
 def _hardcore_grounds(spec: ModelSpec, basis: SectorBasis, family: FluxFamily,
                       angles) -> list[GroundInfo]:
-    """The ground level of a hard-core sector's family at each angle, with
-    its spin content, solved block by block.
+    """The ground level of a hard-core sector's family at each angle,
+    solved block by block.
 
     The hard-core operator is block diagonal (decompose_blocks), so its
     ground space is the direct sum of the ground spaces of the blocks that
     reach the minimum (Aizenman & Lieb, PRL 65, 1470 (1990)). Each block is
     solved on its restricted family under ground's policy; the blocks
-    within GROUND_TOL * max(1, |E0|) of the lowest energy keep their
-    vectors, embedded in the sector, and S^2, which mixes blocks, is
-    diagonalized on their joint span. A block whose solve ends without
-    clearing its ground level (a saturated deflation) raises MultipletCut.
+    within the ground window of the lowest energy keep their vectors,
+    embedded in the sector, where the spins of the joint level are read
+    (GroundInfo.spins: S^2 mixes blocks). A block whose solve ends without
+    clearing its ground level (GroundInfo.saturated) raises MultipletCut.
     """
     blocks = decompose_blocks(basis, spec)
     subs = [family.restrict(b.member_indices) for b in blocks]
-    s2 = build_total_spin(basis)
     out = []
     for phi in angles:
         infos = [ground(sub.hamiltonian(phi)) for sub in subs]
         for b, info in zip(blocks, infos):
-            if math.isinf(info.gap) and info.degeneracy < b.dimension:
+            if info.saturated:
                 raise MultipletCut(
                     f"block {b.representative} at phi={phi}: {info.degeneracy} locked "
                     "ground vectors without clearing the ground level: the multiplet "
                     "may be cut, so its spin content is undefined")
         e0 = min(info.energy for info in infos)
-        cut = e0 + GROUND_TOL * max(1.0, abs(e0))
+        cut = e0 + _ground_window(e0)
         low = [k for k, info in enumerate(infos) if info.energy <= cut]
         gap = min([infos[k].energy + infos[k].gap - e0 for k in low]
                   + [info.energy - e0 for info in infos if info.energy > cut])
@@ -447,7 +446,7 @@ def _hardcore_grounds(spec: ModelSpec, basis: SectorBasis, family: FluxFamily,
             vectors[list(blocks[k].member_indices), col:col + deg] = infos[k].vectors
             col += deg
         method = "+".join(sorted({info.method for info in infos}))
-        out.append(GroundInfo(e0, col, gap, vectors, _spin_content(vectors, s2), method))
+        out.append(GroundInfo(e0, col, gap, vectors, method))
     return out
 
 
@@ -469,10 +468,12 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
     g0, g1 = _hardcore_grounds(spec, basis, flux_family(spec, basis), (phi0, phi1))
+    s2 = build_total_spin(basis)
+    spins0, spins1 = g0.spins(s2), g1.spins(s2)
 
     s_max = spec.N / 2.0
-    has_ferro_0 = s_max in g0.spins()
-    has_ferro_1 = s_max in g1.spins()
+    has_ferro_0 = s_max in spins0
+    has_ferro_1 = s_max in spins1
     f_zero = lowest_sum(spec, spec.N, phi0)
     f_pi = lowest_sum(spec, spec.N, phi1)
     tol = 1e-10
@@ -482,8 +483,8 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
     e_vs_sum = abs(g0.energy - f_pi)
     measured = {
         "zero_role_flux": phi0,
-        "ground_spins_zero": sorted(g0.spins()),
-        "ground_spins_pi": sorted(g1.spins()),
+        "ground_spins_zero": sorted(spins0),
+        "ground_spins_pi": sorted(spins1),
         "has_maximal_spin_zero": has_ferro_0,
         "levelsum_zero": f_zero,
         "levelsum_pi": f_pi,
@@ -596,7 +597,7 @@ def spiral_state(spec: ModelSpec):
     gauge = DiagonalGauge(np.array(best_signs)[block_of] * phases)
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
-    e0 = ground(h_zero, want_vectors=False, max_degeneracy=0).energy
+    e0 = ground(h_zero, want_vectors=False).energy
     residual = float(np.linalg.norm(h_zero.matvec(state) - e0 * state))
     norm_drift = abs(float(np.linalg.norm(state)) - 1.0)
 

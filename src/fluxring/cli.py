@@ -60,14 +60,13 @@ def cmd_spectrum(args) -> int:
     if hardcore and not spec.hardcore:
         spec = ModelSpec(spec.L, n, spec.hop_mag, spec.hop_phase, spec.V, float("inf"))
     method = "dense" if args.dense else ("lanczos" if args.lanczos else "auto")
-    info = ground(build_hamiltonian(spec, basis), method=method,
-                  s2=build_total_spin(basis))
+    info = ground(build_hamiltonian(spec, basis), method=method)
     gap = info.gap if math.isfinite(info.gap) else None
     _emit(_json_text({
         "energy": info.energy,
         "degeneracy": info.degeneracy,
         "gap": gap,
-        "spin_content": sorted(info.spins()),
+        "spin_content": sorted(info.spins(build_total_spin(basis))),
     }), args.out)
     return 0
 

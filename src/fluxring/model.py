@@ -98,7 +98,7 @@ class ModelSpec:
 def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
     """Build and validate a ModelSpec; scalars are broadcast to length L.
 
-    ``U=INFINITY`` (or any list of all-infinite entries) selects hard-core mode.
+    ``U=INFINITY`` (or any list of all-+inf entries) selects hard-core mode.
     """
 
     def _broadcast(val, default):
@@ -111,7 +111,7 @@ def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
     mags = _broadcast(hop_mag, 1.0)
     phases = _broadcast(hop_phase, 0.0)
     pots = _broadcast(V, 0.0)
-    if isinstance(U, (int, float)) and math.isinf(U):
+    if isinstance(U, (int, float)) and U == INFINITY:
         u: tuple[float, ...] | float = INFINITY
     else:
         u = _broadcast(U, 0.0)
@@ -119,12 +119,15 @@ def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
 
 
 def validate(raw: ModelSpec) -> ModelSpec:
-    """Check invariants and return the normalized spec (phases folded)."""
+    """Check invariants and return the normalized spec (phases folded).
+    Every number is finite but U = +inf on all sites, the hard-core mode."""
     if raw.L < 3:
         raise RingTooSmall(f"L={raw.L}: need L >= 3")
     for name, seq in (("hop_mag", raw.hop_mag), ("hop_phase", raw.hop_phase), ("V", raw.V)):
         if len(seq) != raw.L:
             raise BadLength(f"{name} has length {len(seq)}, expected L={raw.L}")
+        if not all(map(math.isfinite, seq)):
+            raise ModelError(f"{name} has a non-finite entry")
     if any(m <= 0.0 for m in raw.hop_mag):
         raise ZeroHopping("every |t_x| must be strictly positive")
 
@@ -132,12 +135,14 @@ def validate(raw: ModelSpec) -> ModelSpec:
     if isinstance(u, tuple):
         if len(u) != raw.L:
             raise BadLength(f"U has length {len(u)}, expected L={raw.L}")
+        if any(math.isnan(v) or v == -INFINITY for v in u):
+            raise ModelError("U has a NaN or -inf entry: only +inf selects hard-core")
         infs = [math.isinf(v) for v in u]
         if all(infs) and infs:
             u = INFINITY
         elif any(infs):
             raise MixedInteraction("per-site U mixes finite and infinite entries")
-    elif not math.isinf(u):
+    elif u != INFINITY:
         raise ModelError("scalar U must be INFINITY; use a list for finite couplings")
 
     hardcore = not isinstance(u, tuple)
@@ -151,9 +156,8 @@ def validate(raw: ModelSpec) -> ModelSpec:
 
 
 def with_flux(spec: ModelSpec, phi: float) -> ModelSpec:
-    """Same ring, retuned to total flux phi (canonical gauge)."""
-    phases = (0.0,) * (spec.L - 1) + (fold_angle(phi),)
-    return replace(spec, hop_phase=phases)
+    """Same ring, retuned to total flux phi (canonical gauge), validated."""
+    return validate(replace(spec, hop_phase=(0.0,) * (spec.L - 1) + (float(phi),)))
 
 
 def to_dict(spec: ModelSpec) -> dict:
@@ -204,16 +208,18 @@ def parse_angle(text: str) -> float:
     Accepts plain floats ("1.5707"), "pi", "3pi", "1/2pi", "3/2 pi".
     """
     s = text.strip().lower().replace(" ", "")
-    if "pi" not in s:
-        return float(s)
-    head = s[: s.index("pi")]
-    if s[s.index("pi") + 2 :]:
+    head, pi, tail = s.partition("pi")
+    if tail:
         raise ValueError(f"cannot parse angle {text!r}")
-    if not head or head in "+-":
-        num = float(head + "1")
+    if not pi:
+        value = float(s)
+    elif not head or head in "+-":
+        value = float(head + "1") * math.pi
     elif "/" in head:
-        p, q = head.split("/")
-        num = float(p) / float(q)
+        p, q = map(float, head.split("/"))
+        value = p / q * math.pi if q else math.nan
     else:
-        num = float(head)
-    return num * math.pi
+        value = float(head) * math.pi
+    if not math.isfinite(value):
+        raise ValueError(f"cannot parse angle {text!r}")
+    return value

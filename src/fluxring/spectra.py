@@ -1,22 +1,22 @@
 """Eigenvalue engines: ground states with degeneracy, lowest-level sums,
 full spectra and log partition functions.
 
-Ground states come from one of two solvers. The dense one diagonalizes
-the densified matrix (LAPACK, lowest levels only when vectors are wanted).
-The iterative one is the plain three-term Lanczos recurrence of
-_lanczos_energies, with a deterministic start vector, which keeps three
+ground solves for the energy alone or for the ground level with its
+vectors; the spins of a level are read off it afterwards (GroundInfo.spins).
+The dense solver diagonalizes the densified matrix (LAPACK, its lowest
+levels only). The iterative one is the plain three-term Lanczos recurrence
+of _lanczos_energies, with a deterministic start vector, which keeps three
 vectors per column and serves every Lanczos solve. Energies alone come from
 one loop, _lowest_energies: _ground_energies runs it for a whole flux grid
-at once, one column per angle, and ground's energy-only solve (no vectors,
-no spin operator, max_degeneracy=0) for its one operator, so an energy is
-the same, bit for bit, alone and in a scan. Such a solve reports
-degeneracy 1, an infinite gap and no vectors, whichever solver answered.
-Each column is checked on its own schedule, sparser while its lowest Ritz
-value still moves far, and computes a Ritz vector only at a check that
-can stop. From a column's third check on, the bisection for
+at once, one column per angle, and ground(want_vectors=False) for its one
+operator, so an energy is the same, bit for bit, alone and in a scan; it
+reports degeneracy 1, an infinite gap and no vectors, whichever solver
+answered. Each column is checked on its own schedule, sparser while its
+lowest Ritz value still moves far, and computes a Ritz vector only at a
+check that can stop. From a column's third check on, the bisection for
 its lowest Ritz value is warm-started: the previous value bounds it from
 above (Cauchy interlacing), and an inertia test certifies the bottom of
-the window searched below it. Every other solve resolves degenerate
+the window searched below it. A solve with vectors resolves degenerate
 ground levels by deflation: the ground vectors found so far are locked,
 projected out of the recurrence at every step, until a pass's value
 clears the degeneracy gap. A ground vector costs a replay: the same
@@ -211,28 +211,52 @@ _EPS = float(np.finfo(float).eps)
 #: wide costs one more bisection step, about 0.3 us.
 _WINDOW = 4
 
-#: Relative width of the ground-level window: eigenvalues within
-#: GROUND_TOL * max(1, |E_min|) of E_min count as degenerate ground states.
+#: Relative width of the ground-level window (_ground_window).
 GROUND_TOL = 1e-9
 
 #: Seed for the deterministic Lanczos start vector.
 LANCZOS_SEED = 0x5EED
 
+
+def _ground_window(e0: float) -> float:
+    """Width of the ground level above its lowest energy e0: eigenvalues
+    within it of e0 count as degenerate ground states."""
+    return GROUND_TOL * max(1.0, abs(e0))
+
+
 @dataclass(frozen=True)
 class GroundInfo:
-    """Lowest eigenvalue with its degeneracy, eigenvectors and spin content."""
+    """Lowest eigenvalue with its degeneracy, gap and eigenvectors (None
+    for an energy-only solve)."""
 
     energy: float
     degeneracy: int
     gap: float
     vectors: np.ndarray | None          # (dim, k) orthonormal columns
-    spin_content: tuple[float, ...] | None
     method: str
 
-    def spins(self) -> set[float]:
-        if self.spin_content is None:
-            raise ValueError("ground state was computed without a spin operator")
-        return set(self.spin_content)
+    @property
+    def saturated(self) -> bool:
+        """The solve stopped without clearing the ground level (a deflation
+        out of room, no gap seen): the degeneracy is only a lower bound.
+        Never true of a dense answer or of an energy alone."""
+        return (self.vectors is not None and math.isinf(self.gap)
+                and self.degeneracy < len(self.vectors))
+
+    def spins(self, s2: SparseHermitian) -> set[float]:
+        """Spins of the ground level: s2, the total spin S^2 on the level's
+        sector, diagonalized on the span of its vectors. Raises MultipletCut
+        when the level is saturated or an eigenvalue of S^2 there is not of
+        the form s(s+1): the vectors do not span whole multiplets."""
+        if self.vectors is None:
+            raise ValueError("ground level was solved without vectors")
+        if self.saturated:
+            raise MultipletCut(
+                f"{self.degeneracy} ground vectors locked without clearing the ground "
+                "level: the multiplet may be cut, so its spin content is undefined")
+        block = self.vectors.conj().T @ s2.matvec(self.vectors)
+        vals = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+        return {_spin_from_s2(float(v)) for v in vals}
 
 
 @dataclass(frozen=True)
@@ -261,55 +285,40 @@ def _spin_from_s2(value: float) -> float:
     return snapped
 
 
-def _spin_content(vectors: np.ndarray, s2: SparseHermitian) -> tuple[float, ...]:
-    """Diagonalize S^2 projected onto the span of the given columns."""
-    block = vectors.conj().T @ s2.matvec(vectors)
-    vals = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-    return tuple(sorted(_spin_from_s2(float(v)) for v in vals))
-
-
 def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 8,
-           method: str = "auto", s2: SparseHermitian | None = None) -> GroundInfo:
-    """Lowest eigenvalue of H with degeneracy counting.
+           method: str = "auto") -> GroundInfo:
+    """Lowest eigenvalue of H: the energy alone, or the ground level with
+    its degeneracy, gap and vectors.
 
     method is "dense", "lanczos" or "auto". Auto solves sectors up to a
     crossover dense and larger ones by Lanczos: ENERGY_CROSSOVER for the
-    energy alone and LANCZOS_CROSSOVER for every other solve. Inside
-    DENSE_LIMIT it falls back to dense when Lanczos does not converge within
-    its step budget (see _plan; a replayed vector whose true residual
-    misses counts as not converged), or when the deflation
-    saturates (max_degeneracy > 0 and max_degeneracy + 1 vectors locked, so
-    the degeneracy found is only a lower bound).
-    GroundInfo.method names the solver whose answer is returned. The
-    Lanczos path counts at most max_degeneracy + 1 ground vectors;
-    max_degeneracy=0 asks for one ground vector, or with want_vectors=False
-    for the energy alone. That energy-only solve runs the loop of a flux
-    scan (_lowest_energies) on H alone, so its energy is bit for bit the
-    one _ground_energies gives, and it counts no level: whichever solver
-    answered, it reports degeneracy 1, gap inf and no vectors.
+    energy alone and LANCZOS_CROSSOVER for a level. Inside DENSE_LIMIT it
+    falls back to dense when Lanczos does not converge within its step
+    budget (see _plan; a replayed vector whose true residual misses counts
+    as not converged), or when the deflation saturates (max_degeneracy > 0
+    and max_degeneracy + 1 vectors locked, so the degeneracy found is only
+    a lower bound). GroundInfo.method names the solver whose answer is
+    returned.
 
-    When s2 is given (and vectors are computed), the spin content of the
-    ground eigenspace is obtained by diagonalizing the projected S^2. A
-    Lanczos answer whose deflation saturated, with no dense fallback taken,
-    raises MultipletCut instead: its vectors may span part of a multiplet.
+    want_vectors=False asks for the energy alone, by the loop of a flux
+    scan (_lowest_energies) on H alone: bit for bit the energy
+    _ground_energies gives, with degeneracy 1, gap inf and no vectors
+    whichever solver answered. Otherwise the Lanczos path counts at most
+    max_degeneracy + 1 ground vectors (0: one vector), and a saturated
+    answer with no fallback taken is returned as such (GroundInfo.saturated).
     """
     dim = H.dim
     if dim < 1:
         raise EmptySector("operator has dimension 0")
-    want_vectors = want_vectors or s2 is not None
-    if not want_vectors and max_degeneracy == 0:
+    if not want_vectors:
         (e0,), method = _lowest_energies(1, dim, H.mat.nnz, lambda ks: H,
                                          lambda k: H.to_dense(), method)
-        return GroundInfo(float(e0), 1, math.inf, None, None, method)
+        return GroundInfo(float(e0), 1, math.inf, None, method)
     method, budget, fallback = _plan(dim, method, energy_only=False)
 
     if method == "lanczos":
         try:
-            # Vectors go to verifiers that judge residuals down to 1e-9
-            # (spiral_state), so they are converged and confirmed to a
-            # 1e-12 residual.
-            e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget,
-                                               resid_tol=1e-12 if want_vectors else 1e-8)
+            e0, vectors, gap = _lanczos_ground(H, max_degeneracy, budget=budget)
         except NoConvergence:
             if not fallback:
                 raise
@@ -318,44 +327,29 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
             deg = vectors.shape[1]
             if fallback and 0 < max_degeneracy < deg:
                 method = "dense"
-            elif s2 is not None and max_degeneracy < deg < dim:
-                raise MultipletCut(
-                    f"Lanczos locked {deg} ground vectors (max_degeneracy="
-                    f"{max_degeneracy}) without clearing the ground level: the "
-                    "multiplet may be cut, so its spin content is undefined")
-            elif not want_vectors:
-                vectors = None
     if method == "dense":
-        e0, deg, gap, vectors = _dense_ground(H, want_vectors, max_degeneracy)
-
-    spin = _spin_content(vectors, s2) if (s2 is not None and vectors is not None) else None
-    return GroundInfo(e0, deg, gap, vectors, spin, method)
+        e0, deg, gap, vectors = _dense_ground(H, max_degeneracy)
+    return GroundInfo(e0, deg, gap, vectors, method)
 
 
-def _dense_ground(H: SparseHermitian, want_vectors: bool, max_degeneracy: int):
+def _dense_ground(H: SparseHermitian, max_degeneracy: int):
     """Energy, full degeneracy, gap and ground vectors of the densified H.
 
-    With vectors, only the lowest max_degeneracy + 2 levels are computed,
-    which costs about as much as eigvalsh; the full eigh (3.5x dearer at
-    dimension 1225) runs only when all of them fall in the ground window.
+    Only the lowest max_degeneracy + 2 levels are computed, which costs
+    about as much as eigvalsh; the full eigh (3.5x dearer at dimension
+    1225) runs only when all of them fall in the ground window.
     """
     from scipy.linalg import eigh
 
-    dim = H.dim
     dense = _densify(H)
-    if want_vectors:
-        top = min(dim, max_degeneracy + 2)
-        vals, vecs = eigh(dense, subset_by_index=(0, top - 1))
-        if top < dim and vals[-1] <= vals[0] + GROUND_TOL * max(1.0, abs(vals[0])):
-            vals, vecs = np.linalg.eigh(dense)
-    else:
-        vals, vecs = np.linalg.eigvalsh(dense), None
+    top = min(H.dim, max_degeneracy + 2)
+    vals, vecs = eigh(dense, subset_by_index=(0, top - 1))
+    if top < H.dim and vals[-1] <= vals[0] + _ground_window(vals[0]):
+        vals, vecs = np.linalg.eigh(dense)
     e0 = float(vals[0])
-    window = GROUND_TOL * max(1.0, abs(e0))
-    deg = max(1, int(np.searchsorted(vals, e0 + window, side="right")))
+    deg = max(1, int(np.searchsorted(vals, e0 + _ground_window(e0), side="right")))
     gap = float(vals[deg] - e0) if deg < len(vals) else math.inf
-    vectors = vecs[:, :deg] if vecs is not None else None
-    return e0, deg, gap, vectors
+    return e0, deg, gap, vecs[:, :deg]
 
 
 def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
@@ -544,8 +538,8 @@ def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
     """Ground energy of family.hamiltonian(phi) at every angle (folded), by
     _lowest_energies on family.stacked: bit for bit that of
-    ground(family.hamiltonian(phi), want_vectors=False, max_degeneracy=0,
-    method=method), whichever angles are solved with it."""
+    ground(family.hamiltonian(phi), want_vectors=False, method=method),
+    whichever angles are solved with it."""
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
     return _lowest_energies(len(angles), family.dim, family.nnz,
                             lambda ks: family.stacked([angles[k] for k in ks]),
@@ -650,8 +644,7 @@ def _lowest_ritz_vector(d: np.ndarray, e: np.ndarray, blocks: tuple | None) -> n
     return y[:, 0]
 
 
-def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = math.inf,
-                    resid_tol: float = 1e-8):
+def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = math.inf):
     """Ground energy, ground vectors and gap by deflation.
 
     Each pass runs the recurrence of _lanczos_energies in the orthogonal
@@ -660,9 +653,9 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
     then locked. The loop stops at the first pass whose value clears the
     window, which gives the gap and needs no vector (or once
     max_degeneracy + 1 vectors are locked, meaning the reported degeneracy
-    is a lower bound). Each vector
-    is confirmed by one more product with H: its true residual
-    ||Hv - theta v|| must be at most resid_tol * max(1, |theta|), else
+    is a lower bound). Vectors go to verifiers that judge residuals down to
+    1e-9 (spiral_state): each is confirmed by one more product with H, its
+    true residual ||Hv - theta v|| at most 1e-12 * max(1, |theta|), else
     NoConvergence is raised with it, as it is when a pass runs out.
 
     budget caps the recurrence steps of all passes together; NoConvergence
@@ -678,7 +671,7 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
         if left < 1:
             raise NoConvergence(f"Lanczos budget of {budget} iterations spent "
                                 f"after {len(found)} locked vectors")
-        args = (lambda cols: H, H.dim, 1, left, resid_tol,
+        args = (lambda cols: H, H.dim, 1, left, 1e-12,
                 np.vstack(found) if found else None, cut)
         (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args)
         left -= steps
@@ -687,14 +680,14 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
                                 residual=float(resid))
         if e0 is None:
             e0 = theta
-            cut = e0 + GROUND_TOL * max(1.0, abs(e0))
+            cut = e0 + _ground_window(e0)
         elif theta > cut:
             gap = theta - e0
             break
         vec = _lanczos_energies(*args, replay=y)
         vec /= np.linalg.norm(vec)
         miss = float(np.linalg.norm(H.matvec(vec) - theta * vec))
-        if miss > resid_tol * max(1.0, abs(theta)):
+        if miss > 1e-12 * max(1.0, abs(theta)):
             raise NoConvergence(f"replayed Lanczos vector has residual {miss:.3g} after "
                                 f"{steps} iterations", residual=miss)
         found.append(vec)
@@ -743,10 +736,10 @@ def log_partition_sweep(hamiltonians, betas) -> np.ndarray:
     evaluated as -beta*E_min + log sum exp(-beta (E - E_min)).
 
     Each operator is diagonalized once and its spectrum serves every beta.
-    The shift keeps the sum representable at any beta >= 0.
+    The shift keeps the sum representable at any finite beta >= 0.
     """
-    if any(beta < 0 for beta in betas):
-        raise ValueError("beta must be non-negative")
+    if not all(0.0 <= beta < math.inf for beta in betas):
+        raise ValueError("beta must be finite and non-negative")
     columns = []
     for H in hamiltonians:
         vals = full_spectrum(H)

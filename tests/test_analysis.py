@@ -478,7 +478,7 @@ def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     dims = []
     solve = analysis.ground
     monkeypatch.setattr(analysis, "ground",
-                        lambda h, **k: dims.append((h.dim, k.get("s2"))) or solve(h, **k))
+                        lambda h, **k: dims.append((h.dim, k)) or solve(h, **k))
     r = fr.verify_relation(spec)
     assert r.passed, r.measured
     assert r.measured["ground_spins_zero"] == [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -486,7 +486,7 @@ def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     assert max(r.measured["energy_equality_residual"],
                r.measured["energy_vs_levelsum_residual"]) < 1e-13
     assert len(dims) == 2 * 26
-    assert all(dim < 2772 and s2 is None for dim, s2 in dims)
+    assert all(dim < 2772 and k == {} for dim, k in dims)   # ground's defaults
 
 
 def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
@@ -496,7 +496,8 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
     basis = sector_basis_for(spec, 0)
     family = fr.flux_family(spec, basis)
     (g,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
-    assert g.degeneracy == 3
+    assert g.degeneracy == 3 and not g.saturated
+    s2 = fr.build_total_spin(basis)
     # Lanczos with no dense fallback, as above DENSE_LIMIT: room for three
     # vectors clears the two-fold level, room for two saturates on it
     solve = fr.ground
@@ -504,7 +505,7 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=2, **k))
     (lanczos,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
     assert lanczos.method == "lanczos" and lanczos.degeneracy == 3
-    assert lanczos.spins() == g.spins()
+    assert lanczos.spins(s2) == g.spins(s2)
     assert abs(lanczos.energy - g.energy) < 1e-12
     monkeypatch.setattr(analysis, "ground",
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=1, **k))
@@ -913,7 +914,8 @@ def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
     s2 = fr.build_total_spin(basis0)
 
     h_zero = fr.build_hamiltonian(fr.with_flux(spec, phi_zero), basis0)
-    g0 = fr.ground(h_zero, max_degeneracy=16, s2=s2)
+    g0 = fr.ground(h_zero, max_degeneracy=16)
+    g0.spins(s2)                     # raises MultipletCut on a cut level
     manifold = g0.vectors
     block = manifold.conj().T @ s2.matvec(manifold)
     s2_vals, s2_vecs = np.linalg.eigh(0.5 * (block + block.conj().T))

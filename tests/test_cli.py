@@ -332,6 +332,32 @@ def test_verify_thermo_extreme_beta(ring4):
     assert payload["measured"]["argmax"] == {"300.0": 0.0}
 
 
+def test_non_finite_numbers_exit_two(ring4, tmp_path, capsys):
+    # each used to exit 0 with NaN rows, or 2 as an internal error or as a
+    # failure deep in a solve
+    from fluxring import cli
+
+    def refused(argv, words):
+        assert cli.run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and words in err and "internal error" not in err, (argv, err)
+
+    for phi in ("1/0pi", "nan", "inf"):
+        refused(["verify", "singlet", "--model", ring4, "--phi", phi], "cannot parse angle")
+    for beta in ("nan", "inf"):
+        for argv in (["thermo", "--model", ring4], ["verify", "thermo", "--model", ring4]):
+            refused([*argv, "--grid", "12", "--beta", beta], "beta must be finite")
+    # model files: json reads NaN and -Infinity
+    data = fr.model.to_dict(fr.make_spec(4, 2))
+    for k, (key, value, words) in enumerate((
+            ("hop", [{"mag": math.nan, "theta": 0.0}] + data["hop"][1:], "hop_mag"),
+            ("V", [0.0, -math.inf, 0.0, 0.0], "V has a non-finite entry"),
+            ("U", -math.inf, "U has a NaN or -inf entry"))):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps({**data, key: value}))
+        refused(["verify", "singlet", "--model", str(path)], words)
+
+
 def test_unexpected_error_exits_two(ring4, monkeypatch, capsys):
     from fluxring import analysis, cli
 

@@ -11,6 +11,7 @@ from fluxring.errors import (
     BadLength,
     HardCoreOverfill,
     MixedInteraction,
+    ModelError,
     RingTooSmall,
     ZeroHopping,
 )
@@ -77,6 +78,29 @@ def test_validation_errors():
 def test_all_infinite_list_collapses_to_hardcore():
     spec = fr.make_spec(3, 2, U=(math.inf, math.inf, math.inf))
     assert spec.hardcore
+
+
+def test_non_finite_model_numbers_are_refused():
+    # json reads NaN and -Infinity into model files; of the non-finite
+    # numbers only U = +inf, on every site, means something: hard-core mode
+    for field in ("hop_mag", "hop_phase", "V"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ModelError, match=f"{field} has a non-finite entry"):
+                fr.make_spec(4, 2, **{field: (1.0, 1.0, bad, 1.0)})
+    for u in (math.nan, -math.inf, (1.0, math.nan, 1.0, 1.0), (-math.inf,) * 4):
+        with pytest.raises(ModelError, match="U has a NaN or -inf entry"):
+            fr.make_spec(4, 2, U=u)
+    with pytest.raises(ModelError, match="scalar U"):
+        fr.validate(fr.ModelSpec(4, 2, (1.0,) * 4, (0.0,) * 4, (0.0,) * 4, -math.inf))
+    assert fr.make_spec(4, 2, U=math.inf).hardcore
+
+
+def test_with_flux_refuses_a_non_finite_flux():
+    spec = fr.make_spec(4, 2)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="hop_phase has a non-finite entry"):
+            fr.with_flux(spec, phi)
+    assert fr.with_flux(spec, 5 * PI).hop_phase == (0.0, 0.0, 0.0, fold_angle(5 * PI))
 
 
 def test_regauge_preserves_one_particle_spectrum():
@@ -164,6 +188,12 @@ def test_parse_angle(text, value):
 def test_parse_angle_rejects_garbage():
     with pytest.raises(ValueError):
         parse_angle("pie")
+
+
+@pytest.mark.parametrize("text", ["1/0pi", "0/0 pi", "nan", "inf", "-inf", "nanpi", "1e308pi"])
+def test_parse_angle_refuses_non_finite_angles(text):
+    with pytest.raises(ValueError, match="cannot parse angle"):
+        parse_angle(text)
 
 
 def test_format_angle_round_values():

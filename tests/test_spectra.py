@@ -32,14 +32,15 @@ def _diag_op(values):
 def test_ground_examples():
     basis = fr.enumerate_sector(4, 2, 0)
     s2 = fr.build_total_spin(basis)
-    g = fr.ground(fr.build_hamiltonian(fr.make_spec(4, 2), basis), s2=s2)
+    g = fr.ground(fr.build_hamiltonian(fr.make_spec(4, 2), basis))
     assert g.energy == pytest.approx(-4.0, abs=1e-12)
     assert g.degeneracy == 1
+    assert g.spins(s2) == {0.0}
 
-    g = fr.ground(fr.build_hamiltonian(fr.with_flux(fr.make_spec(4, 2), PI), basis), s2=s2)
+    g = fr.ground(fr.build_hamiltonian(fr.with_flux(fr.make_spec(4, 2), PI), basis))
     assert g.energy == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
     assert g.degeneracy == 4
-    assert g.spins() == {0.0, 1.0}
+    assert g.spins(s2) == {0.0, 1.0}
 
     one = fr.ground(_diag_op([2.5]))
     assert (one.energy, one.degeneracy) == (2.5, 1)
@@ -144,7 +145,7 @@ def test_partition_function():
     h = fr.build_hamiltonian(spec, basis)
     assert math.exp(log_z(h, 0.0)) == pytest.approx(basis.dim, abs=1e-12)
 
-    g = fr.ground(h, want_vectors=False)
+    g = fr.ground(h)                     # the level, its degeneracy counted
     lp = log_z(h, 50.0)
     assert lp == pytest.approx(-50.0 * g.energy + math.log(g.degeneracy), abs=1e-8)
 
@@ -153,6 +154,17 @@ def test_partition_function():
 
     with pytest.raises(ValueError):
         log_z(h, -1.0)
+
+
+def test_non_finite_beta_is_refused():
+    # a NaN or infinite beta used to give NaN rows
+    spec = fr.make_spec(4, 2, U=1.0)
+    h = fr.build_hamiltonian(spec, fr.enumerate_sector(4, 2, 0))
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+            log_partition_sweep([h], [1.0, beta])
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+            fr.thermal_scan(spec, betas=(beta,), grid_size=12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -164,16 +176,21 @@ def test_dense_vs_lanczos_agreement(seed):
                         rng.normal(0, 1, L), rng.uniform(-2, 3, L))
     basis = fr.enumerate_sector(L, N, N % 2)
     h = fr.build_hamiltonian(spec, basis)
-    dense = fr.ground(h, want_vectors=False, method="dense")
-    lanc = fr.ground(h, want_vectors=False, method="lanczos")
+    dense = fr.ground(h, method="dense")
+    lanc = fr.ground(h, method="lanczos")
+    assert lanc.method == "lanczos" and not lanc.saturated
     assert abs(dense.energy - lanc.energy) < 1e-9
     assert dense.degeneracy == lanc.degeneracy
 
 
-def _same_ground(a, b):
+def _same_ground(a, b, s2):
     assert abs(a.energy - b.energy) < 1e-10
     assert a.degeneracy == b.degeneracy
-    assert a.spin_content == b.spin_content
+    assert a.spins(s2) == b.spins(s2)
+    # multiplet by multiplet: S^2 on the two levels has the same spectrum
+    on_a, on_b = (np.linalg.eigvalsh(g.vectors.conj().T @ s2.matvec(g.vectors))
+                  for g in (a, b))
+    assert np.abs(on_a - on_b).max() < 1e-8
 
 
 @pytest.mark.parametrize("L,N,two_sz", [(5, 4, 0), (7, 3, 1), (6, 5, 1), (6, 6, 0)])
@@ -184,10 +201,10 @@ def test_auto_matches_dense_across_crossover(L, N, two_sz):
     basis = fr.enumerate_sector(L, N, two_sz)
     h = fr.build_hamiltonian(spec, basis)
     s2 = fr.build_total_spin(basis)
-    auto = fr.ground(h, s2=s2)
-    _same_ground(auto, fr.ground(h, s2=s2, method="dense"))
+    auto = fr.ground(h)
+    _same_ground(auto, fr.ground(h, method="dense"), s2)
     assert auto.method == ("dense" if h.dim <= LANCZOS_CROSSOVER else "lanczos")
-    energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
+    energy = fr.ground(h, want_vectors=False)
     assert abs(energy.energy - auto.energy) < 1e-10
     assert energy.method == ("dense" if h.dim <= ENERGY_CROSSOVER else "lanczos")
     assert energy.vectors is None
@@ -200,15 +217,15 @@ def test_auto_degenerate_and_saturated_deflation():
     h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
     s2 = fr.build_total_spin(basis)
     assert h.dim > LANCZOS_CROSSOVER
-    dense = fr.ground(h, s2=s2, method="dense")
+    dense = fr.ground(h, method="dense")
     assert dense.degeneracy == 4
 
-    found = fr.ground(h, s2=s2)                    # deflation clears the level
-    _same_ground(found, dense)
+    found = fr.ground(h)                           # deflation clears the level
+    _same_ground(found, dense, s2)
     assert found.method == "lanczos"
 
-    saturated = fr.ground(h, s2=s2, max_degeneracy=2)  # 3 vectors locked, gap unseen
-    _same_ground(saturated, dense)
+    saturated = fr.ground(h, max_degeneracy=2)     # 3 vectors locked, gap unseen
+    _same_ground(saturated, dense, s2)
     assert saturated.method == "dense"
     assert fr.ground(h, max_degeneracy=2, method="lanczos").degeneracy == 3
 
@@ -216,12 +233,18 @@ def test_auto_degenerate_and_saturated_deflation():
 def test_energy_only_solves_count_no_level():
     # the same 4-fold level: an energy alone reports degeneracy 1 and no
     # gap whichever solver answers, dense included
-    h = fr.build_hamiltonian(fr.make_spec(6, 4), fr.enumerate_sector(6, 4, 0))
+    basis = fr.enumerate_sector(6, 4, 0)
+    h, s2 = fr.build_hamiltonian(fr.make_spec(6, 4), basis), fr.build_total_spin(basis)
     infos = {m: fr.ground(h, want_vectors=False, max_degeneracy=0, method=m)
              for m in ("dense", "lanczos", "auto")}
     for m, info in infos.items():
         assert (info.degeneracy, info.gap, info.vectors) == (1, math.inf, None), m
         assert abs(info.energy - infos["dense"].energy) <= 1e-12
+        # max_degeneracy counts nothing without vectors
+        assert fr.ground(h, want_vectors=False, method=m) == info
+        assert not info.saturated
+        with pytest.raises(ValueError, match="without vectors"):
+            info.spins(s2)
     assert [info.method for info in infos.values()] == ["dense", "lanczos", "lanczos"]
 
 
@@ -340,8 +363,25 @@ def test_lanczos_saturated_deflation_with_s2_raises_typed_error():
     # vectors span part of it, so projecting S^2 onto them is meaningless
     basis = fr.enumerate_sector(6, 4, 0)
     h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
+    cut = fr.ground(h, method="lanczos", max_degeneracy=2)
     with pytest.raises(MultipletCut):
-        fr.ground(h, method="lanczos", s2=fr.build_total_spin(basis), max_degeneracy=2)
+        cut.spins(fr.build_total_spin(basis))
+
+
+def test_spins_are_read_off_a_solved_level():
+    # the same 4-fold level: a Lanczos solve with room for three vectors
+    # returns a saturated level, whose spins are refused, while the default
+    # solve clears the level and reads the dense level's spins
+    basis = fr.enumerate_sector(6, 4, 0)
+    h = fr.build_hamiltonian(fr.make_spec(6, 4), basis)
+    s2 = fr.build_total_spin(basis)
+    cut = fr.ground(h, method="lanczos", max_degeneracy=2)
+    assert (cut.degeneracy, cut.gap, cut.saturated) == (3, math.inf, True)
+    with pytest.raises(MultipletCut, match="multiplet may be cut"):
+        cut.spins(s2)
+    dense = fr.ground(h, method="dense")
+    assert not dense.saturated
+    assert fr.ground(h).spins(s2) == dense.spins(s2) == {0.0, 1.0}
 
 
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
@@ -604,12 +644,18 @@ def test_energy_only_solves_never_replay(monkeypatch):
     calls = _recording_recurrence(monkeypatch)
     energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
     assert energy.method == "lanczos" and len(calls) == 1 and "replay" not in calls
-    # vectors, a spin operator or a degeneracy count replay for ground vectors
-    for kwargs in ({}, {"want_vectors": False}, {"max_degeneracy": 0},
-                   {"want_vectors": False, "s2": fr.build_total_spin(basis)}):
+    # without vectors a degeneracy count asks for nothing more
+    calls.clear()
+    assert fr.ground(h, want_vectors=False) == energy
+    assert len(calls) == 1 and "replay" not in calls
+    # a level, counted or of one vector, replays for its ground vectors
+    for kwargs in ({"max_degeneracy": 0}, {}):
         calls.clear()
         info = fr.ground(h, **kwargs)
         assert "replay" in calls and abs(info.energy - energy.energy) < 1e-10
+    # and its spins are read off it without a further recurrence
+    calls.clear()
+    assert info.spins(fr.build_total_spin(basis)) == {0.0} and calls == []
 
 
 def test_energy_recurrence_out_of_budget_falls_back_to_dense():
@@ -739,14 +785,13 @@ def test_vector_solves_below_the_deflation_crossover_stay_dense(monkeypatch):
     # as dense
     calls = _recording_recurrence(monkeypatch)
     basis = fr.enumerate_sector(13, 2, 0)
-    s2 = fr.build_total_spin(basis)
     assert ENERGY_CROSSOVER < basis.dim <= LANCZOS_CROSSOVER
     for seed in range(20):
         rng = np.random.default_rng(seed)
         spec = fr.make_spec(13, 2, rng.uniform(0.5, 2, 13), rng.uniform(0, 2 * PI, 13),
                             rng.normal(0, 1, 13), 3.0)
         h = fr.build_hamiltonian(spec, basis)
-        assert fr.ground(h, s2=s2).method == "dense"
+        assert fr.ground(h).method == "dense"
         assert fr.ground(h, max_degeneracy=0).method == "dense"
     assert calls == []                         # neither a recurrence nor a replay
 
@@ -760,9 +805,9 @@ def test_s2_projected_on_part_of_a_multiplet_sum_is_typed():
     mixed = (vectors[:, 0] + vectors[:, -1]) / math.sqrt(2.0)
     assert values[0] == pytest.approx(0.0, abs=1e-12) and values[-1] == pytest.approx(2.0)
     with pytest.raises(MultipletCut, match="not of the form s\\(s\\+1\\)"):
-        spectra._spin_content(mixed[:, None], s2)
+        fr.GroundInfo(0.0, 1, 1.0, mixed[:, None], "dense").spins(s2)
     assert issubclass(MultipletCut, fr.FluxRingError)
-    assert spectra._spin_content(vectors[:, -1:], s2) == (1.0,)
+    assert fr.GroundInfo(0.0, 1, 1.0, vectors[:, -1:], "dense").spins(s2) == {1.0}
 
 
 def test_flux_curve_takes_only_the_uniform_grid():
