@@ -25,7 +25,6 @@ from .model import (
     with_flux,
 )
 from .operators import (
-    DiagonalGauge,
     SparseHermitian,
     build_hamiltonian,
     build_one_particle,
@@ -36,7 +35,6 @@ from .operators import (
     solve_sign_gauge,
 )
 from .spectra import (
-    FluxCurve,
     GroundInfo,
     full_spectrum,
     ground,
@@ -62,15 +60,14 @@ from .fixtures import gen_fixture
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagonalGauge", "FluxCurve", "FluxRingError", "GroundInfo", "INFINITY",
-    "ModelSpec", "NecklaceBlock", "SectorBasis", "SparseHermitian",
-    "VerificationReport", "build_hamiltonian", "build_one_particle",
-    "build_total_spin", "decompose_blocks", "enumerate_sector",
-    "even_optimal_flux", "extend_ring", "ferromagnetic_state", "flux_family",
-    "full_spectrum", "gen_fixture", "ground", "load_model", "lowest_sum",
-    "make_spec", "necklace_period", "negative_envelope", "refine_argmin",
-    "save_model", "scan_flux", "solve_sign_gauge", "spiral_state",
-    "thermal_scan", "validate", "verify_block_lemma", "verify_doubling",
-    "verify_even", "verify_odd", "verify_relation", "verify_singlet",
-    "with_flux",
+    "FluxRingError", "GroundInfo", "INFINITY", "ModelSpec", "NecklaceBlock",
+    "SectorBasis", "SparseHermitian", "VerificationReport",
+    "build_hamiltonian", "build_one_particle", "build_total_spin",
+    "decompose_blocks", "enumerate_sector", "even_optimal_flux",
+    "extend_ring", "ferromagnetic_state", "flux_family", "full_spectrum",
+    "gen_fixture", "ground", "load_model", "lowest_sum", "make_spec",
+    "necklace_period", "negative_envelope", "refine_argmin", "save_model",
+    "scan_flux", "solve_sign_gauge", "spiral_state", "thermal_scan",
+    "validate", "verify_block_lemma", "verify_doubling", "verify_even",
+    "verify_odd", "verify_relation", "verify_singlet", "with_flux",
 ]

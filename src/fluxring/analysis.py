@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .basis import SectorBasis, decompose_blocks, enumerate_sector
+from .basis import UP_MODES, SectorBasis, decompose_blocks, enumerate_sector
 from .errors import (
     DegenerateGround,
     HypothesisViolated,
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
-    DiagonalGauge,
     FluxFamily,
     _check_basis,
     build_hamiltonian,
@@ -36,11 +35,11 @@ from .operators import (
     conjugation_residual,
     extend_ring,
     flux_family,
+    is_sign_gauge,
     negative_envelope,
     solve_sign_gauge,
 )
 from .spectra import (
-    FluxCurve,
     GroundInfo,
     _ground_energies,
     _ground_window,
@@ -148,19 +147,19 @@ def flux_grid(grid_size: int) -> np.ndarray:
     return np.arange(grid_size) * (TWO_PI / grid_size)
 
 
-def _shifted(values: np.ndarray, grid: np.ndarray, p: int, family: FluxFamily) -> np.ndarray:
-    """E(phi_i + 2*pi/p) at every grid angle, for family's curve values on
-    grid: the curve G/p steps on when p divides G (separate solves of other
-    matrices), else the shifted grid solved on family."""
-    if len(grid) % p == 0:
-        return np.roll(values, -(len(grid) // p))
-    return _ground_energies(family, grid + TWO_PI / p)
+def _shifted(values: np.ndarray, p: int, family: FluxFamily) -> np.ndarray:
+    """E(phi_i + 2*pi/p) at every angle of flux_grid(G), for family's G
+    curve values on it: the curve G/p steps on when p divides G (separate
+    solves of other matrices), else the shifted grid solved on family."""
+    n = len(values)
+    if n % p == 0:
+        return np.roll(values, -(n // p))
+    return _ground_energies(family, flux_grid(n) + TWO_PI / p)
 
 
-def scan_flux(family: FluxFamily, grid_size: int = 720, method: str = "auto") -> FluxCurve:
-    """Ground energy of one sector's family over a uniform flux grid on [0, 2*pi)."""
-    grid = flux_grid(grid_size)
-    return FluxCurve(grid, _ground_energies(family, grid, method))
+def scan_flux(family: FluxFamily, grid_size: int = 720, method: str = "auto") -> np.ndarray:
+    """Ground energy of one sector's family at each angle of flux_grid(grid_size)."""
+    return _ground_energies(family, flux_grid(grid_size), method)
 
 
 def _current(family: FluxFamily, phi: float, method: str) -> tuple[float, float, float]:
@@ -211,19 +210,21 @@ def _current_root(current, a: float, b: float, xtol: float) -> tuple[float, floa
     return (a * jb - b * ja) / (jb - ja), min(ea, eb)
 
 
-def refine_argmin(curve: FluxCurve, family: FluxFamily, method: str = "auto") -> list[float]:
+def refine_argmin(values: np.ndarray, family: FluxFamily, method: str = "auto") -> list[float]:
     """All global minimizers of family's scanned energy, refined to REFINE_XTOL in angle.
 
-    Each grid-local minimum is refined to the root of the persistent
-    current dE/dphi between its two grid neighbours; one without an upward
-    crossing of the current there keeps its grid angle and scanned energy.
+    values are the energies on flux_grid(len(values)), as scan_flux returns
+    them; fewer than 8 raise ValueError. Each grid-local minimum is refined
+    to the root of the persistent current dE/dphi between its two grid
+    neighbours; one without an upward crossing of the current there keeps
+    its grid angle and scanned energy.
     Refined minima within VALUE_TOL of the global minimum are returned
     (folded, deduplicated). A flat curve returns every grid angle.
     """
-    values = curve.values
     n = len(values)
+    grid = flux_grid(n)
     if float(values.max() - values.min()) <= VALUE_TOL:
-        return [float(g) for g in curve.grid]
+        return [float(g) for g in grid]
 
     current = lambda phi: _current(family, phi, method)
 
@@ -232,7 +233,7 @@ def refine_argmin(curve: FluxCurve, family: FluxFamily, method: str = "auto") ->
     for i in range(n):
         left, right = values[(i - 1) % n], values[(i + 1) % n]
         if values[i] <= left and values[i] <= right:
-            x = float(curve.grid[i])
+            x = float(grid[i])
             root = _current_root(current, x - spacing, x + spacing, REFINE_XTOL)
             candidates.append(root or (x, float(values[i])))
 
@@ -279,23 +280,23 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
         raise HypothesisViolated("requires even N <= L")
     _require_hopping(spec)
     family = flux_family(spec, sector_basis_for(spec, 0))
-    curve = scan_flux(family, grid_size=grid_size)
-    minima = refine_argmin(curve, family)
+    energies = scan_flux(family, grid_size=grid_size)
+    minima = refine_argmin(energies, family)
     expected = _even_optima(spec)
     deviation = max(min(angle_dist(x, e) for e in expected) for x in minima)
     measured = {
         "argmin": minima,
         "expected": expected,
         "max_angle_deviation": deviation,
-        "min_energy": float(curve.values.min()),
+        "min_energy": float(energies.min()),
     }
     if not spec.hardcore:
         return _report("even-optimal-flux", spec, measured,
                        {"angle": (ANGLE_MATCH_TOL, [deviation], [])})
 
     covered = max(min(angle_dist(e, x) for x in minima) for e in expected)
-    shifted = _shifted(curve.values, curve.grid, spec.N, family)
-    resid = float(np.abs(shifted - curve.values).max())
+    shifted = _shifted(energies, spec.N, family)
+    resid = float(np.abs(shifted - energies).max())
     measured.update(period=TWO_PI / spec.N, period_residual=resid, argmin_coverage=covered)
     return _report("hardcore-optimal-flux", spec, measured,
                    {"angle": (ANGLE_MATCH_TOL, [deviation, covered], []),
@@ -318,18 +319,19 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
 
     grid_size += grid_size % 2  # need the half-turn shift on the grid
     family = flux_family(spec, sector_basis_for(spec, 1))
-    curve = scan_flux(family, grid_size=grid_size, method=method)
-    half_turn = _shifted(curve.values, curve.grid, 2, family)  # grid_size is even
-    period_resid = float(np.abs(curve.values - half_turn).max())
-    minima = refine_argmin(curve, family, method=method)
+    energies = scan_flux(family, grid_size=grid_size, method=method)
+    half_turn = _shifted(energies, 2, family)  # grid_size is even
+    period_resid = float(np.abs(energies - half_turn).max())
+    minima = refine_argmin(energies, family, method=method)
     expected = [0.5 * math.pi, 1.5 * math.pi]
     deviation = max(min(angle_dist(x, e) for e in expected) for x in minima)
     coverage = max(min(angle_dist(e, x) for x in minima) for e in expected)
 
     n = spec.N // 2
+    grid = flux_grid(grid_size)
     chain_resid = 0.0
     for k in range(0, grid_size, max(1, grid_size // 8)):
-        phi, e_many = float(curve.grid[k]), float(curve.values[k])
+        phi, e_many = float(grid[k]), float(energies[k])
         lower = lowest_sum(spec, n, phi)
         split = lower + lowest_sum(spec, n + 1, phi)
         halfshift = lower + lowest_sum(spec, n, phi + math.pi)
@@ -342,7 +344,7 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
         "argmin_coverage": coverage,
         "period_residual": period_resid,
         "reduction_residual": chain_resid,
-        "min_energy": float(curve.values.min()),
+        "min_energy": float(energies.min()),
     }
     return _report("odd-halffill-optimal-flux", spec, measured,
                    {"angle": (ANGLE_MATCH_TOL, [deviation, coverage], []),
@@ -409,8 +411,7 @@ def _flux_roles(L: int) -> tuple[float, float]:
     return (0.0, math.pi) if L % 2 == 0 else (math.pi, 0.0)
 
 
-def _hardcore_grounds(spec: ModelSpec, basis: SectorBasis, family: FluxFamily,
-                      angles) -> list[GroundInfo]:
+def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[GroundInfo]:
     """The ground level of a hard-core sector's family at each angle,
     solved block by block.
 
@@ -423,7 +424,7 @@ def _hardcore_grounds(spec: ModelSpec, basis: SectorBasis, family: FluxFamily,
     (GroundInfo.spins: S^2 mixes blocks). A block whose solve ends without
     clearing its ground level (GroundInfo.saturated) raises MultipletCut.
     """
-    blocks = decompose_blocks(basis, spec)
+    blocks = decompose_blocks(basis)
     subs = [family.restrict(b.member_indices) for b in blocks]
     out = []
     for phi in angles:
@@ -467,7 +468,7 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
         raise HypothesisViolated("requires even N < L")
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
-    g0, g1 = _hardcore_grounds(spec, basis, flux_family(spec, basis), (phi0, phi1))
+    g0, g1 = _hardcore_grounds(basis, flux_family(spec, basis), (phi0, phi1))
     s2 = build_total_spin(basis)
     spins0, spins1 = g0.spins(s2), g1.spins(s2)
 
@@ -529,7 +530,7 @@ def ferromagnetic_state(spec: ModelSpec, basis: SectorBasis) -> np.ndarray:
                                "within the degeneracy window, so no single "
                                "Perron-Frobenius vector is defined")
     codes = basis.codes
-    vec = info.vectors[basis_pol.locate((codes | codes >> 1) & 0x5555555555555555), 0]
+    vec = info.vectors[basis_pol.locate((codes | codes >> 1) & UP_MODES), 0]
     vec = vec / np.linalg.norm(vec)
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
 
@@ -551,8 +552,10 @@ def spiral_state(spec: ModelSpec):
     measured S^2 expectation, the eigenvalue residual, and the
     conjugation property of the assembled gauge. Returns (state, report);
     the state lives in the Sz = 0 hard-core basis. A sector of more than
-    SIGN_SEARCH_BLOCKS blocks raises MethodLimit before anything is built.
-    The exact condition pf_min_entry > 0 is judged outside the table.
+    SIGN_SEARCH_BLOCKS blocks raises MethodLimit once that basis, its
+    hopping table and its layout are built to find the blocks, before any
+    operator is. The exact condition pf_min_entry > 0 is judged outside the
+    table.
     """
     _require_hardcore(spec)
     if spec.N % 4 != 2:
@@ -565,7 +568,7 @@ def spiral_state(spec: ModelSpec):
     assert angle_dist(spec_ferro.flux, phi_pi) < 1e-12
 
     basis0 = sector_basis_for(spec, 0)
-    blocks = decompose_blocks(basis0, spec)
+    blocks = decompose_blocks(basis0)
     if len(blocks) > SIGN_SEARCH_BLOCKS:
         raise MethodLimit(f"{len(blocks)} blocks exceed the sign search's limit "
                           f"of {SIGN_SEARCH_BLOCKS}")
@@ -581,7 +584,7 @@ def spiral_state(spec: ModelSpec):
 
     # Any per-block constant is itself a gauge of the block-diagonal
     # operator, so the phases are fixed up to the signs searched below.
-    phases = solve_sign_gauge(envelope, h_zero).phases
+    phases = solve_sign_gauge(envelope, h_zero)
     s2 = build_total_spin(basis0)
     base_state = phases * ferro
     block_of = np.empty(basis0.dim, dtype=np.intp)
@@ -594,7 +597,7 @@ def spiral_state(spec: ModelSpec):
         if s2_val < best_s2:
             best_signs, best_s2, state = signs, s2_val, cand
 
-    gauge = DiagonalGauge(np.array(best_signs)[block_of] * phases)
+    gauge = np.array(best_signs)[block_of] * phases
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
     e0 = ground(h_zero, want_vectors=False).energy
@@ -611,7 +614,7 @@ def spiral_state(spec: ModelSpec):
         "energy_residual": residual,
         "ground_energy": e0,
         "norm_drift": norm_drift,
-        "gauge_is_sign": gauge.is_sign_gauge(),
+        "gauge_is_sign": is_sign_gauge(gauge),
     }
     return state, _report("spiral-singlet", spec, measured,
                           {"spin_expectation": (1e-8, [best_s2], []),
@@ -637,7 +640,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     _require_hardcore(spec)
     _require_hopping(spec)
     basis = sector_basis_for(spec, 0)
-    blocks = decompose_blocks(basis, spec)
+    blocks = decompose_blocks(basis)
     family = flux_family(spec, basis)
     subs = [family.restrict(b.member_indices) for b in blocks]
     grid = flux_grid(grid_size)
@@ -645,7 +648,7 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     curves = np.column_stack([_ground_energies(sub, grid) for sub in subs])  # (G, K)
     period_resid = 0.0
     for k, (b, sub) in enumerate(zip(blocks, subs)):
-        shifted = _shifted(curves[:, k], grid, b.period, sub)
+        shifted = _shifted(curves[:, k], b.period, sub)
         period_resid = max(period_resid, float(np.abs(shifted - curves[:, k]).max()))
 
     full = [k for k, b in enumerate(blocks) if b.period == spec.N]
@@ -690,8 +693,11 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
     zero-temperature optimal flux for every beta. Maximizers are taken from
     log P, which has the argmax of P and stays finite at any beta. Odd N
     away from free half filling is claimed nothing about, and raises
-    HypothesisViolated.
+    HypothesisViolated; no beta at all leaves nothing to judge, and raises
+    ValueError.
     """
+    if len(betas) == 0:
+        raise ValueError("thermal_scan needs at least one beta")
     _require_hopping(spec)
     odd_free_halffill = (
         spec.N == spec.L and spec.N % 2 == 1 and not spec.hardcore
@@ -721,7 +727,7 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
         # that, above the floor of 1e-8. The largest absolute row sum bounds
         # max|E|, and it is the same at every flux.
         norm = float(abs(ends[0].mat).sum(axis=1).max())
-        window = max(1e-8, 16.0 * np.finfo(float).eps * max(betas, default=0.0) * norm / h)
+        window = max(1e-8, 16.0 * np.finfo(float).eps * max(betas) * norm / h)
         measured["critical_point_log_derivative"] = derivs
         measured["argmax"] = argmax
         judged = {"critical_point_log_derivative": (window, derivs.values(), [])}

@@ -29,10 +29,12 @@ import numpy as np
 from scipy import sparse
 
 from .errors import BasisMismatch, EmptySector, MethodLimit, RingTooLong
-from .model import ModelSpec
 
 #: Largest ring whose 2L modes fit the uint64 configuration codes.
 MAX_SITES = 32
+
+#: The up mode, bit 2x, of every site x of a code.
+UP_MODES = 0x5555555555555555
 
 #: Most bytes the term list of a CSR layout, the layout and the complex
 #: data of one operator on it may take together; SectorBasis.hops and
@@ -232,7 +234,7 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
 
     codes = (masks(n_up, 0)[:, None] | masks(n_dn, 1)[None, :]).ravel()
     if hardcore:  # drop codes with both bits 2x and 2x+1 set
-        codes = codes[(codes & (codes >> 1) & 0x5555555555555555) == 0]
+        codes = codes[(codes & (codes >> 1) & UP_MODES) == 0]
     codes.sort()
 
     expected = comb(L, N) * comb(N, n_up) if hardcore else comb(L, n_up) * comb(L, n_dn)
@@ -289,22 +291,19 @@ def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
     return least
 
 
-def decompose_blocks(basis: SectorBasis, spec: ModelSpec) -> list[NecklaceBlock]:
+def decompose_blocks(basis: SectorBasis) -> list[NecklaceBlock]:
     """Split a hard-core sector into connected components of the hopping graph.
 
     Components of the basis layout, ordered by their smallest member; the
     spin-word cyclic class of every member is cross-checked to be the
     component's, whose necklace period labels it. Membership depends only
-    on the sparsity pattern, so it is gauge invariant.
+    on the sparsity pattern, so it is gauge invariant, and is read off the
+    basis alone; a basis that is not hard-core raises BasisMismatch.
     """
     from scipy.sparse.csgraph import connected_components
 
     if not basis.hardcore:
         raise BasisMismatch("block decomposition is defined on hard-core sectors")
-    if spec.L != basis.L or spec.N != basis.N:
-        raise BasisMismatch(
-            f"basis (L={basis.L}, N={basis.N}) does not match model (L={spec.L}, N={spec.N})"
-        )
     layout = basis.layout
     _, labels = connected_components(_graph(layout.indices, layout.indptr), directed=False)
     _, first = np.unique(labels, return_index=True)

@@ -74,9 +74,9 @@ def cmd_spectrum(args) -> int:
 def cmd_scan(args) -> int:
     spec = _load(args)
     family = flux_family(spec, analysis.sector_basis_for(spec, args.two_sz))
-    curve = analysis.scan_flux(family, grid_size=args.grid)
+    energies = analysis.scan_flux(family, grid_size=args.grid)
     lines = ["phi,energy"]
-    lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(curve.grid, curve.values)]
+    lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(analysis.flux_grid(args.grid), energies)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -85,7 +85,7 @@ def cmd_blocks(args) -> int:
     spec = _load(args)
     basis = enumerate_sector(spec.L, spec.N, args.two_sz if args.two_sz is not None
                              else spec.N % 2, hardcore=True)
-    blocks = decompose_blocks(basis, spec)
+    blocks = decompose_blocks(basis)
     _emit(_json_text([
         {"period": b.period, "dimension": b.dimension, "representative": b.representative}
         for b in blocks

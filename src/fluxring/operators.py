@@ -7,8 +7,11 @@ small). Fermionic signs follow the canonical mode order of
 :mod:`fluxring.basis`. Every Hamiltonian on a basis, from build_hamiltonian
 or a flux family, is a data array on the basis's one CSR layout
 (:attr:`fluxring.basis.SectorBasis.layout`) with every diagonal entry
-stored, and shares its read-only index arrays; the envelope and gauge
-helpers work on the data of operands that share a pattern.
+stored, and shares its read-only index arrays. The envelope and gauge
+helpers work on the data of operands that share one canonical pattern and
+refuse any other with FluxObstruction; a gauge is its array of
+unit-modulus phases g, one per basis state, acting as H_ij -> g_i H_ij
+conj(g_j).
 """
 
 from __future__ import annotations
@@ -305,18 +308,13 @@ _ROW_BLOCK = 4096
 _GAUGE_TOL = 1e-10
 
 
-def _canonical(m: sparse.csr_matrix) -> sparse.csr_matrix:
-    """m itself when its rows are sorted and free of repeats, else a copy
-    that is."""
-    if m.has_canonical_format:
-        return m
-    m = m.copy()
-    m.sum_duplicates()
-    return m
-
-
-def _same_pattern(a: sparse.csr_matrix, b: sparse.csr_matrix) -> bool:
-    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+def _one_pattern(a: sparse.csr_matrix, *others: sparse.csr_matrix) -> None:
+    """Raise FluxObstruction unless a is canonical (sorted rows, no repeated
+    entries) and every other matrix has its index arrays."""
+    if not (a.has_canonical_format
+            and all(np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+                    for b in others)):
+        raise FluxObstruction("operands do not share one canonical sparsity pattern")
 
 
 def negative_envelope(H: SparseHermitian) -> SparseHermitian:
@@ -324,9 +322,11 @@ def negative_envelope(H: SparseHermitian) -> SparseHermitian:
 
     The diagonal is gauge invariant, so this is the only candidate for a
     gauge-equivalent operator with non-positive off-diagonal entries. The
-    result has H's pattern (repeated entries summed first).
+    result has H's pattern, which must be canonical, else FluxObstruction
+    is raised.
     """
-    m = _canonical(H.mat)
+    m = H.mat
+    _one_pattern(m)
     data = np.zeros(m.nnz, dtype=complex)  # -|entry| + 0j, written in place
     np.negative(np.abs(m.data, out=data.real), out=data.real)
     on = entry_rows(m.indptr) == m.indices
@@ -334,60 +334,42 @@ def negative_envelope(H: SparseHermitian) -> SparseHermitian:
     return _with_data(m, data)
 
 
-@dataclass(frozen=True)
-class DiagonalGauge:
-    """Diagonal unitary g acting by conjugation H -> g H g^{-1}."""
-
-    phases: np.ndarray  # unit-modulus complex, one per basis state
-
-    def is_sign_gauge(self) -> bool:
-        """True when every phase is +-1 (real gauge), within _GAUGE_TOL."""
-        return bool(np.abs(np.abs(self.phases.real) - 1.0).max() <= _GAUGE_TOL
-                    and np.abs(self.phases.imag).max() <= _GAUGE_TOL)
-
-    def apply(self, H: SparseHermitian) -> SparseHermitian:
-        """g H g^{-1}, entry (i, j) g_i H_ij conj(g_j), on H's pattern."""
-        m = H.mat
-        return _with_data(m, self._conjugated(m, 0, m.shape[0]))
-
-    def _conjugated(self, m: sparse.csr_matrix, start: int, stop: int) -> np.ndarray:
-        """The entries of g m g^{-1} in rows start to stop."""
-        lo, hi = m.indptr[start], m.indptr[stop]
-        rows = entry_rows(m.indptr[start:stop + 1] - lo) + start
-        return self.phases[rows] * m.data[lo:hi] * np.conj(self.phases[m.indices[lo:hi]])
+def is_sign_gauge(phases: np.ndarray) -> bool:
+    """True when every phase of a gauge is +-1 (real gauge), within _GAUGE_TOL."""
+    return bool(np.abs(np.abs(phases.real) - 1.0).max() <= _GAUGE_TOL
+                and np.abs(phases.imag).max() <= _GAUGE_TOL)
 
 
-def conjugation_residual(g: DiagonalGauge, H: SparseHermitian,
+def conjugation_residual(phases: np.ndarray, H: SparseHermitian,
                          target: SparseHermitian) -> float:
-    """max |g H g^{-1} - target| over the entries, one block of rows at a
-    time. The two must share one canonical pattern (sorted rows, no
-    repeats), else FluxObstruction is raised."""
+    """max |g_i H_ij conj(g_j) - target_ij| over the entries, for the gauge
+    g = phases, one block of rows at a time. The two operators must share
+    one canonical pattern, else FluxObstruction is raised."""
     a, b = H.mat, target.mat
-    if not (a.has_canonical_format and b.has_canonical_format and _same_pattern(a, b)):
-        raise FluxObstruction("operands do not share one canonical sparsity pattern")
+    _one_pattern(a, b)
     resid = 0.0
     for start in range(0, H.dim, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, H.dim)
-        d = g._conjugated(a, start, stop) - b.data[a.indptr[start]:a.indptr[stop]]
+        lo, hi = a.indptr[start], a.indptr[stop]
+        rows = entry_rows(a.indptr[start:stop + 1] - lo) + start
+        d = phases[rows] * a.data[lo:hi] * np.conj(phases[a.indices[lo:hi]]) - b.data[lo:hi]
         if len(d):
             resid = max(resid, float(np.abs(d).max()))
     return resid
 
 
-def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian) -> DiagonalGauge:
-    """Find the diagonal unitary g with g H g^{-1} = target.
+def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian) -> np.ndarray:
+    """The gauge carrying H to target: unit-modulus phases g, one per basis
+    state, with g_i H_ij conj(g_j) = target_ij.
 
     Phases are fixed along a breadth-first spanning tree of the connectivity
     graph (phase 1 at each component's smallest index) and every remaining
     edge is checked; a cycle carrying mismatched flux raises FluxObstruction,
     which certifies the two operators are not gauge equivalent. Requires
-    matching sparsity patterns and entry moduli.
+    one canonical pattern and matching entry moduli.
     """
-    if H.dim != target.dim:
-        raise FluxObstruction("operators act on different dimensions")
-    a, b = _canonical(H.mat), _canonical(target.mat)
-    if not _same_pattern(a, b):
-        raise FluxObstruction("sparsity patterns differ")
+    a, b = H.mat, target.mat
+    _one_pattern(a, b)
     moduli = np.abs(a.data)
     gap = np.abs(b.data)
     gap -= moduli
@@ -431,13 +413,12 @@ def solve_sign_gauge(H: SparseHermitian, target: SparseHermitian) -> DiagonalGau
     while not np.array_equal(up, up[up]):  # pointer doubling up to each root
         g, up = g * g[up], up[up]
 
-    check = DiagonalGauge(g)
-    resid = conjugation_residual(check, SparseHermitian(a), SparseHermitian(b))
+    resid = conjugation_residual(g, H, target)
     if resid > _GAUGE_TOL * max(1.0, scale):
         raise FluxObstruction(
             f"cycle inconsistency: conjugation residual {resid:.3e} exceeds tolerance"
         )
-    return check
+    return g
 
 
 def extend_ring(spec: ModelSpec) -> ModelSpec:

@@ -259,22 +259,6 @@ class GroundInfo:
         return {_spin_from_s2(float(v)) for v in vals}
 
 
-@dataclass(frozen=True)
-class FluxCurve:
-    """A sampled map phi -> scalar on a uniform grid over [0, 2*pi)."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.grid)
-        if n != len(self.values):
-            raise ValueError("grid and values differ in length")
-        # refine_argmin brackets each grid minimum by its neighbours 2*pi/n away
-        if n == 0 or np.abs(self.grid - np.arange(n) * (2 * math.pi / n)).max() > 1e-12:
-            raise ValueError("grid must be the uniform grid 2*pi*k/n, k = 0..n-1")
-
-
 def _spin_from_s2(value: float) -> float:
     """Invert s(s+1) = value onto the nearest (half-)integer spin."""
     s = 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * value)))

@@ -33,9 +33,9 @@ L4N5_ARGMIN = (1.8545904360032244, 4.428594871176362)  # 4 arcsin(1/sqrt5), mirr
 
 def test_scan_flux_odd_halffill_uniform():
     spec = fr.make_spec(3, 3)
-    curve = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec, 1)), grid_size=48)
-    k = int(np.argmin(curve.values))
-    phi_min, val = curve.grid[k], curve.values[k]
+    energies = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec, 1)), grid_size=48)
+    k = int(np.argmin(energies))
+    phi_min, val = fr.analysis.flux_grid(48)[k], energies[k]
     assert val == pytest.approx(E3_HALF, abs=1e-10)
     assert min(angle_dist(phi_min, c) for c in (PI / 2, 3 * PI / 2)) < 2 * PI / 48
 
@@ -43,8 +43,8 @@ def test_scan_flux_odd_halffill_uniform():
 def test_scan_flux_overfilled_ring():
     spec = fr.make_spec(4, 5)
     family = fr.flux_family(spec, sector_basis_for(spec))
-    curve = fr.scan_flux(family, grid_size=64)
-    minima = fr.refine_argmin(curve, family)
+    energies = fr.scan_flux(family, grid_size=64)
+    minima = fr.refine_argmin(energies, family)
     assert len(minima) == 2
     for got, want in zip(sorted(minima), L4N5_ARGMIN):
         assert angle_dist(got, want) < 1e-6
@@ -56,8 +56,8 @@ def test_scan_flux_overfilled_ring():
 
 def test_scan_flux_vacuum_constant_zero():
     spec = fr.make_spec(4, 0)
-    curve = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec)), grid_size=16)
-    assert np.abs(curve.values).max() == 0.0
+    energies = fr.scan_flux(fr.flux_family(spec, sector_basis_for(spec)), grid_size=16)
+    assert np.abs(energies).max() == 0.0
 
 
 def test_scan_flux_rejects_tiny_grid():
@@ -85,20 +85,23 @@ def test_scan_matches_arbitrary_gauge_point():
     rng = np.random.default_rng(6)
     spec = fr.make_spec(5, 2, rng.uniform(0.5, 2, 5), None, rng.normal(0, 1, 5), 2.0)
     basis = sector_basis_for(spec)
-    curve = fr.scan_flux(fr.flux_family(spec, basis), grid_size=16)
+    energies = fr.scan_flux(fr.flux_family(spec, basis), grid_size=16)
     for i in (0, 5, 11):
-        phi = float(curve.grid[i])
+        phi = float(fr.analysis.flux_grid(16)[i])
         parts = rng.uniform(0, 2 * PI, 4)
         moved = regauge(fr.with_flux(spec, phi), tuple(parts) + (phi - parts.sum(),))
         e = fr.ground(fr.build_hamiltonian(moved, basis), want_vectors=False).energy
-        assert abs(e - curve.values[i]) < 1e-10
+        assert abs(e - energies[i]) < 1e-10
 
 
 def test_refine_argmin_flat_curve():
-    curve = fr.FluxCurve(np.arange(12) * (2 * PI / 12), np.zeros(12))
     spec = fr.make_spec(4, 0)
-    out = fr.refine_argmin(curve, fr.flux_family(spec, sector_basis_for(spec)))
+    family = fr.flux_family(spec, sector_basis_for(spec))
+    out = fr.refine_argmin(np.zeros(12), family)
     assert len(out) == 12
+    # the values lie on flux_grid(len(values)), which refuses fewer than 8
+    with pytest.raises(ValueError):
+        fr.refine_argmin(np.zeros(7), family)
 
 
 @given(st.integers(3, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1),
@@ -429,9 +432,9 @@ def test_hardcore_grounds_match_the_one_particle_oracle(spec):
     # the ground level holds one state per (block, j) pair that reaches it
     basis = sector_basis_for(spec, 0)
     family = fr.flux_family(spec, basis)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     roles = _flux_roles(spec.L)
-    for phi, g in zip(roles, analysis._hardcore_grounds(spec, basis, family, roles)):
+    for phi, g in zip(roles, analysis._hardcore_grounds(basis, family, roles)):
         sums = np.concatenate([hardcore_block_energies(spec, b.period, phi) for b in blocks])
         e0 = float(sums.min())
         assert abs(g.energy - e0) <= 1e-12 * max(1.0, abs(e0))
@@ -461,7 +464,7 @@ def test_block_curves_match_the_one_particle_oracle(spec, grid):
     # level sum over its p spinless rings
     basis = sector_basis_for(spec, 0)
     family = fr.flux_family(spec, basis)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     if spec.L == 8:         # its period-2 block runs the recurrence too
         assert min(b.dimension for b in blocks) == 56 > fr.spectra.ENERGY_CROSSOVER
     for b in blocks:
@@ -495,7 +498,7 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
     spec = fr.make_spec(7, 4, U=fr.INFINITY)
     basis = sector_basis_for(spec, 0)
     family = fr.flux_family(spec, basis)
-    (g,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
+    (g,) = analysis._hardcore_grounds(basis, family, [PI / 4])
     assert g.degeneracy == 3 and not g.saturated
     s2 = fr.build_total_spin(basis)
     # Lanczos with no dense fallback, as above DENSE_LIMIT: room for three
@@ -503,14 +506,14 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
     solve = fr.ground
     monkeypatch.setattr(analysis, "ground",
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=2, **k))
-    (lanczos,) = analysis._hardcore_grounds(spec, basis, family, [PI / 4])
+    (lanczos,) = analysis._hardcore_grounds(basis, family, [PI / 4])
     assert lanczos.method == "lanczos" and lanczos.degeneracy == 3
     assert lanczos.spins(s2) == g.spins(s2)
     assert abs(lanczos.energy - g.energy) < 1e-12
     monkeypatch.setattr(analysis, "ground",
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=1, **k))
     with pytest.raises(MultipletCut, match="multiplet may be cut"):
-        analysis._hardcore_grounds(spec, basis, family, [PI / 4])
+        analysis._hardcore_grounds(basis, family, [PI / 4])
 
 
 def test_verify_relation_odd_ring_swaps_roles():
@@ -583,8 +586,8 @@ def test_spiral_gauge_alternates_sign_on_cyclic_spin_shifts():
         return i
 
     for k in range(5):
-        a = g.phases[state_of(word[k:] + word[:k])]
-        b = g.phases[state_of(word[k + 1:] + word[:k + 1])]
+        a = g[state_of(word[k:] + word[:k])]
+        b = g[state_of(word[k + 1:] + word[:k + 1])]
         assert abs(b / a + 1.0) < 1e-10
 
 
@@ -718,6 +721,14 @@ def test_thermal_scan_refuses_odd_n_away_from_free_half_filling():
     for spec in ODD_UNCLAIMED:
         with pytest.raises(HypothesisViolated, match="free half filling"):
             fr.thermal_scan(spec, grid_size=12)
+
+
+def test_thermal_scan_refuses_an_empty_beta_list():
+    # with no beta nothing is judged, in either branch, so no report may pass
+    for spec in (fr.make_spec(4, 2, [1, 1.5, 0.7, 1.2], U=1.0), fr.make_spec(3, 3)):
+        for betas in ((), [], np.array([])):
+            with pytest.raises(ValueError, match="at least one beta"):
+                fr.thermal_scan(spec, betas=betas, grid_size=12)
 
 
 def test_thermal_scan_even_argmax():
@@ -862,10 +873,10 @@ def free_sector_spiral(spec):
     free_basis = fr.enumerate_sector(L, N, 0, hardcore=False)
     h_free = fr.build_hamiltonian(free_spec, free_basis)
     gauge = fr.solve_sign_gauge(fr.negative_envelope(h_free), h_free)
-    base = gauge.phases[free_basis.locate(basis0.codes)] * fr.ferromagnetic_state(spec, basis0)
+    base = gauge[free_basis.locate(basis0.codes)] * fr.ferromagnetic_state(spec, basis0)
     s2 = fr.build_total_spin(basis0)
     block_of = np.empty(basis0.dim, dtype=np.intp)
-    for k, b in enumerate(fr.decompose_blocks(basis0, spec)):
+    for k, b in enumerate(fr.decompose_blocks(basis0)):
         block_of[list(b.member_indices)] = k
     candidates = [np.array(signs)[block_of] * base
                   for signs in itertools.product((1.0, -1.0), repeat=block_of.max() + 1)]

@@ -125,9 +125,8 @@ def test_fermion_sign_hand_computed():
 
 
 def test_single_block_l4():
-    spec = fr.make_spec(4, 2, U=fr.INFINITY)
     basis = fr.enumerate_sector(4, 2, 0, hardcore=True)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     assert len(blocks) == 1
     assert blocks[0].period == 2
     assert blocks[0].dimension == 12
@@ -147,9 +146,8 @@ def _cyclic_classes(word_len, n_up):
 
 
 def test_blocks_l6_n4_match_necklace_census():
-    spec = fr.make_spec(6, 4, U=fr.INFINITY)
     basis = fr.enumerate_sector(6, 4, 0, hardcore=True)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     census = _cyclic_classes(4, 2)  # words of length N=4 with two ups
     assert len(blocks) == len(census) == 2
     got = sorted((b.representative, b.dimension) for b in blocks)
@@ -160,9 +158,8 @@ def test_blocks_l6_n4_match_necklace_census():
 
 
 def test_blocks_polarized_sector_allows_odd_period():
-    spec = fr.make_spec(5, 2, U=fr.INFINITY)
     basis = fr.enumerate_sector(5, 2, 2, hardcore=True)  # word "uu"
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     assert len(blocks) == 1
     assert blocks[0].period == 1
     assert blocks[0].dimension == basis.dim
@@ -170,9 +167,8 @@ def test_blocks_polarized_sector_allows_odd_period():
 
 @pytest.mark.parametrize("L,N", [(4, 2), (6, 4), (7, 6), (5, 4)])
 def test_blocks_closed_under_hopping_and_partition(L, N):
-    spec = fr.make_spec(L, N, U=fr.INFINITY)
     basis = fr.enumerate_sector(L, N, 0, hardcore=True)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     assert sum(b.dimension for b in blocks) == basis.dim
     owner = {}
     for k, b in enumerate(blocks):
@@ -189,14 +185,22 @@ def test_blocks_closed_under_hopping_and_partition(L, N):
 
 
 def test_block_membership_gauge_invariant():
+    # blocks are read off the basis alone: they are the connected components
+    # of the Hamiltonian's entries in every gauge
+    from scipy.sparse.csgraph import connected_components
+
     base = fr.make_spec(6, 4, U=fr.INFINITY)
     basis = fr.enumerate_sector(6, 4, 0, hardcore=True)
-    a = fr.decompose_blocks(basis, base)
+    blocks = fr.decompose_blocks(basis)
     rng = np.random.default_rng(5)
     moved = fr.make_spec(6, 4, base.hop_mag, rng.uniform(0, 2 * math.pi, 6), base.V,
                          fr.INFINITY)
-    b = fr.decompose_blocks(basis, moved)
-    assert [x.member_indices for x in a] == [x.member_indices for x in b]
+    for spec in (base, moved):
+        count, labels = connected_components(abs(fr.build_hamiltonian(spec, basis).mat),
+                                              directed=False)
+        assert count == len(blocks)
+        for b in blocks:
+            assert len(set(labels[list(b.member_indices)])) == 1
 
 
 def test_ring_beyond_64_modes_rejected():
@@ -234,7 +238,6 @@ def hardcore_sectors(draw):
 @settings(max_examples=40, deadline=None)
 def test_table_and_blocks_match_state_walk(sector):
     L, N, two_sz = sector
-    spec = fr.make_spec(L, N, U=fr.INFINITY)
     basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
     walk = _walk_moves(basis)
     moves = table_moves(basis)
@@ -254,7 +257,7 @@ def test_table_and_blocks_match_state_walk(sector):
     for i in range(basis.dim):
         components.setdefault(find(i), []).append(i)
     want = sorted(tuple(c) for c in components.values())
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     assert [b.member_indices for b in blocks] == want  # ordered by smallest member
     for b in blocks:
         w = spin_word(int(basis.codes[b.member_indices[0]]), L)
@@ -264,5 +267,5 @@ def test_table_and_blocks_match_state_walk(sector):
 def test_empty_hardcore_sector_is_one_block():
     assert fr.necklace_period("") == 1
     basis = fr.enumerate_sector(4, 0, 0, hardcore=True)
-    blocks = fr.decompose_blocks(basis, fr.make_spec(4, 0, U=fr.INFINITY))
+    blocks = fr.decompose_blocks(basis)
     assert [(b.period, b.representative, b.member_indices) for b in blocks] == [(1, "", (0,))]

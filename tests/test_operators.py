@@ -17,9 +17,15 @@ from fluxring.errors import (
     MethodLimit,
     PotentialPresent,
 )
-from fluxring.basis import mode
+from fluxring.basis import entry_rows, mode
 from fluxring.model import fold_angle, validate
-from fluxring.operators import SparseHermitian, _diagonal, conjugation_residual
+from fluxring.operators import (
+    SparseHermitian,
+    _diagonal,
+    _with_data,
+    conjugation_residual,
+    is_sign_gauge,
+)
 
 from oracles import (
     DenseOracle,
@@ -174,6 +180,12 @@ def test_hardcore_zero_and_pi_gauge_equivalent():
     assert conjugation_residual(g, hpi, h0) < 1e-10
 
 
+def _gauged(phases, h):
+    """g H g^{-1} for the gauge g = phases: entries g_i H_ij conj(g_j) on h's pattern."""
+    m = h.mat
+    return _with_data(m, phases[entry_rows(m.indptr)] * m.data * np.conj(phases[m.indices]))
+
+
 def test_solve_sign_gauge_multi_block_random_phases():
     # hard-core L=7 N=6 splits into four blocks; a random complex diagonal
     # gauge is recovered up to one constant per block, which the solver
@@ -182,19 +194,19 @@ def test_solve_sign_gauge_multi_block_random_phases():
     spec = fr.make_spec(7, 6, rng.uniform(0.5, 2.0, 7), rng.uniform(0, 2 * PI, 7),
                         None, fr.INFINITY)
     basis = fr.enumerate_sector(7, 6, 0, hardcore=True)
-    blocks = fr.decompose_blocks(basis, spec)
+    blocks = fr.decompose_blocks(basis)
     assert len(blocks) > 1
     h = fr.build_hamiltonian(spec, basis)
     phases = np.exp(1j * rng.uniform(0, 2 * PI, basis.dim))
-    target = fr.DiagonalGauge(phases).apply(h)
+    target = _gauged(phases, h)
     g = fr.solve_sign_gauge(h, target)
     assert conjugation_residual(g, h, target) < 1e-12
     for b in blocks:
         idx = np.asarray(b.member_indices)
         root = idx.min()
-        assert g.phases[root] == 1.0
+        assert g[root] == 1.0
         want = phases[idx] * np.conj(phases[root])
-        assert np.abs(g.phases[idx] - want).max() < 1e-12
+        assert np.abs(g[idx] - want).max() < 1e-12
 
 
 def test_solve_sign_gauge_rejects_different_moduli():
@@ -210,7 +222,7 @@ def test_conjugation_residual_refuses_operands_off_one_pattern():
     # entrywise residuals compare stored entries, so a different pattern or
     # a repeated entry (not canonical) is refused, not compared
     h = fr.build_hamiltonian(fr.make_spec(4, 2, U=2.0), fr.enumerate_sector(4, 2, 0))
-    g = fr.DiagonalGauge(np.ones(h.dim, dtype=complex))
+    g = np.ones(h.dim, dtype=complex)
     assert conjugation_residual(g, h, h) == 0.0
     diagonal = SparseHermitian(sparse.diags(h.mat.diagonal()).tocsr())
     m = sparse.csr_matrix(([1.0, 1.0], [0, 0], [0, 2, 2]), shape=(2, 2))
@@ -219,6 +231,23 @@ def test_conjugation_residual_refuses_operands_off_one_pattern():
     for a, b in ((h, diagonal), (diagonal, h), (repeated, repeated)):
         with pytest.raises(FluxObstruction, match="pattern"):
             conjugation_residual(g, a, b)
+
+
+def test_envelope_and_gauge_refuse_a_repeated_entry():
+    # one pattern rule for every gauge helper: an operand with a repeated
+    # entry is refused, not summed into a copy
+    m = sparse.csr_matrix(([1.0, 1.0, 2.0], [1, 1, 0], [0, 2, 3]), shape=(2, 2))
+    repeated = SparseHermitian(m)
+    summed = SparseHermitian(m.copy())
+    summed.mat.sum_duplicates()
+    assert not repeated.mat.has_canonical_format and summed.mat.has_canonical_format
+    for call in (lambda: fr.negative_envelope(repeated),
+                 lambda: fr.solve_sign_gauge(repeated, summed),
+                 lambda: fr.solve_sign_gauge(summed, repeated)):
+        with pytest.raises(FluxObstruction, match="pattern"):
+            call()
+    assert np.array_equal(fr.negative_envelope(summed).to_dense(), [[0.0, -2.0], [-2.0, 0.0]])
+    assert np.array_equal(fr.solve_sign_gauge(summed, summed), [1.0, 1.0])
 
 
 def hole_particle_down(spec):
@@ -317,7 +346,7 @@ def test_perron_frobenius_positive_ground_vector_per_block():
     dense = h.to_dense()
     off = dense[~np.eye(basis.dim, dtype=bool)]
     assert off.real.max() <= 0.0 and np.abs(off.imag).max() < 1e-12
-    for block in fr.decompose_blocks(basis, spec):
+    for block in fr.decompose_blocks(basis):
         idx = np.asarray(block.member_indices)
         vals, vecs = np.linalg.eigh(dense[np.ix_(idx, idx)])
         v = vecs[:, 0]
@@ -431,7 +460,7 @@ def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
     family = fr.flux_family(spec, basis)
     keep = None
     if restrict and hardcore and N > 0:
-        blocks = fr.decompose_blocks(basis, spec)
+        blocks = fr.decompose_blocks(basis)
         keep = np.array(blocks[int(rng.integers(len(blocks)))].member_indices)
     elif restrict:
         keep = np.flatnonzero(rng.random(basis.dim) < 0.5)
@@ -514,10 +543,10 @@ def test_operators_on_one_basis_share_its_read_only_layout(sector, phi):
     h = fr.build_hamiltonian(spec, basis)
     family = fr.flux_family(spec, basis)
     ref = _coo_assembly(spec, basis, phi)
-    gauge = fr.DiagonalGauge(np.exp(1j * rng.uniform(0, 2 * PI, basis.dim)))
+    phases = np.exp(1j * rng.uniform(0, 2 * PI, basis.dim))
     layout = basis.layout
     shared = (h, family.hamiltonian(phi), family.derivative(phi), fr.negative_envelope(h),
-              gauge.apply(h))
+              _gauged(phases, h))
     for op in shared:
         assert np.shares_memory(op.mat.indices, layout.indices)
         assert np.shares_memory(op.mat.indptr, layout.indptr)
@@ -549,7 +578,7 @@ def test_sign_gauge_of_the_free_sector_stays_within_a_few_entries_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gauge.is_sign_gauge()
+    assert is_sign_gauge(gauge)
     assert peak < 4 * h.mat.data.nbytes, peak / h.mat.data.nbytes
 
 

@@ -469,7 +469,7 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
     rng = np.random.default_rng(8)
     spec = fr.make_spec(8, 6, rng.uniform(0.5, 2.0, 8), None, None, fr.INFINITY)
     basis = fr.analysis.sector_basis_for(spec, 0)
-    block = next(b for b in fr.decompose_blocks(basis, spec) if b.dimension == 168)
+    block = next(b for b in fr.decompose_blocks(basis) if b.dimension == 168)
     family = fr.flux_family(spec, basis).restrict(block.member_indices)
     angles = fr.analysis.flux_grid(90)
     assert family.dim > ENERGY_CROSSOVER
@@ -808,22 +808,3 @@ def test_s2_projected_on_part_of_a_multiplet_sum_is_typed():
         fr.GroundInfo(0.0, 1, 1.0, mixed[:, None], "dense").spins(s2)
     assert issubclass(MultipletCut, fr.FluxRingError)
     assert fr.GroundInfo(0.0, 1, 1.0, vectors[:, -1:], "dense").spins(s2) == {1.0}
-
-
-def test_flux_curve_takes_only_the_uniform_grid():
-    # refine_argmin brackets each grid minimum by x -+ 2*pi/n, so a curve on
-    # a clustered grid (here 100 points on [0, 1.4), 9 on [1.4, 2*pi)) would
-    # be refined on wrong brackets
-    clustered = np.concatenate([np.linspace(0.0, 1.4, 100, endpoint=False),
-                                np.linspace(1.4, 2 * PI, 9, endpoint=False)])
-    with pytest.raises(ValueError, match="uniform"):
-        fr.FluxCurve(clustered, np.zeros(len(clustered)))
-    for bad in ([], [0.1, 1.0, 2.0], [0.0, 1.0, 2.0], np.arange(9) * (2 * PI / 8)):
-        with pytest.raises(ValueError):
-            fr.FluxCurve(np.asarray(bad, dtype=float), np.zeros(len(bad)))
-    with pytest.raises(ValueError, match="length"):
-        fr.FluxCurve(fr.analysis.flux_grid(8), np.zeros(7))
-    for n in (8, 9, 64, 90, 109, 720, 1999):
-        for grid in (fr.analysis.flux_grid(n), np.linspace(0.0, 2 * PI, n, endpoint=False),
-                     np.array([2 * PI * k / n for k in range(n)])):
-            fr.FluxCurve(grid, np.zeros(n))
