@@ -44,6 +44,7 @@ from .spectra import (
     _ground_energies,
     _ground_window,
     ground,
+    log_partition_scan,
     log_partition_sweep,
     lowest_sum,
 )
@@ -149,8 +150,12 @@ def flux_grid(grid_size: int) -> np.ndarray:
 
 def _shifted(values: np.ndarray, p: int, family: FluxFamily) -> np.ndarray:
     """E(phi_i + 2*pi/p) at every angle of flux_grid(G), for family's G
-    curve values on it: the curve G/p steps on when p divides G (separate
-    solves of other matrices), else the shifted grid solved on family."""
+    curve values on it: the curve G/p steps on when p divides G, else the
+    shifted grid solved on family. On the curve, the value G/p steps on is
+    a solve of another matrix except at the pairs with 2i + G/p = 0 (mod
+    G), where it is the time-reversal copy of the value at i itself
+    (_ground_energies): there the residual checks E(phi) = E(-phi), not
+    the period."""
     n = len(values)
     if n % p == 0:
         return np.roll(values, -(n // p))
@@ -274,7 +279,10 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
 
     Finite coupling: the refined argmin equals (N/2+1)*pi (even ring) or
     N*pi/2 (odd ring). Hard-core: the argmin set is {2*pi*n/N} and the
-    curve has period 2*pi/N, checked at every grid angle.
+    curve has period 2*pi/N, checked at every grid angle. The scan solves
+    each time-reversal pair of grid angles once, so where N divides the
+    grid size G, the period residual at the pairs with 2i + G/N = 0 (mod
+    G) compares a value with its own mirror copy (_shifted).
     """
     if spec.N % 2 or spec.N > spec.L:
         raise HypothesisViolated("requires even N <= L")
@@ -308,7 +316,10 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
     and the reduction of the ground energy to one-particle level sums.
 
     Refuses models with V != 0 or U != 0: the claim is false there (the
-    potential-disorder counterexample is exercised separately).
+    potential-disorder counterexample is exercised separately). The scan
+    solves each time-reversal pair of grid angles once, so the period
+    residual at the pairs with 2i + G/2 = 0 (mod G), i = G/4 and 3G/4 when
+    4 divides G, compares a value with its own mirror copy (_shifted).
     """
     if spec.N != spec.L or spec.N % 2 == 0:
         raise HypothesisViolated("requires half filling N = L with N odd")
@@ -632,10 +643,14 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     pi-role flux agree and bound each block curve from below.
 
     Each block's curve is solved on its own family by _ground_energies,
-    under the eigensolver policy and DENSE_LIMIT. E(phi_i + 2*pi/p) is
-    read from the curve G/p grid steps on when p divides G, and E(pi) from
-    the grid point equal to pi (separate solves of other matrices); else
-    both are solved directly.
+    under the eigensolver policy and DENSE_LIMIT, each time-reversal pair
+    of grid angles once. E(phi_i + 2*pi/p) is read from the curve G/p grid
+    steps on when p divides G, and E(pi) from the grid point equal to pi;
+    else both are solved directly (a shifted grid with 2G/p an integer is
+    mirror-closed and solved on half its angles). Read from the curve, the
+    period residual at the pairs with 2i + G/p = 0 (mod G) compares a value
+    with its own mirror copy (_shifted); every other pair compares
+    separate solves of other matrices.
     """
     _require_hardcore(spec)
     _require_hopping(spec)
@@ -691,7 +706,10 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
     rounding noise of the difference quotient where that grows past it
     with beta * max|E|. Even N: the maximizer sits at the
     zero-temperature optimal flux for every beta. Maximizers are taken from
-    log P, which has the argmax of P and stays finite at any beta. Odd N
+    log P, which has the argmax of P and stays finite at any beta. log P
+    is read off log_partition_scan, which diagonalizes each time-reversal
+    pair of grid angles once, so the two angles of a pair tie exactly and
+    np.argmax settles the tie on the one in [0, pi]. Odd N
     away from free half filling is claimed nothing about, and raises
     HypothesisViolated; no beta at all leaves nothing to judge, and raises
     ValueError.
@@ -710,7 +728,7 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
     grid = flux_grid(grid_size)
 
     measured: dict = {"betas": list(betas), "two_sz": two_sz}
-    log_p = log_partition_sweep((family.hamiltonian(phi) for phi in grid), betas)
+    log_p = log_partition_scan(family, grid, betas)
     argmax = {beta: float(grid[int(np.argmax(row))]) for beta, row in zip(betas, log_p)}
 
     if odd_free_halffill:

@@ -24,7 +24,7 @@ from .errors import FluxRingError
 from .fixtures import FIXTURE_NAMES, base_seed, gen_fixture, reseed_hoppings
 from .model import ModelSpec, load_model, parse_angle, save_model, with_flux
 from .operators import build_hamiltonian, build_total_spin, flux_family
-from .spectra import ground, log_partition_sweep
+from .spectra import ground, log_partition_scan
 
 
 def _fmt(x: float) -> str:
@@ -129,7 +129,7 @@ def cmd_thermo(args) -> int:
     betas = tuple(args.beta) if args.beta else (0.5, 1.0, 2.0)
     grid = analysis.flux_grid(args.grid)
     family = flux_family(spec, analysis.sector_basis_for(spec, args.two_sz))
-    log_p = log_partition_sweep((family.hamiltonian(phi) for phi in grid), betas)
+    log_p = log_partition_scan(family, grid, betas)
     lines = ["phi,beta,log_partition"]
     for beta, row in zip(betas, log_p):
         lines += [f"{_fmt(phi)},{_fmt(beta)},{_fmt(lp)}" for phi, lp in zip(grid, row)]

@@ -9,17 +9,22 @@ of _lanczos_energies, with a deterministic start vector, which keeps three
 vectors per column and serves every Lanczos solve. Energies alone come from
 one loop, _lowest_energies: _ground_energies runs it for a whole flux grid
 at once, one column per angle, and ground(want_vectors=False) for its one
-operator, so an energy is the same, bit for bit, alone and in a scan; it
-reports degeneracy 1, an infinite gap and no vectors, whichever solver
-answered. Each column is checked on its own schedule, sparser while its
-lowest Ritz value still moves far, and computes a Ritz vector only at a
-check that can stop. From a column's third check on, the bisection for
-its lowest Ritz value is warm-started: the previous value bounds it from
-above (Cauchy interlacing), and an inertia test certifies the bottom of
-the window searched below it. A solve with vectors resolves degenerate
-ground levels by deflation: the ground vectors found so far are locked,
-projected out of the recurrence at every step, until a pass's value
-clears the degeneracy gap. A ground vector costs a replay: the same
+operator, so an energy solved in a scan is the same, bit for bit, as alone;
+it reports degeneracy 1, an infinite gap and no vectors, whichever solver
+answered. A scan solves each time-reversal pair of its angles once: when
+the family's flux-0 entries are all real, H(2*pi - phi) = conj H(phi) has
+the spectrum of H(phi), so an angle in (pi, 2*pi) whose partner 2*pi - phi
+is among the angles takes the partner's energy, bit for bit, which agrees
+with a solve at its own angle to rounding (_mirror_plan; log_partition_scan
+pairs its spectra alike). Each column is checked on its own schedule,
+sparser while its lowest Ritz value still moves far, and computes a Ritz
+vector only at a check that can stop. From a column's third check on, the
+bisection for its lowest Ritz value is warm-started: the previous value
+bounds it from above (Cauchy interlacing), and an inertia test certifies
+the bottom of the window searched below it. A solve with vectors resolves
+degenerate ground levels by deflation: the ground vectors found so far
+are locked, projected out of the recurrence at every step, until a pass's
+value clears the degeneracy gap. A ground vector costs a replay: the same
 recurrence runs again from the same start and sums the Lanczos vectors
 with the Ritz coefficients, and one more product with H confirms its
 residual.
@@ -195,6 +200,12 @@ _STACK_ENTRIES = 2**15
 #: 0.04-0.10 more checks.
 _CHECK_FIRST = 5
 _CHECK_SCHEDULE = ((1e-3, 15), (1e-6, 10), (-math.inf, 3))
+
+#: Two folded angles are time-reversal partners (_mirror_plan) when one lies
+#: within this of 2*pi less the other: a few ulps of 2*pi. Uniform grids of up
+#: to 1000 angles, and their shifts by 2*pi/p, miss their partners by at most
+#: 2 ulps after folding, and no two of their angles lie closer than 2*pi/G.
+_MIRROR_TOL = 8 * float(np.spacing(2 * math.pi))
 
 #: Most steps one recurrence of _lanczos_energies takes, whatever its budget.
 _MAX_STEPS = 600
@@ -521,14 +532,44 @@ def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
 
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
     """Ground energy of family.hamiltonian(phi) at every angle (folded), by
-    _lowest_energies on family.stacked: bit for bit that of
+    _lowest_energies on family.stacked, each time-reversal pair solved once
+    (_mirror_plan). A solved angle's energy is bit for bit that of
     ground(family.hamiltonian(phi), want_vectors=False, method=method),
-    whichever angles are solved with it."""
+    whichever angles are solved with it; an angle mirrored onto its partner
+    carries the partner's energy bit for bit, equal to its own to rounding.
+    """
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
-    return _lowest_energies(len(angles), family.dim, family.nnz,
-                            lambda ks: family.stacked([angles[k] for k in ks]),
-                            lambda k: family.dense(angles[k]), method,
-                            lambda k: f" at phi={angles[k]}")[0]
+    solved, take = _mirror_plan(family, angles)
+    return _lowest_energies(len(solved), family.dim, family.nnz,
+                            lambda ks: family.stacked([angles[solved[k]] for k in ks]),
+                            lambda k: family.dense(angles[solved[k]]), method,
+                            lambda k: f" at phi={angles[solved[k]]}")[0][take]
+
+
+def _mirror_plan(family: FluxFamily, angles) -> tuple[np.ndarray, np.ndarray]:
+    """The angles to solve (ascending indices into angles, folded into
+    [0, 2*pi)) and, for each angle, the position in them of the one whose
+    value it takes.
+
+    With every flux-0 entry real, the family is real but for exp(+-i phi)
+    on its winding entries, so H(2*pi - phi) = conj H(phi), with the same
+    spectrum (time reversal; Byers & Yang, PRL 7, 46 (1961)). An angle in
+    (pi, 2*pi) then takes the value of an angle in [0, pi] lying within
+    _MIRROR_TOL of 2*pi less it, when angles holds one; every other angle
+    is solved. A family with a complex flux-0 entry solves every angle.
+    """
+    folded = np.asarray(angles, dtype=float)
+    sources = np.arange(len(folded))
+    low = np.flatnonzero(folded <= math.pi)
+    high = np.flatnonzero(folded > math.pi)
+    if len(low) and len(high) and not family.zero.data.imag.any():
+        low = low[np.argsort(folded[low], kind="stable")]
+        mirror = 2 * math.pi - folded[high]          # fold_angle(-phi) on (pi, 2*pi)
+        at = np.minimum(np.searchsorted(folded[low], mirror - _MIRROR_TOL), len(low) - 1)
+        paired = np.abs(folded[low[at]] - mirror) <= _MIRROR_TOL
+        sources[high[paired]] = low[at[paired]]
+    solved = np.flatnonzero(sources == np.arange(len(folded)))
+    return solved, np.searchsorted(solved, sources)
 
 
 def _lowest_energies(count: int, dim: int, nnz: int, stack, dense, method: str,
@@ -730,3 +771,14 @@ def log_partition_sweep(hamiltonians, betas) -> np.ndarray:
         columns.append([float(-beta * vals[0] + math.log(np.exp(-beta * (vals - vals[0])).sum()))
                         for beta in betas])
     return np.reshape(columns, (len(columns), len(betas))).T
+
+
+def log_partition_scan(family: FluxFamily, angles, betas) -> np.ndarray:
+    """log_partition_sweep of family.hamiltonian(phi) at every angle
+    (folded), one row per beta and one column per angle, each time-reversal
+    pair diagonalized once (_mirror_plan): a solved column is bit for bit
+    that of a sweep of its one Hamiltonian, and a mirrored one its
+    partner's."""
+    angles = [fold_angle(phi) for phi in np.ravel(angles)]
+    solved, take = _mirror_plan(family, angles)
+    return log_partition_sweep((family.hamiltonian(angles[k]) for k in solved), betas)[:, take]

@@ -465,7 +465,9 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
     # a 168-state block of hard-core L=8 N=6 over 90 angles: every column is
     # checked on its own schedule, fewer times than every 5 steps would, and
     # computes its Ritz vector only at a check whose value test passed, at
-    # most twice; its checks are the same in the batch and alone
+    # most twice; the batch solves the 46 angles in [0, pi], whose checks
+    # are the same in the batch and alone, and each angle past pi takes its
+    # mirror's energy, bit for bit, within rounding of its own solve
     rng = np.random.default_rng(8)
     spec = fr.make_spec(8, 6, rng.uniform(0.5, 2.0, 8), None, None, fr.INFINITY)
     basis = fr.analysis.sector_basis_for(spec, 0)
@@ -488,9 +490,14 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
     batch = spectra._ground_energies(family, angles)
     in_batch = sorted(events)
     alone = []
-    for phi, energy in zip(angles, batch):
+    for k, (phi, energy) in enumerate(zip(angles, batch)):
         events.clear()
-        assert spectra._ground_energies(family, [phi])[0] == energy
+        own = spectra._ground_energies(family, [phi])[0]
+        if 2 * k > len(angles):                # mirrored onto 2*pi - phi
+            assert _bits(energy) == _bits(batch[len(angles) - k])
+            assert abs(own - energy) <= 1e-12 * max(1.0, abs(own)), phi
+        else:
+            assert own == energy
         checks = [ev for ev in events if ev[0] == "value"]
         steps = checks[-1][1]                  # the column stops at its last check
         assert len(checks) < steps // 5, (phi, len(checks), steps)
@@ -501,7 +508,8 @@ def test_energy_checks_pay_for_a_ritz_vector_only_where_a_column_can_stop(monkey
             assert check[1] == events[i][1] and n > 0
             assert abs(check[2] - checks[n - 1][2]) <= 1e-14 * max(1.0, abs(check[2]))
         assert 1 <= len(vectors) <= 2, (phi, len(vectors))
-        alone += events
+        if 2 * k <= len(angles):
+            alone += events
     assert in_batch == sorted(alone)
 
 
@@ -702,43 +710,136 @@ def _bits(a):
           np.arange(8) * (PI / 4), "lanczos", 0))
 @settings(max_examples=40, deadline=None)
 def test_batched_energies_do_not_depend_on_the_batch(case):
+    # angle k of a grid of G, past pi when 2k > G, takes the energy of its
+    # mirror G - k, bit for bit, where the batch holds both; every other
+    # angle is solved, and its energy is the same, bit for bit, alone, in
+    # any split of the batch and through ground
     family, angles, method, seed = case
+    size = len(angles)
+    mirrored = np.arange(size)[2 * np.arange(size) > size]
+    solved = np.setdiff1d(np.arange(size), mirrored)
     energies = spectra._ground_energies(family, angles, method)
+    assert _bits(energies[mirrored]) == _bits(energies[size - mirrored])
     rng = np.random.default_rng(seed)
-    for k in rng.choice(len(angles), size=min(len(angles), 8), replace=False):
+    for k in np.union1d(mirrored, rng.choice(size, size=min(size, 8), replace=False)):
         exact = float(np.linalg.eigvalsh(family.dense(fr.model.fold_angle(angles[k])))[0])
         assert abs(energies[k] - exact) <= 1e-12 * max(1.0, abs(exact))
-    alone = [spectra._ground_energies(family, [phi], method)[0] for phi in angles]
-    assert _bits(energies) == _bits(alone)
-    order = rng.permutation(len(angles))
-    parts = np.split(order, np.sort(rng.choice(np.arange(1, len(angles)), size=3, replace=False)))
-    batched = np.empty(len(angles))
+    alone = np.array([spectra._ground_energies(family, [phi], method)[0] for phi in angles])
+    assert _bits(energies[solved]) == _bits(alone[solved])
+    order = rng.permutation(size)
+    parts = np.split(order, np.sort(rng.choice(np.arange(1, size), size=3, replace=False)))
+    batched, expected = np.empty(size), alone.copy()
     for part in parts:
         batched[part] = spectra._ground_energies(family, angles[part], method)
-    assert _bits(energies) == _bits(batched)
+        paired = mirrored[np.isin(mirrored, part) & np.isin(size - mirrored, part)]
+        expected[paired] = energies[paired]
+    assert _bits(batched) == _bits(expected)
     single = [fr.ground(family.hamiltonian(fr.model.fold_angle(phi)), want_vectors=False,
                         max_degeneracy=0, method=method).energy for phi in angles]
-    assert _bits(energies) == _bits(single)
+    assert _bits(energies[solved]) == _bits(np.array(single)[solved])
 
 
 def test_batches_hold_at_most_the_stack_budget(monkeypatch):
-    # hard-core L=6 N=4 (dimension 90): room for two angles' entries makes
-    # batches of two, room for less than one angle batches of one
+    # hard-core L=6 N=4 (dimension 90) on 9 angles, of which the 5 in
+    # [0, pi] are solved: room for two angles' entries makes batches of
+    # two, room for less than one angle batches of one; the 4 past pi take
+    # their mirrors' energies, bit for bit, whatever the batches
     family = fr.flux_family(fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None,
                                          fr.INFINITY), fr.enumerate_sector(6, 4, 0, True))
     assert family.dim > ENERGY_CROSSOVER
     angles = np.arange(9) * (2 * PI / 9)
     whole = spectra._ground_energies(family, angles)
+    assert _bits(whole[5:]) == _bits(whole[4:0:-1])
+    assert _bits(whole[:5]) == _bits([spectra._ground_energies(family, [phi])[0]
+                                      for phi in angles[:5]])
     sizes = []
     recurrence = spectra._lanczos_energies
     monkeypatch.setattr(spectra, "_lanczos_energies",
                         lambda stack, dim, count, *a: sizes.append(count) or
                         recurrence(stack, dim, count, *a))
-    for budget, expected in ((2 * family.nnz, [2, 2, 2, 2, 1]), (1, [1] * 9)):
+    for budget, expected in ((2 * family.nnz, [2, 2, 1]), (1, [1] * 5)):
         sizes.clear()
         monkeypatch.setattr(spectra, "_STACK_ENTRIES", budget)
         assert _bits(spectra._ground_energies(family, angles)) == _bits(whole)
         assert sizes == expected
+
+
+def _solved_columns(monkeypatch):
+    """The operators each _lowest_energies call of _ground_energies solves."""
+    counts = []
+    lowest = spectra._lowest_energies
+    monkeypatch.setattr(spectra, "_lowest_energies",
+                        lambda count, *a: counts.append(count) or lowest(count, *a))
+    return counts
+
+
+@pytest.mark.parametrize("size", [8, 9, 64, 90, 240])
+def test_uniform_grids_solve_half_their_angles_and_one(monkeypatch, size):
+    # hard-core L=6 N=4 (dimension 90, on the recurrence): G angles, G//2 + 1
+    # solved, each within rounding of eigvalsh at its own angle
+    family = fr.flux_family(fr.make_spec(6, 4, (1.3, 0.8, 1.1, 0.6, 1.7, 0.9), None, None,
+                                         fr.INFINITY), fr.enumerate_sector(6, 4, 0, True))
+    counts = _solved_columns(monkeypatch)
+    grid = fr.analysis.flux_grid(size)
+    energies = spectra._ground_energies(family, grid)
+    assert counts == [size // 2 + 1]
+    for phi, energy in zip(grid, energies):
+        exact = float(np.linalg.eigvalsh(family.dense(phi))[0])
+        assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_mirror_closed_shifted_grid_is_halved(monkeypatch):
+    # the period-2 block (56 states) of hard-core L=8 N=6 on flux_grid(90) +
+    # 2*pi/12: 2G/p = 15 is an integer, so angle i pairs with 75 - i (mod
+    # 90) and no angle is its own mirror: 45 solves
+    spec = fr.make_spec(8, 6, np.random.default_rng(1).uniform(0.5, 2, 8), None, None,
+                        fr.INFINITY)
+    basis = fr.enumerate_sector(8, 6, 0, True)
+    block = next(b for b in fr.decompose_blocks(basis) if b.dimension == 56)
+    family = fr.flux_family(spec, basis).restrict(block.member_indices)
+    counts = _solved_columns(monkeypatch)
+    angles = fr.analysis.flux_grid(90) + 2 * PI / 12
+    energies = spectra._ground_energies(family, angles)
+    assert counts == [45]
+    partner = (75 - np.arange(90)) % 90
+    assert _bits(energies) == _bits(energies[partner])
+    exact = [float(np.linalg.eigvalsh(family.dense(fr.model.fold_angle(phi)))[0])
+             for phi in angles]
+    assert np.abs(energies - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+def test_angles_without_their_mirrors_are_all_solved(monkeypatch):
+    # no angle's 2*pi - phi among the others, or only 1e-9 away: all solved,
+    # each bit for bit as alone
+    family = fr.flux_family(fr.make_spec(4, 2, (1.2, 0.7, 1.5, 0.9), None,
+                                         (0.3, -0.2, 0.0, 0.1), 1.0), fr.enumerate_sector(4, 2, 0))
+    counts = _solved_columns(monkeypatch)
+    for angles in ([0.3, 1.0, 4.0, 5.5], [0.7, 2 * PI - 0.7 + 1e-9, PI + 0.2]):
+        counts.clear()
+        energies = spectra._ground_energies(family, angles)
+        assert counts[0] == len(angles)
+        assert _bits(energies) == _bits([spectra._ground_energies(family, [phi])[0]
+                                         for phi in angles])
+
+
+def test_complex_flux_zero_entries_solve_every_angle(monkeypatch):
+    # a triangle whose flux-0 entries carry a phase of 0.9 on a bond the
+    # flux does not thread: E(2*pi - phi) != E(phi), and every angle of the
+    # grid is solved, bit for bit as alone
+    family = _crowded_triangle(40)
+    zero = family.zero.copy()
+    for i, j, sign in ((2, 1, 1), (1, 2, -1)):
+        k = zero.indptr[i] + np.flatnonzero(zero.indices[zero.indptr[i]:zero.indptr[i + 1]] == j)
+        zero.data[k] *= np.exp(sign * 0.9j)
+    family = FluxFamily(zero, family.up, family.down)
+    assert np.abs(family.dense(0.0) - family.dense(0.0).conj().T).max() == 0.0
+    counts = _solved_columns(monkeypatch)
+    grid = fr.analysis.flux_grid(16)
+    energies = spectra._ground_energies(family, grid)
+    assert counts[0] == 16
+    assert np.abs(energies[1:] - energies[:0:-1]).max() > 1e-3
+    assert _bits(energies) == _bits([spectra._ground_energies(family, [phi])[0]
+                                     for phi in grid])
 
 
 def _crowded_triangle(dim):
