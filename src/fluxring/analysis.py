@@ -24,7 +24,6 @@ from .errors import (
     HypothesisViolated,
     MethodLimit,
     MultipletCut,
-    NotFourNPlusTwo,
 )
 from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
 from .operators import (
@@ -570,7 +569,7 @@ def spiral_state(spec: ModelSpec):
     """
     _require_hardcore(spec)
     if spec.N % 4 != 2:
-        raise NotFourNPlusTwo(f"N={spec.N} is not of the form 4n+2")
+        raise HypothesisViolated(f"N={spec.N} is not of the form 4n+2")
 
     phi_zero, phi_pi = _flux_roles(spec.L)
     # In the sign-fixed gauge the hard-core matrix has non-positive entries

@@ -5,7 +5,7 @@ A configuration is an integer bitmask over 2L fermionic modes in site-major
 order, up before down: mode(x, sigma) = 2*x + sigma with x in 0..L-1 and
 sigma = 0 (up) / 1 (down). A basis holds its configurations as an ascending
 uint64 array (`codes`) and finds one by binary search; the 64-bit codes
-limit rings to 2L <= 64, and longer rings raise RingTooLong.
+limit rings to 2L <= 64, and longer rings raise MethodLimit.
 
 A hop c+_{m_to} c_{m_from} carries the sign (-1)**(occupied modes strictly
 between the two), the parity of a popcount over a contiguous mask; a spin
@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from .errors import BasisMismatch, EmptySector, MethodLimit, RingTooLong
+from .errors import BasisMismatch, EmptySector, MethodLimit
 
 #: Largest ring whose 2L modes fit the uint64 configuration codes.
 MAX_SITES = 32
@@ -40,6 +40,7 @@ UP_MODES = 0x5555555555555555
 #: data of one operator on it may take together; SectorBasis.hops and
 #: csr_layout refuse a larger sector with MethodLimit before they allocate.
 #: The L=12 half-filled sector (11.2M moves, 12.0M entries) needs 396 MiB.
+#: It admits fewer than 2**31 entries (16 bytes each), so layouts are int32.
 MEMORY_BUDGET = 2**30
 
 
@@ -96,8 +97,7 @@ def check_budget(dim: int, hops: int) -> None:
     MEMORY_BUDGET. A term is counted at the 11 bytes of a hopping-table
     move, which bounds S^2's 8-byte (row, column) pairs as well."""
     nnz = hops + dim
-    index = 4 if nnz < 2**31 else 8
-    need = 11 * hops + index * (dim + 1 + nnz + hops + dim) + 16 * nnz
+    need = 11 * hops + 4 * (dim + 1 + nnz + hops + dim) + 16 * nnz
     if need > MEMORY_BUDGET:
         raise MethodLimit(f"{nnz} matrix entries need {need / 2**20:.0f} MiB for their "
                           f"terms, layout and one operator, over the "
@@ -106,11 +106,10 @@ def check_budget(dim: int, hops: int) -> None:
 
 def csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray) -> CSRLayout:
     """The CSRLayout of the terms (rows[k], cols[k]), k off the diagonal and
-    no two alike, plus the dim diagonal entries; int32 wherever the entry
-    count allows. Refused by check_budget before anything is allocated."""
+    no two alike, plus the dim diagonal entries, in int32. Refused by
+    check_budget before anything is allocated."""
     check_budget(dim, len(rows))
     n = len(rows)
-    index = np.int32 if n + dim < 2**31 else np.int64
     key = rows.astype(np.int64)
     key *= dim
     key += cols
@@ -118,19 +117,19 @@ def csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray) -> CSRLayout:
     del key
     # a hop's entry: its rank among the hops, plus one diagonal per earlier
     # row and its own row's when it lies right of the diagonal
-    hop = np.empty(n, dtype=index)
-    hop[order] = np.arange(n, dtype=index)
+    hop = np.empty(n, dtype=np.int32)
+    hop[order] = np.arange(n, dtype=np.int32)
     del order
     hop += rows
     hop += cols > rows
     filled = np.zeros(n + dim, dtype=bool)
     filled[hop] = True
-    diag = np.flatnonzero(~filled).astype(index)  # one gap per row, in row order
+    diag = np.flatnonzero(~filled).astype(np.int32)  # one gap per row, in row order
     del filled
-    indices = np.empty(n + dim, dtype=index)
+    indices = np.empty(n + dim, dtype=np.int32)
     indices[hop] = cols
-    indices[diag] = np.arange(dim, dtype=index)
-    indptr = np.zeros(dim + 1, dtype=index)
+    indices[diag] = np.arange(dim, dtype=np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim) + 1, out=indptr[1:])
     for a in (indptr, indices, hop, diag):
         a.flags.writeable = False
@@ -219,7 +218,7 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
     C(L, N) * C(N, N_up) under the hard-core constraint.
     """
     if L > MAX_SITES:
-        raise RingTooLong(f"L={L} exceeds {MAX_SITES} sites: 2L modes must fit 64-bit codes")
+        raise MethodLimit(f"L={L} exceeds {MAX_SITES} sites: 2L modes must fit 64-bit codes")
     if (N + two_sz) % 2 != 0 or abs(two_sz) > N:
         raise EmptySector(f"no states with N={N}, 2Sz={two_sz}")
     n_up = (N + two_sz) // 2
@@ -228,14 +227,20 @@ def enumerate_sector(L: int, N: int, two_sz: int, hardcore: bool = False) -> Sec
         raise EmptySector(f"no states with N={N}, 2Sz={two_sz} on L={L}"
                           + (" (hard-core)" if hardcore else ""))
 
-    def masks(count: int, sigma: int) -> np.ndarray:
-        return np.array([sum(1 << mode(x, sigma) for x in sites)
-                         for sites in combinations(range(L), count)], dtype=np.uint64)
+    def subsets(n: int, k: int) -> np.ndarray:  # the k-subsets of range(n), as rows
+        return np.array(list(combinations(range(n), k)), dtype=np.uint64).reshape(comb(n, k), k)
 
-    codes = (masks(n_up, 0)[:, None] | masks(n_dn, 1)[None, :]).ravel()
-    if hardcore:  # drop codes with both bits 2x and 2x+1 set
-        codes = codes[(codes & (codes >> 1) & UP_MODES) == 0]
-    codes.sort()
+    def masks(bits: np.ndarray) -> np.ndarray:  # the code of each row of bits
+        return np.bitwise_or.reduce(np.uint64(1) << bits, axis=1)
+
+    if hardcore:  # C(L, N) site sets times C(N, n_up) spin words (bit j: particle j down)
+        sites, words = subsets(L, N), masks(subsets(N, n_dn))
+        codes = np.zeros((len(sites), len(words)), dtype=np.uint64)
+        for j in range(N):
+            codes |= np.uint64(1) << mode(sites[:, j, None], (words >> j) & 1)
+    else:
+        codes = masks(mode(subsets(L, n_up), 0))[:, None] | masks(mode(subsets(L, n_dn), 1))
+    codes = np.sort(codes, axis=None)
 
     expected = comb(L, N) * comb(N, n_up) if hardcore else comb(L, n_up) * comb(L, n_dn)
     assert len(codes) == expected

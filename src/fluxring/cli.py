@@ -223,10 +223,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FluxRingError as exc:
-        print(f"fluxring: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (FluxRingError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"fluxring: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,4 +1,11 @@
-"""Exception hierarchy for fluxring."""
+"""Exception hierarchy for fluxring: each error is a FluxRingError of one
+kind, and the CLI exits 2 on each.
+
+- ModelError: a malformed model, model file or fixture name.
+- HypothesisViolated: a model outside the hypotheses of the claim asked of it.
+- MethodLimit: too large for the dense size, 64-bit codes, memory or sign search.
+- The rest: an empty sector, a foreign basis or a computation that failed.
+"""
 
 
 class FluxRingError(Exception):
@@ -9,40 +16,12 @@ class ModelError(FluxRingError):
     """Invalid model definition."""
 
 
-class RingTooSmall(ModelError):
-    """Ring length below 3 (a 2-site ring duplicates its single bond)."""
-
-
-class BadLength(ModelError):
-    """A per-bond or per-site list does not have length L."""
-
-
-class ZeroHopping(ModelError):
-    """Some hopping magnitude is not strictly positive."""
-
-
-class HardCoreOverfill(ModelError):
-    """Hard-core mode with more particles than sites."""
-
-
-class MixedInteraction(ModelError):
-    """Per-site interaction mixes finite and infinite values."""
-
-
 class EmptySector(FluxRingError):
     """Sector constraints are unsatisfiable."""
 
 
 class BasisMismatch(FluxRingError):
     """Operator construction received a basis built for a different model."""
-
-
-class PotentialPresent(FluxRingError):
-    """Operation requires V = 0."""
-
-
-class InteractionPresent(FluxRingError):
-    """Operation requires U = 0."""
 
 
 class FluxObstruction(FluxRingError):
@@ -57,10 +36,6 @@ class NoConvergence(FluxRingError):
         self.residual = residual
 
 
-class TooLargeForDense(FluxRingError):
-    """Dense spectrum requested above the dense size limit."""
-
-
 class MultipletCut(FluxRingError):
     """Ground vectors that may cut a spin multiplet: a saturated deflation,
     or S^2 projected on them with an eigenvalue not of the form s(s+1)."""
@@ -71,22 +46,9 @@ class DegenerateGround(FluxRingError):
     the degeneracy window, so no single ground vector can be picked."""
 
 
-class RingTooLong(FluxRingError):
-    """Ring longer than the 64-bit configuration codes allow (2L > 64)."""
-
-
 class HypothesisViolated(FluxRingError):
-    """A verifier was handed a model outside the hypotheses of its claim."""
+    """A model outside the hypotheses of the claim or construction asked of it."""
 
 
 class MethodLimit(FluxRingError):
-    """A verifier's method cannot take an input this large; the claim's
-    hypotheses may well hold."""
-
-
-class NotFourNPlusTwo(FluxRingError):
-    """Spiral-state construction requires N = 4n + 2."""
-
-
-class UnknownFixture(FluxRingError):
-    """Fixture generator does not know the requested name."""
+    """An input too large for a method, though the claim may hold."""

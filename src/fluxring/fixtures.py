@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .errors import UnknownFixture
+from .errors import ModelError
 from .model import ModelSpec, make_spec
 from .operators import extend_ring
 
@@ -67,4 +67,4 @@ def gen_fixture(name: str, seed: int | None = None, L: int | None = None,
     if name == "extended":
         L = 3 if L is None else L
         return extend_ring(make_spec(L, L if N is None else N, random_hoppings(L, seed)))
-    raise UnknownFixture(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    raise ModelError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BadLength,
-    HardCoreOverfill,
-    MixedInteraction,
-    ModelError,
-    RingTooSmall,
-    ZeroHopping,
-)
+from .errors import ModelError
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,11 +82,6 @@ class ModelSpec:
         -|t_x| at theta_x = pi."""
         return np.asarray(self.hop_mag) * unit_phase(self.hop_phase)
 
-    def u_values(self) -> np.ndarray:
-        if self.hardcore:
-            raise MixedInteraction("hard-core model has no finite U values")
-        return np.asarray(self.U, dtype=float)
-
 
 def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
     """Build and validate a ModelSpec; scalars are broadcast to length L.
@@ -122,26 +110,26 @@ def validate(raw: ModelSpec) -> ModelSpec:
     """Check invariants and return the normalized spec (phases folded).
     Every number is finite but U = +inf on all sites, the hard-core mode."""
     if raw.L < 3:
-        raise RingTooSmall(f"L={raw.L}: need L >= 3")
+        raise ModelError(f"L={raw.L}: need L >= 3")
     for name, seq in (("hop_mag", raw.hop_mag), ("hop_phase", raw.hop_phase), ("V", raw.V)):
         if len(seq) != raw.L:
-            raise BadLength(f"{name} has length {len(seq)}, expected L={raw.L}")
+            raise ModelError(f"{name} has length {len(seq)}, expected L={raw.L}")
         if not all(map(math.isfinite, seq)):
             raise ModelError(f"{name} has a non-finite entry")
     if any(m <= 0.0 for m in raw.hop_mag):
-        raise ZeroHopping("every |t_x| must be strictly positive")
+        raise ModelError("every |t_x| must be strictly positive")
 
     u = raw.U
     if isinstance(u, tuple):
         if len(u) != raw.L:
-            raise BadLength(f"U has length {len(u)}, expected L={raw.L}")
+            raise ModelError(f"U has length {len(u)}, expected L={raw.L}")
         if any(math.isnan(v) or v == -INFINITY for v in u):
             raise ModelError("U has a NaN or -inf entry: only +inf selects hard-core")
         infs = [math.isinf(v) for v in u]
         if all(infs) and infs:
             u = INFINITY
         elif any(infs):
-            raise MixedInteraction("per-site U mixes finite and infinite entries")
+            raise ModelError("per-site U mixes finite and infinite entries")
     elif u != INFINITY:
         raise ModelError("scalar U must be INFINITY; use a list for finite couplings")
 
@@ -149,7 +137,7 @@ def validate(raw: ModelSpec) -> ModelSpec:
     if raw.N < 0 or raw.N > 2 * raw.L:
         raise ModelError(f"N={raw.N} outside [0, 2L]")
     if hardcore and raw.N > raw.L:
-        raise HardCoreOverfill(f"N={raw.N} > L={raw.L} with hard-core interaction")
+        raise ModelError(f"N={raw.N} > L={raw.L} with hard-core interaction")
 
     phases = tuple(fold_angle(p) for p in raw.hop_phase)
     return replace(raw, hop_phase=phases, U=u)
@@ -175,17 +163,41 @@ def to_dict(spec: ModelSpec) -> dict:
     }
 
 
-def from_dict(data: dict) -> ModelSpec:
-    L = int(data["L"])
-    hop = data["hop"]
-    mags = [h["mag"] for h in hop]
-    phases = [h["theta"] for h in hop]
+def _number(value, name: str, integer: bool = False):
+    """value if a JSON number (an integer if asked), else a ModelError naming
+    the field; None stands for a field that is missing or null."""
+    if value is None:
+        raise ModelError(f"model field {name} is missing or null")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ModelError(f"model field {name} must be {'an integer' if integer else 'a number'}, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
+def _numbers(value, name: str):
+    """A JSON number or a list of them, as make_spec broadcasts it."""
+    if isinstance(value, list):
+        return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
+    return _number(value, name)
+
+
+def from_dict(data) -> ModelSpec:
+    """The model of a parsed model file. A missing field, or a field of the
+    wrong JSON type, raises ModelError naming it."""
+    if not isinstance(data, dict):
+        raise ModelError("a model file holds one JSON object with fields L, N and hop")
+    L, N = (_number(data.get(key), key, integer=True) for key in ("L", "N"))
+    hop = data.get("hop")
+    if not isinstance(hop, list) or not all(isinstance(h, dict) for h in hop):
+        raise ModelError('model field hop must be a list of {"mag": ..., "theta": ...} objects')
+    mags, phases = ([_number(h.get(key), f"hop[{k}].{key}") for k, h in enumerate(hop)]
+                    for key in ("mag", "theta"))
     u = data.get("U", 0.0)
     if isinstance(u, str):
         if u.lower() != "inf":
             raise ModelError(f"unrecognized U value {u!r}")
         u = INFINITY
-    return make_spec(L, int(data["N"]), mags, phases, data.get("V", 0.0), u)
+    return make_spec(L, N, mags, phases, _numbers(data.get("V", 0.0), "V"), _numbers(u, "U"))
 
 
 def dumps_model(spec: ModelSpec) -> str:

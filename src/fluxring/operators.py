@@ -23,12 +23,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .basis import CSRLayout, SectorBasis, _graph, csr_layout, entry_rows, mode
-from .errors import (
-    BasisMismatch,
-    FluxObstruction,
-    InteractionPresent,
-    PotentialPresent,
-)
+from .errors import BasisMismatch, FluxObstruction, HypothesisViolated
 from .model import ModelSpec, fold_angle, unit_phase, validate
 
 
@@ -75,7 +70,7 @@ def _check_basis(spec: ModelSpec, basis: SectorBasis) -> None:
 
 def _diagonal(spec: ModelSpec, basis: SectorBasis) -> np.ndarray:
     """sum_x V_x n_x + U_x n_x,up n_x,dn per state, accumulated site by site."""
-    u = None if spec.hardcore else spec.u_values()
+    u = None if spec.hardcore else np.asarray(spec.U, dtype=float)
     codes = basis.codes
     d = np.zeros(basis.dim)
     for x in range(spec.L):
@@ -179,16 +174,16 @@ class FluxFamily:
         Each block stores its entries in the order hamiltonian stores them,
         so a matvec on the stacked vectors (block g at rows g*dim onward)
         is, block for block, hamiltonian(angles[g]).matvec, bit for bit.
-        It holds len(angles) copies of the family's entries.
+        It holds len(angles) copies of the family's entries, int32-indexed:
+        a batch holds about spectra._STACK_ENTRIES entries or one angle.
         """
         m = self.zero
         count, nnz = len(angles), m.nnz
         data = self._data(np.tile(m.data, (count, 1)),
                           unit_phase(np.multiply.outer(angles, _WINDINGS)))
-        index = np.int32 if count * max(nnz, self.dim) < 2**31 else np.int64
-        shift = np.arange(count, dtype=index)[:, None]
+        shift = np.arange(count, dtype=np.int32)[:, None]
         indices = (m.indices + shift * self.dim).ravel()
-        indptr = np.append((m.indptr[:-1] + shift * nnz).ravel(), index(count * nnz))
+        indptr = np.append((m.indptr[:-1] + shift * nnz).ravel(), np.int32(count * nnz))
         size = count * self.dim
         return SparseHermitian(sparse.csr_matrix((data.ravel(), indices, indptr),
                                                  shape=(size, size)))
@@ -428,9 +423,9 @@ def extend_ring(spec: ModelSpec) -> ModelSpec:
     in the doubling identity this feeds.
     """
     if spec.hardcore or any(u != 0.0 for u in spec.U):
-        raise InteractionPresent("ring extension requires U = 0")
+        raise HypothesisViolated("ring extension requires U = 0")
     if any(v != 0.0 for v in spec.V):
-        raise PotentialPresent("ring extension requires V = 0")
+        raise HypothesisViolated("ring extension requires V = 0")
     return validate(
         ModelSpec(
             L=spec.L * 2,

@@ -57,12 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySector,
-    MultipletCut,
-    NoConvergence,
-    TooLargeForDense,
-)
+from .errors import EmptySector, MethodLimit, MultipletCut, NoConvergence
 from .model import ModelSpec, fold_angle
 from .operators import FluxFamily, SparseHermitian, build_one_particle
 
@@ -732,7 +727,7 @@ def lowest_sum(spec: ModelSpec, K: int, phi: float) -> float:
 
 def _check_dense(dim: int) -> None:
     if dim > DENSE_LIMIT:
-        raise TooLargeForDense(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
+        raise MethodLimit(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
 
 
 def _densify(H: SparseHermitian) -> np.ndarray:

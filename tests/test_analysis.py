@@ -16,7 +16,6 @@ from fluxring.errors import (
     HypothesisViolated,
     MethodLimit,
     MultipletCut,
-    NotFourNPlusTwo,
 )
 from fluxring.model import angle_dist
 
@@ -584,7 +583,7 @@ def test_spiral_report_judges_the_gauge_conjugation(monkeypatch):
 
 
 def test_spiral_state_rejects_other_n():
-    with pytest.raises(NotFourNPlusTwo):
+    with pytest.raises(HypothesisViolated, match="N=4 is not of the form 4n\\+2"):
         fr.spiral_state(fr.make_spec(5, 4, U=fr.INFINITY))
     with pytest.raises(HypothesisViolated):
         fr.spiral_state(fr.make_spec(5, 2, U=2.0))

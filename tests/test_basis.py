@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fluxring as fr
 from fluxring.basis import mode
-from fluxring.errors import EmptySector, RingTooLong
+from fluxring.errors import EmptySector, MethodLimit
 
 
 def apply_hop(occ: int, m_to: int, m_from: int) -> tuple[int, int] | None:
@@ -203,8 +203,28 @@ def test_block_membership_gauge_invariant():
             assert len(set(labels[list(b.member_indices)])) == 1
 
 
+@pytest.mark.parametrize("L, N, two_sz", [
+    (3, 0, 0), (4, 4, 4), (4, 4, -4), (5, 3, 1), (5, 3, -1), (6, 5, -3),
+    (8, 6, 0), (10, 7, 1), (12, 6, -2)])
+def test_hardcore_codes_are_the_filtered_free_product(L, N, two_sz):
+    """The hard-core sector, built from site sets and spin words, equals the
+    free sector with every doubly occupied configuration dropped."""
+    free = fr.enumerate_sector(L, N, two_sz).codes
+    double = np.any([(free >> mode(x, 0)) & (free >> mode(x, 1)) & 1 for x in range(L)], axis=0)
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
+    assert basis.codes.dtype == np.uint64
+    assert np.array_equal(basis.codes, free[~double])
+
+
+@pytest.mark.parametrize("dim", [1, 2**20, 2**30, 2**31 - 1, 2**31])
+def test_budget_refuses_every_sector_of_2_31_entries(dim):
+    # so every layout the budget admits is indexed by int32
+    with pytest.raises(MethodLimit, match=f"{2**31} matrix entries"):
+        fr.basis.check_budget(dim, 2**31 - dim)
+
+
 def test_ring_beyond_64_modes_rejected():
-    with pytest.raises(RingTooLong):
+    with pytest.raises(MethodLimit, match="L=33 exceeds 32 sites"):
         fr.enumerate_sector(33, 1, 1)
     assert fr.enumerate_sector(32, 1, 1).dim == 32
 

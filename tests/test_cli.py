@@ -359,6 +359,26 @@ def test_non_finite_numbers_exit_two(ring4, tmp_path, capsys):
         refused(["verify", "singlet", "--model", str(path)], words)
 
 
+def test_malformed_model_files_name_the_field(tmp_path, capsys):
+    # each used to print a bare KeyError ("fluxring: 'hop'") or an internal
+    # TypeError
+    from fluxring import cli
+
+    hop = fr.model.to_dict(fr.make_spec(4, 2))["hop"]
+    for k, (data, words) in enumerate((
+            ({"L": 4, "N": 2}, "model field hop must be a list"),
+            ({"L": 4, "N": 2, "hop": [1, 1, 1, 1]}, "model field hop must be a list"),
+            ([4, 2], "a model file holds one JSON object with fields L, N and hop"),
+            ({"L": 4, "N": 2, "hop": hop[:1] + [{"mag": 1.0}] + hop[2:]},
+             "model field hop[1].theta is missing or null"),
+            ({"L": "4", "N": 2, "hop": hop}, 'model field L must be an integer, not "4"'))):
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["verify", "singlet", "--model", str(path)]) == 2, data
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"fluxring: {words}"), err
+
+
 def test_unexpected_error_exits_two(ring4, monkeypatch, capsys):
     from fluxring import analysis, cli
 

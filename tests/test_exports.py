@@ -7,9 +7,11 @@ count, so reference code only tests call lives with the tests.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import fluxring as fr
+from fluxring import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fluxring"
@@ -74,3 +76,14 @@ def test_all_lists_exactly_the_imported_names():
     assert len(imported) == len(set(imported))
     assert sorted(fr.__all__) == sorted(imported)
     assert len(fr.__all__) == len(set(fr.__all__))
+
+
+def test_errors_define_exactly_the_kinds_callers_act_on():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert defined == {
+        "FluxRingError", "ModelError", "EmptySector", "BasisMismatch",
+        "FluxObstruction", "NoConvergence", "MultipletCut", "DegenerateGround",
+        "HypothesisViolated", "MethodLimit",
+    }
+    assert all(issubclass(getattr(errors, name), errors.FluxRingError) for name in defined)

@@ -7,14 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxring as fr
-from fluxring.errors import (
-    BadLength,
-    HardCoreOverfill,
-    MixedInteraction,
-    ModelError,
-    RingTooSmall,
-    ZeroHopping,
-)
+from fluxring.errors import ModelError
 from fluxring.model import (
     angle_dist,
     dumps_model,
@@ -52,7 +45,7 @@ def test_flux_is_phase_sum():
 
 
 def test_zero_hopping_rejected():
-    with pytest.raises(ZeroHopping):
+    with pytest.raises(ModelError, match=r"every \|t_x\| must be strictly positive"):
         fr.make_spec(4, 2, hop_mag=(1.0, 1.0, 0.0, 1.0))
 
 
@@ -65,13 +58,13 @@ def test_remark5_fixture_is_valid_with_zero_flux():
 
 
 def test_validation_errors():
-    with pytest.raises(RingTooSmall):
+    with pytest.raises(ModelError, match="L=2: need L >= 3"):
         fr.make_spec(2, 1)
-    with pytest.raises(BadLength):
+    with pytest.raises(ModelError, match="hop_mag has length 3, expected L=4"):
         fr.validate(fr.ModelSpec(4, 2, (1.0,) * 3, (0.0,) * 4, (0.0,) * 4, (0.0,) * 4))
-    with pytest.raises(HardCoreOverfill):
+    with pytest.raises(ModelError, match="N=4 > L=3 with hard-core interaction"):
         fr.make_spec(3, 4, U=fr.INFINITY)
-    with pytest.raises(MixedInteraction):
+    with pytest.raises(ModelError, match="per-site U mixes finite and infinite entries"):
         fr.make_spec(3, 2, U=(1.0, math.inf, 0.0))
 
 

@@ -10,13 +10,7 @@ from scipy import sparse
 
 import fluxring as fr
 from fluxring import basis as basis_module
-from fluxring.errors import (
-    BasisMismatch,
-    FluxObstruction,
-    InteractionPresent,
-    MethodLimit,
-    PotentialPresent,
-)
+from fluxring.errors import BasisMismatch, FluxObstruction, HypothesisViolated, MethodLimit
 from fluxring.basis import entry_rows, mode
 from fluxring.model import fold_angle, validate
 from fluxring.operators import (
@@ -258,7 +252,7 @@ def hole_particle_down(spec):
     Requires V = 0.
     """
     if any(v != 0.0 for v in spec.V):
-        raise PotentialPresent("hole-particle transform requires V = 0")
+        raise HypothesisViolated("hole-particle transform requires V = 0")
     phases = tuple(fold_angle(p + math.pi) for p in spec.hop_phase)
     return validate(replace(spec, hop_phase=phases))
 
@@ -278,7 +272,7 @@ def test_hole_particle_down():
     assert fr.lowest_sum(spec5, 3, PI / 2) == pytest.approx(
         fr.lowest_sum(spec5, 2, 3 * PI / 2), abs=1e-12)
 
-    with pytest.raises(PotentialPresent):
+    with pytest.raises(HypothesisViolated, match="requires V = 0"):
         hole_particle_down(fr.make_spec(3, 3, V=(0.0, 1.0, 0.0)))
 
 
@@ -294,11 +288,11 @@ def test_extend_ring():
     assert filled_sum(3, PI / 2, 1) + filled_sum(3, 3 * PI / 2, 1) == pytest.approx(
         -2 * math.sqrt(3), abs=1e-12)
 
-    with pytest.raises(InteractionPresent):
+    with pytest.raises(HypothesisViolated, match="ring extension requires U = 0"):
         fr.extend_ring(fr.make_spec(3, 2, U=1.0))
-    with pytest.raises(InteractionPresent):
+    with pytest.raises(HypothesisViolated, match="ring extension requires U = 0"):
         fr.extend_ring(fr.make_spec(3, 2, U=fr.INFINITY))
-    with pytest.raises(PotentialPresent):
+    with pytest.raises(HypothesisViolated, match="ring extension requires V = 0"):
         fr.extend_ring(fr.make_spec(3, 2, V=(1.0, 0.0, 0.0)))
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 
 import fluxring as fr
 from fluxring import spectra
-from fluxring.errors import MultipletCut, NoConvergence, TooLargeForDense
+from fluxring.errors import MethodLimit, MultipletCut, NoConvergence
 from fluxring.operators import FluxFamily, SparseHermitian
 from fluxring.spectra import (
     DENSE_LIMIT,
@@ -135,7 +135,7 @@ def test_log_partition_sweep_past_float_range():
 
 def test_full_spectrum_size_guard():
     big = SparseHermitian(sparse.eye(2048, dtype=complex, format="csr"))
-    with pytest.raises(TooLargeForDense):
+    with pytest.raises(MethodLimit, match="dim 2048 exceeds dense limit"):
         fr.full_spectrum(big)
 
 
@@ -282,7 +282,7 @@ def test_auto_falls_back_when_lanczos_fails_within_budget(monkeypatch):
 
 def test_ground_method_argument_checked():
     big = SparseHermitian(sparse.eye(DENSE_LIMIT + 1, dtype=complex, format="csr"))
-    with pytest.raises(TooLargeForDense):
+    with pytest.raises(MethodLimit, match=f"dim {DENSE_LIMIT + 1} exceeds dense limit"):
         fr.ground(big, method="dense")
     with pytest.raises(ValueError):
         fr.ground(_diag_op([1.0, 2.0]), method="arpack")
