@@ -25,7 +25,7 @@ from .errors import (
     MethodLimit,
     MultipletCut,
 )
-from .model import ModelSpec, angle_dist, fold_angle, validate, with_flux
+from .model import ModelSpec, angle_dist, fold_angle, validate
 from .operators import (
     FluxFamily,
     _check_basis,
@@ -84,12 +84,12 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, np.ndarray)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):     # before int: bool is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -368,7 +368,6 @@ def verify_doubling(spec: ModelSpec, grid_size: int = 64) -> VerificationReport:
     grid = flux_grid(grid_size)
     doubled = extend_ring(spec)
     n = spec.N // 2 if spec.N >= 2 else 1
-    n = min(max(n, 1), spec.L)
     resid = 0.0
     for phi in grid:
         lhs = lowest_sum(spec, n, phi) + lowest_sum(spec, n, phi + math.pi)
@@ -388,8 +387,11 @@ def verify_singlet(spec: ModelSpec) -> VerificationReport:
     strictly above the ground energy. Every multiplet has a member in the
     minimal sector, so S^2 and the degeneracy are read there alone, S^2
     built once the Hamiltonian's solve is done; the sectors above it give
-    their ground energies only (negative sectors mirror them by the
-    up-down exchange symmetry of the Hamiltonian).
+    their ground energies only, each solved on its flux family at the
+    model's flux (negative sectors mirror them by the up-down exchange
+    symmetry of the Hamiltonian). The minimal sector is solved in the
+    model's own gauge and the others in the canonical one, which has the
+    same spectrum.
     """
     two_sz_min = minimal_two_sz(spec.N)
     expected_spin = 0.0 if spec.N % 2 == 0 else 0.5
@@ -399,8 +401,8 @@ def verify_singlet(spec: ModelSpec) -> VerificationReport:
     del basis  # its hopping table and layout, before the next sector's
     energies = {two_sz_min: base.energy}
     for two_sz in range(two_sz_min + 2, spec.N + 1, 2):
-        h = build_hamiltonian(spec, sector_basis_for(spec, two_sz))
-        energies[two_sz] = ground(h, want_vectors=False).energy
+        family = flux_family(spec, sector_basis_for(spec, two_sz))
+        energies[two_sz] = float(_ground_energies(family, [spec.flux])[0])
     e0 = min(energies.values())
     above = {ts: e - e0 for ts, e in energies.items() if ts > 2 * expected_spin}
     measured = {
@@ -457,7 +459,7 @@ def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[Gr
             vectors[list(blocks[k].member_indices), col:col + deg] = infos[k].vectors
             col += deg
         method = "+".join(sorted({info.method for info in infos}))
-        out.append(GroundInfo(e0, col, gap, vectors, method))
+        out.append(GroundInfo(e0, gap, vectors, method))
     return out
 
 
@@ -583,7 +585,10 @@ def spiral_state(spec: ModelSpec):
         raise MethodLimit(f"{len(blocks)} blocks exceed the sign search's limit "
                           f"of {SIGN_SEARCH_BLOCKS}")
     h_ferro = build_hamiltonian(spec_ferro, basis0)
-    h_zero = build_hamiltonian(with_flux(spec, phi_zero), basis0)
+    family0 = flux_family(spec, basis0)
+    h_zero = family0.hamiltonian(phi_zero)
+    e0 = float(_ground_energies(family0, [phi_zero])[0])
+    del family0  # its flux-0 entries, before S^2 is built
     envelope = negative_envelope(h_zero)
     # both operands are data arrays on the layout of basis0
     envelope_gap = float(np.abs(h_ferro.mat.data - envelope.mat.data).max())
@@ -610,7 +615,6 @@ def spiral_state(spec: ModelSpec):
     gauge = np.array(best_signs)[block_of] * phases
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
-    e0 = ground(h_zero, want_vectors=False).energy
     residual = float(np.linalg.norm(h_zero.matvec(state) - e0 * state))
     norm_drift = abs(float(np.linalg.norm(state)) - 1.0)
 

@@ -190,6 +190,8 @@ def from_dict(data) -> ModelSpec:
     hop = data.get("hop")
     if not isinstance(hop, list) or not all(isinstance(h, dict) for h in hop):
         raise ModelError('model field hop must be a list of {"mag": ..., "theta": ...} objects')
+    if len(hop) != L:
+        raise ModelError(f"model field hop has {len(hop)} entries, expected L={L}")
     mags, phases = ([_number(h.get(key), f"hop[{k}].{key}") for k, h in enumerate(hop)]
                     for key in ("mag", "theta"))
     u = data.get("U", 0.0)

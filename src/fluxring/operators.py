@@ -429,7 +429,7 @@ def extend_ring(spec: ModelSpec) -> ModelSpec:
     return validate(
         ModelSpec(
             L=spec.L * 2,
-            N=min(spec.N * 2, 2 * spec.L * 2),
+            N=spec.N * 2,
             hop_mag=spec.hop_mag * 2,
             hop_phase=spec.hop_phase * 2,
             V=(0.0,) * (spec.L * 2),

@@ -1,44 +1,33 @@
-"""Eigenvalue engines: ground states with degeneracy, lowest-level sums,
-full spectra and log partition functions.
+"""Eigenvalue engines: ground levels with degeneracy, ground energies of
+flux families, lowest-level sums, full spectra and log partition functions.
 
-ground solves for the energy alone or for the ground level with its
-vectors; the spins of a level are read off it afterwards (GroundInfo.spins).
-The dense solver diagonalizes the densified matrix (LAPACK, its lowest
-levels only). The iterative one is the plain three-term Lanczos recurrence
-of _lanczos_energies, with a deterministic start vector, which keeps three
-vectors per column and serves every Lanczos solve. Energies alone come from
-one loop, _lowest_energies: _ground_energies runs it for a whole flux grid
-at once, one column per angle, and ground(want_vectors=False) for its one
-operator, so an energy solved in a scan is the same, bit for bit, as alone;
-it reports degeneracy 1, an infinite gap and no vectors, whichever solver
-answered. A scan solves each time-reversal pair of its angles once: when
-the family's flux-0 entries are all real, H(2*pi - phi) = conj H(phi) has
-the spectrum of H(phi), so an angle in (pi, 2*pi) whose partner 2*pi - phi
-is among the angles takes the partner's energy, bit for bit, which agrees
-with a solve at its own angle to rounding (_mirror_plan; log_partition_scan
-pairs its spectra alike). Each column is checked on its own schedule,
-sparser while its lowest Ritz value still moves far, and computes a Ritz
-vector only at a check that can stop. From a column's third check on, the
-bisection for its lowest Ritz value is warm-started: the previous value
-bounds it from above (Cauchy interlacing), and an inertia test certifies
-the bottom of the window searched below it. A solve with vectors resolves
-degenerate ground levels by deflation: the ground vectors found so far
-are locked, projected out of the recurrence at every step, until a pass's
-value clears the degeneracy gap. A ground vector costs a replay: the same
-recurrence runs again from the same start and sums the Lanczos vectors
-with the Ritz coefficients, and one more product with H confirms its
-residual.
+ground solves a ground level: its energy, degeneracy, gap and vectors; the
+spins of a level are read off it afterwards (GroundInfo.spins). An energy
+alone is _ground_energies', for a whole flux grid or one angle of a
+family: one column of the recurrence per angle, so an energy solved in a
+scan is the same, bit for bit, as alone. The dense solver diagonalizes the
+densified matrix (LAPACK, its lowest levels only). The iterative one is the
+plain three-term Lanczos recurrence of _lanczos_energies, with a
+deterministic start vector, which keeps three vectors per column and serves
+every Lanczos solve. A scan solves each time-reversal pair of its angles
+once (_mirror_plan; log_partition_scan pairs its spectra alike). Each
+column is checked on its own schedule, sparser while its lowest Ritz value
+still moves far, computes a Ritz vector only at a check that can stop, and
+from its third check on warm-starts the bisection for its lowest Ritz
+value (_lowest_ritz_value). A ground level resolves degeneracy by
+deflation: the ground vectors found so far are locked, projected out of
+the recurrence at every step, until a pass's value clears the degeneracy
+gap. A ground vector costs a replay: the same recurrence runs again from
+the same start and sums the Lanczos vectors with the Ritz coefficients,
+and one more product with H confirms its residual.
 
 method="auto" picks between them by sector dimension, dense up to a
 crossover and Lanczos above, at crossovers measured below: one for
-energy-only solves (ENERGY_CROSSOVER = 48) and one for solves with vectors
+energies (ENERGY_CROSSOVER = 48) and one for ground levels
 (LANCZOS_CROSSOVER = 220). Between the crossover and DENSE_LIMIT a Lanczos
-attempt that does not converge within its step budget, whose replayed
-vector misses its residual, or whose deflation saturates, falls back to
-dense, so auto returns what dense would. The budgets differ: an energy
-alone gets dim steps, where the recurrence is exact in exact arithmetic,
-and a solve with vectors 3*dim/5 for all its passes, about the cost of one
-dense solve; no recurrence runs past _MAX_STEPS. Above DENSE_LIMIT nothing
+attempt that does not converge within its step budget (_plan), whose
+replayed vector misses its residual, or whose deflation saturates, falls
+back to dense, so auto returns what dense would. Above DENSE_LIMIT nothing
 is densified and Lanczos failures raise.
 
 A densified operator whose entries are all real is diagonalized as a real
@@ -232,30 +221,30 @@ def _ground_window(e0: float) -> float:
 
 @dataclass(frozen=True)
 class GroundInfo:
-    """Lowest eigenvalue with its degeneracy, gap and eigenvectors (None
-    for an energy-only solve)."""
+    """Lowest eigenvalue with its gap and ground vectors."""
 
     energy: float
-    degeneracy: int
     gap: float
-    vectors: np.ndarray | None          # (dim, k) orthonormal columns
+    vectors: np.ndarray                 # (dim, k) orthonormal columns
     method: str
+
+    @property
+    def degeneracy(self) -> int:
+        """Number of ground vectors: a lower bound when saturated."""
+        return self.vectors.shape[1]
 
     @property
     def saturated(self) -> bool:
         """The solve stopped without clearing the ground level (a deflation
         out of room, no gap seen): the degeneracy is only a lower bound.
-        Never true of a dense answer or of an energy alone."""
-        return (self.vectors is not None and math.isinf(self.gap)
-                and self.degeneracy < len(self.vectors))
+        Never true of a dense answer."""
+        return math.isinf(self.gap) and self.degeneracy < len(self.vectors)
 
     def spins(self, s2: SparseHermitian) -> set[float]:
         """Spins of the ground level: s2, the total spin S^2 on the level's
         sector, diagonalized on the span of its vectors. Raises MultipletCut
         when the level is saturated or an eigenvalue of S^2 there is not of
         the form s(s+1): the vectors do not span whole multiplets."""
-        if self.vectors is None:
-            raise ValueError("ground level was solved without vectors")
         if self.saturated:
             raise MultipletCut(
                 f"{self.degeneracy} ground vectors locked without clearing the ground "
@@ -275,36 +264,24 @@ def _spin_from_s2(value: float) -> float:
     return snapped
 
 
-def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 8,
-           method: str = "auto") -> GroundInfo:
-    """Lowest eigenvalue of H: the energy alone, or the ground level with
-    its degeneracy, gap and vectors.
+def ground(H: SparseHermitian, max_degeneracy: int = 8, method: str = "auto") -> GroundInfo:
+    """Ground level of H: its lowest eigenvalue with the degeneracy, gap and
+    vectors. An energy alone is _ground_energies' on a flux family.
 
-    method is "dense", "lanczos" or "auto". Auto solves sectors up to a
-    crossover dense and larger ones by Lanczos: ENERGY_CROSSOVER for the
-    energy alone and LANCZOS_CROSSOVER for a level. Inside DENSE_LIMIT it
-    falls back to dense when Lanczos does not converge within its step
+    method is "dense", "lanczos" or "auto". Auto solves sectors up to
+    LANCZOS_CROSSOVER dense and larger ones by Lanczos. Inside DENSE_LIMIT
+    it falls back to dense when Lanczos does not converge within its step
     budget (see _plan; a replayed vector whose true residual misses counts
     as not converged), or when the deflation saturates (max_degeneracy > 0
     and max_degeneracy + 1 vectors locked, so the degeneracy found is only
     a lower bound). GroundInfo.method names the solver whose answer is
-    returned.
-
-    want_vectors=False asks for the energy alone, by the loop of a flux
-    scan (_lowest_energies) on H alone: bit for bit the energy
-    _ground_energies gives, with degeneracy 1, gap inf and no vectors
-    whichever solver answered. Otherwise the Lanczos path counts at most
-    max_degeneracy + 1 ground vectors (0: one vector), and a saturated
-    answer with no fallback taken is returned as such (GroundInfo.saturated).
+    returned. The Lanczos path counts at most max_degeneracy + 1 ground
+    vectors (0: one vector), and a saturated answer with no fallback taken
+    is returned as such (GroundInfo.saturated).
     """
-    dim = H.dim
-    if dim < 1:
+    if H.dim < 1:
         raise EmptySector("operator has dimension 0")
-    if not want_vectors:
-        (e0,), method = _lowest_energies(1, dim, H.mat.nnz, lambda ks: H,
-                                         lambda k: H.to_dense(), method)
-        return GroundInfo(float(e0), 1, math.inf, None, method)
-    method, budget, fallback = _plan(dim, method, energy_only=False)
+    method, budget, fallback = _plan(H.dim, method, energy_only=False)
 
     if method == "lanczos":
         try:
@@ -314,16 +291,15 @@ def ground(H: SparseHermitian, want_vectors: bool = True, max_degeneracy: int = 
                 raise
             method = "dense"
         else:
-            deg = vectors.shape[1]
-            if fallback and 0 < max_degeneracy < deg:
+            if fallback and 0 < max_degeneracy < vectors.shape[1]:
                 method = "dense"
     if method == "dense":
-        e0, deg, gap, vectors = _dense_ground(H, max_degeneracy)
-    return GroundInfo(e0, deg, gap, vectors, method)
+        e0, gap, vectors = _dense_ground(H, max_degeneracy)
+    return GroundInfo(e0, gap, vectors, method)
 
 
 def _dense_ground(H: SparseHermitian, max_degeneracy: int):
-    """Energy, full degeneracy, gap and ground vectors of the densified H.
+    """Energy, gap and ground vectors (the full level) of the densified H.
 
     Only the lowest max_degeneracy + 2 levels are computed, which costs
     about as much as eigvalsh; the full eigh (3.5x dearer at dimension
@@ -339,7 +315,7 @@ def _dense_ground(H: SparseHermitian, max_degeneracy: int):
     e0 = float(vals[0])
     deg = max(1, int(np.searchsorted(vals, e0 + _ground_window(e0), side="right")))
     gap = float(vals[deg] - e0) if deg < len(vals) else math.inf
-    return e0, deg, gap, vecs[:, :deg]
+    return e0, gap, vecs[:, :deg]
 
 
 def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
@@ -526,19 +502,42 @@ def _plan(dim: int, method: str, energy_only: bool) -> tuple[str, float, bool]:
 
 
 def _ground_energies(family: FluxFamily, angles, method: str = "auto") -> np.ndarray:
-    """Ground energy of family.hamiltonian(phi) at every angle (folded), by
-    _lowest_energies on family.stacked, each time-reversal pair solved once
-    (_mirror_plan). A solved angle's energy is bit for bit that of
-    ground(family.hamiltonian(phi), want_vectors=False, method=method),
-    whichever angles are solved with it; an angle mirrored onto its partner
-    carries the partner's energy bit for bit, equal to its own to rounding.
+    """Ground energy of family.hamiltonian(phi) at every angle (folded), each
+    time-reversal pair solved once (_mirror_plan): the one energy-only
+    solve, for a whole flux grid or a single angle alike.
+
+    The solver is _plan's. Dense diagonalizes each family.dense(phi) alone.
+    The recurrence runs each angle as a column of _lanczos_energies on
+    family.stacked, in batches of at most about _STACK_ENTRIES entries, so
+    a solved angle's energy is the same, bit for bit, whichever angles are
+    solved with it. An angle that does not converge raises NoConvergence or,
+    under auto's fallback, is solved dense alone. An angle mirrored onto its
+    partner carries the partner's energy bit for bit, equal to its own to
+    rounding.
     """
     angles = [fold_angle(phi) for phi in np.ravel(angles)]
     solved, take = _mirror_plan(family, angles)
-    return _lowest_energies(len(solved), family.dim, family.nnz,
-                            lambda ks: family.stacked([angles[solved[k]] for k in ks]),
-                            lambda k: family.dense(angles[solved[k]]), method,
-                            lambda k: f" at phi={angles[solved[k]]}")[0][take]
+    solved = [angles[k] for k in solved]
+    method, budget, fallback = _plan(family.dim, method, energy_only=True)
+    if not solved:
+        return np.empty(0)
+    if method == "dense":
+        _check_dense(family.dim)
+        return np.array([_lowest_eigenvalue(family.dense(phi)) for phi in solved])[take]
+
+    count = len(solved)
+    out, steps, resid = np.empty(count), np.empty(count, dtype=int), np.empty(count)
+    batches = min(count, max(1, -(-count * family.nnz // _STACK_ENTRIES)))
+    for batch in np.array_split(np.arange(count), batches):
+        out[batch], steps[batch], resid[batch], _ = _lanczos_energies(
+            lambda cols: family.stacked([solved[k] for k in batch[cols]]), family.dim,
+            len(batch), budget)
+    for k in np.flatnonzero(np.isnan(out)):
+        if not fallback:
+            raise NoConvergence(f"Lanczos exhausted {steps[k]} iterations at phi={solved[k]}",
+                                residual=float(resid[k]))
+        out[k] = _lowest_eigenvalue(family.dense(solved[k]))
+    return out[take]
 
 
 def _mirror_plan(family: FluxFamily, angles) -> tuple[np.ndarray, np.ndarray]:
@@ -565,40 +564,6 @@ def _mirror_plan(family: FluxFamily, angles) -> tuple[np.ndarray, np.ndarray]:
         sources[high[paired]] = low[at[paired]]
     solved = np.flatnonzero(sources == np.arange(len(folded)))
     return solved, np.searchsorted(solved, sources)
-
-
-def _lowest_energies(count: int, dim: int, nnz: int, stack, dense, method: str,
-                     where=lambda k: "") -> tuple[np.ndarray, str]:
-    """Lowest eigenvalues of count Hermitian operators of dimension dim with
-    nnz entries each, and the solver that answered ("dense" after any
-    fallback): the energy-only solve of ground and _ground_energies alike.
-
-    The solver is _plan's. Dense diagonalizes each dense(k), operator k
-    densified, alone. The recurrence runs operator k as a column of
-    _lanczos_energies, stack(ks) being the block-diagonal operator of those
-    numbered ks, in batches of at most about _STACK_ENTRIES entries. A NaN
-    energy raises NoConvergence (where(k) names operator k) or, under
-    auto's fallback, is solved dense alone.
-    """
-    method, budget, fallback = _plan(dim, method, energy_only=True)
-    if not count:
-        return np.empty(0), method
-    if method == "dense":
-        _check_dense(dim)
-        return np.array([_lowest_eigenvalue(dense(k)) for k in range(count)]), method
-
-    out, steps, resid = np.empty(count), np.empty(count, dtype=int), np.empty(count)
-    batches = min(count, max(1, -(-count * nnz // _STACK_ENTRIES)))
-    for batch in np.array_split(np.arange(count), batches):
-        out[batch], steps[batch], resid[batch], _ = _lanczos_energies(
-            lambda cols: stack(batch[cols]), dim, len(batch), budget)
-    failed = np.flatnonzero(np.isnan(out))
-    for k in failed:
-        if not fallback:
-            raise NoConvergence(f"Lanczos exhausted {steps[k]} iterations{where(k)}",
-                                residual=float(resid[k]))
-        out[k] = _lowest_eigenvalue(dense(k))
-    return out, "dense" if len(failed) else method
 
 
 def _lowest_ritz_value(d: np.ndarray, e: np.ndarray, bound: float = math.nan,
@@ -711,8 +676,7 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
             raise NoConvergence(f"replayed Lanczos vector has residual {miss:.3g} after "
                                 f"{steps} iterations", residual=miss)
         found.append(vec)
-    vectors = np.column_stack(found) if found else None
-    return float(e0), vectors, float(gap)
+    return float(e0), np.column_stack(found), float(gap)
 
 
 def lowest_sum(spec: ModelSpec, K: int, phi: float) -> float:

@@ -18,6 +18,7 @@ import fluxring as fr
 from fluxring.analysis import sector_basis_for
 from fluxring.model import angle_dist
 from fluxring.operators import flux_family
+from fluxring.spectra import _ground_energies
 
 from oracles import fourier_levels, hermiticity_defect, regauge
 
@@ -75,8 +76,7 @@ def test_criterion_2_hardcore_even_case():
                           r.measured["argmin_coverage"])
         # the theorem minima carry equal energies
         family = flux_family(spec, sector_basis_for(spec, 0))
-        energies = [fr.ground(family.hamiltonian(2 * PI * n / N),
-                              want_vectors=False).energy for n in range(N)]
+        energies = [_ground_energies(family, [2 * PI * n / N])[0] for n in range(N)]
         worst_value = max(worst_value, max(energies) - min(energies))
     ok = worst_period < 1e-10 and worst_angle <= 1e-6 and worst_value < 1e-10
     report(2, "hard-core optimal flux set and period", ok,
@@ -98,18 +98,15 @@ def test_criterion_3_odd_half_filling():
             worst_angle = max(worst_angle, r.measured["max_angle_deviation"],
                               r.measured["argmin_coverage"])
 
-    e3 = fr.ground(fr.build_hamiltonian(
-        fr.with_flux(fr.make_spec(3, 3), PI / 2), fr.enumerate_sector(3, 3, 1)),
-        want_vectors=False).energy
-    b5 = fr.enumerate_sector(5, 5, 1)
-    e5 = fr.ground(fr.build_hamiltonian(
-        fr.with_flux(fr.make_spec(5, 5), PI / 2), b5), want_vectors=False).energy
+    e3 = _ground_energies(flux_family(fr.make_spec(3, 3), fr.enumerate_sector(3, 3, 1)),
+                          [PI / 2])[0]
+    e5 = _ground_energies(flux_family(fr.make_spec(5, 5), fr.enumerate_sector(5, 5, 1)),
+                          [PI / 2])[0]
 
     # self-evidence for the Lanczos-driven L=7 scans: one dense cross-check
     fam7 = flux_family(fr.make_spec(7, 7), fr.enumerate_sector(7, 7, 1))
-    h7 = fam7.hamiltonian(PI / 2)
-    dense7 = fr.ground(h7, want_vectors=False, method="dense").energy
-    lanc7 = fr.ground(h7, want_vectors=False, method="lanczos").energy
+    dense7 = _ground_energies(fam7, [PI / 2], method="dense")[0]
+    lanc7 = _ground_energies(fam7, [PI / 2], method="lanczos")[0]
 
     ok = (worst_period < 1e-10 and worst_angle <= 1e-6
           and abs(e3 - E3_HALF) < 1e-10
@@ -147,9 +144,7 @@ def test_criterion_5_potential_disorder_counterexample():
     minima_eff = fr.refine_argmin(curve_eff, family_eff)
     dev_eff = max(min(angle_dist(m, t) for t in (REMARK_ANGLE, REMARK_MIRROR))
                   for m in minima_eff)
-    e_min = fr.ground(fr.build_hamiltonian(fr.with_flux(eff, minima_eff[0]),
-                                           sector_basis_for(eff, 1)),
-                      want_vectors=False).energy
+    e_min = _ground_energies(family_eff, [minima_eff[0]])[0]
     value_err = abs(e_min - (-2.0 * math.sqrt(5.0)))
 
     ok = dev5 <= 0.05 and cover5 <= 0.05 and dev_eff <= 1e-4 and value_err <= 1e-8
@@ -258,9 +253,9 @@ def test_criterion_11_infrastructure():
     comm = float(np.abs(s2 @ hd - hd @ s2).max())
 
     big = fr.make_spec(6, 3, rng.uniform(0.5, 2, 6), None, rng.normal(0, 1, 6), 2.0)
-    hb = fr.build_hamiltonian(big, fr.enumerate_sector(6, 3, 1))
-    dl_gap = abs(fr.ground(hb, want_vectors=False, method="dense").energy
-                 - fr.ground(hb, want_vectors=False, method="lanczos").energy)
+    family_big = flux_family(big, fr.enumerate_sector(6, 3, 1))
+    dl_gap = abs(_ground_energies(family_big, [big.flux], method="dense")[0]
+                 - _ground_energies(family_big, [big.flux], method="lanczos")[0])
 
     def run_scan(path):
         subprocess.run([sys.executable, "-m", "fluxring.cli", "scan", "--model",

@@ -18,6 +18,7 @@ from fluxring.errors import (
     MultipletCut,
 )
 from fluxring.model import angle_dist
+from fluxring.spectra import _ground_energies
 
 from oracles import DenseOracle, filled_sum, hardcore_block_energies, regauge
 
@@ -47,9 +48,7 @@ def test_scan_flux_overfilled_ring():
     assert len(minima) == 2
     for got, want in zip(sorted(minima), L4N5_ARGMIN):
         assert angle_dist(got, want) < 1e-6
-    basis = sector_basis_for(spec)
-    e_min = fr.ground(fr.build_hamiltonian(fr.with_flux(spec, minima[0]), basis),
-                      want_vectors=False).energy
+    e_min = _ground_energies(family, [minima[0]])[0]
     assert e_min == pytest.approx(L4N5_MIN, abs=1e-8)
 
 
@@ -89,7 +88,7 @@ def test_scan_matches_arbitrary_gauge_point():
         phi = float(fr.analysis.flux_grid(16)[i])
         parts = rng.uniform(0, 2 * PI, 4)
         moved = regauge(fr.with_flux(spec, phi), tuple(parts) + (phi - parts.sum(),))
-        e = fr.ground(fr.build_hamiltonian(moved, basis), want_vectors=False).energy
+        e = fr.ground(fr.build_hamiltonian(moved, basis)).energy
         assert abs(e - energies[i]) < 1e-10
 
 
@@ -387,6 +386,26 @@ def test_verify_singlet_reads_the_spin_in_the_minimal_sector_only(monkeypatch, L
     for two_sz, energy in energies.items():
         h = fr.build_hamiltonian(spec, fr.enumerate_sector(L, N, two_sz))
         assert abs(energy - fr.ground(h, method="dense").energy) < 1e-12, two_sz
+
+
+@pytest.mark.parametrize("L,N", [(6, 4), (5, 3)])
+def test_verify_singlet_does_not_depend_on_the_gauge(L, N):
+    # the minimal sector is solved in the model's own gauge and the sectors
+    # above it on the canonical family: a model with its flux spread over
+    # the bonds reports what the canonical model reports
+    rng = np.random.default_rng(L * 10 + N)
+    spec = fr.with_flux(fr.make_spec(L, N, rng.uniform(0.5, 2, L), None, rng.normal(0, 1, L),
+                                     rng.uniform(0.5, 3, L)), 0.7)
+    parts = rng.uniform(0, 2 * PI, L - 1)
+    canonical = fr.verify_singlet(spec)
+    spread = fr.verify_singlet(regauge(spec, tuple(parts) + (0.7 - parts.sum(),)))
+    a, b = canonical.measured, spread.measured
+    assert list(a["sector_energies"]) == list(b["sector_energies"])
+    for two_sz, energy in a["sector_energies"].items():
+        assert abs(b["sector_energies"][two_sz] - energy) <= 1e-12 * max(1.0, abs(energy))
+    for key in ("minimal_sector_degeneracy", "minimal_sector_spins"):
+        assert a[key] == b[key], key
+    assert spread.passed == canonical.passed
 
 
 def test_verify_singlet_control_fails():
@@ -812,7 +831,12 @@ def test_degenerate_polarized_ground_fails_typed(monkeypatch):
     # the spiral lowers the Perron-Frobenius vector of the polarized sector;
     # a degenerate level there leaves no vector to lower, with or without -O
     solve = analysis.ground
-    monkeypatch.setattr(analysis, "ground", lambda *a, **k: replace(solve(*a, **k), degeneracy=2))
+
+    def doubled(*a, **k):  # a 2-fold level: its one vector twice
+        info = solve(*a, **k)
+        return replace(info, vectors=np.repeat(info.vectors, 2, axis=1))
+
+    monkeypatch.setattr(analysis, "ground", doubled)
     spec = fr.make_spec(6, 2, U=fr.INFINITY)
     with pytest.raises(DegenerateGround, match="2-fold"):
         fr.ferromagnetic_state(spec, sector_basis_for(spec, 0))

@@ -280,7 +280,12 @@ def test_verify_spiral_on_a_degenerate_polarized_ground_exits_two(tmp_path, monk
     from fluxring import analysis, cli
 
     solve = analysis.ground
-    monkeypatch.setattr(analysis, "ground", lambda *a, **k: replace(solve(*a, **k), degeneracy=2))
+
+    def doubled(*a, **k):  # a 2-fold level: its one vector twice
+        info = solve(*a, **k)
+        return replace(info, vectors=np.repeat(info.vectors, 2, axis=1))
+
+    monkeypatch.setattr(analysis, "ground", doubled)
     path = tmp_path / "hc.json"
     fr.save_model(fr.make_spec(6, 2, U=fr.INFINITY), path)
     assert cli.run(["verify", "spiral", "--model", str(path)]) == 2
@@ -377,6 +382,39 @@ def test_malformed_model_files_name_the_field(tmp_path, capsys):
         assert cli.run(["verify", "singlet", "--model", str(path)]) == 2, data
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"fluxring: {words}"), err
+
+
+def test_model_file_hop_count_names_the_file_field(tmp_path, capsys):
+    # a hop list of the wrong length was refused as "hop_mag has length 3",
+    # a field of ModelSpec that the file does not have
+    from fluxring import cli
+
+    hop = fr.model.to_dict(fr.make_spec(4, 2))["hop"]
+    for count in (3, 5):
+        path = tmp_path / f"hop{count}.json"
+        path.write_text(json.dumps({"L": 4, "N": 2, "hop": (hop * 2)[:count]}))
+        assert cli.run(["verify", "singlet", "--model", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "hop_mag" not in err, err
+        assert err.startswith(f"fluxring: model field hop has {count} entries, expected L=4")
+
+
+def test_report_booleans_are_json_booleans(tmp_path, capsys):
+    # bool is an int: the report's booleans were printed as 0 and 1
+    from fluxring import cli
+
+    for claim, spec, flags in (
+            ("relation", fr.make_spec(8, 6, np.random.default_rng(1).uniform(0.5, 2, 8), None,
+                                      None, fr.INFINITY),
+             {"has_maximal_spin_zero": False, "strict_drop": True}),
+            ("spiral", fr.make_spec(6, 2, U=fr.INFINITY), {"gauge_is_sign": True})):
+        path = tmp_path / f"{claim}.json"
+        fr.save_model(spec, path)
+        assert cli.run(["verify", claim, "--model", str(path)]) == 0, claim
+        text = capsys.readouterr().out
+        for key, value in flags.items():
+            assert f'"{key}": {json.dumps(value)}' in text, (key, text)
+            assert json.loads(text)["measured"][key] is value, key
 
 
 def test_unexpected_error_exits_two(ring4, monkeypatch, capsys):

@@ -49,7 +49,7 @@ def test_one_particle_matches_n1_sector():
 def test_free_ground_energy_l4():
     spec = fr.make_spec(4, 2)
     basis = fr.enumerate_sector(4, 2, 0)
-    info = fr.ground(fr.build_hamiltonian(spec, basis), want_vectors=False)
+    info = fr.ground(fr.build_hamiltonian(spec, basis))
     # two particles in the lowest level 2cos(2pi k/4) = -2
     assert info.energy == pytest.approx(-4.0, abs=1e-12)
 

@@ -127,7 +127,7 @@ def test_log_partition_sweep_past_float_range():
     # shifted sum keeps log P exact there
     basis = fr.enumerate_sector(4, 2, 0)
     h = fr.build_hamiltonian(fr.make_spec(4, 2), basis)
-    e0 = fr.ground(h, want_vectors=False).energy
+    e0 = fr.ground(h).energy
     assert log_z(h, 800.0) > math.log(sys.float_info.max)
     assert log_z(h, 800.0) == pytest.approx(-800.0 * e0, rel=1e-12)
     assert math.isfinite(math.exp(log_z(h, 100.0)))
@@ -194,7 +194,7 @@ def _same_ground(a, b, s2):
 
 
 @pytest.mark.parametrize("L,N,two_sz", [(5, 4, 0), (7, 3, 1), (6, 5, 1), (6, 6, 0)])
-def test_auto_matches_dense_across_crossover(L, N, two_sz):
+def test_auto_matches_dense_across_crossover(monkeypatch, L, N, two_sz):
     rng = np.random.default_rng(L * 10 + N)
     spec = fr.make_spec(L, N, rng.uniform(0.5, 2, L), rng.uniform(0, 2 * PI, L),
                         rng.normal(0, 1, L), 2.0)
@@ -204,10 +204,9 @@ def test_auto_matches_dense_across_crossover(L, N, two_sz):
     auto = fr.ground(h)
     _same_ground(auto, fr.ground(h, method="dense"), s2)
     assert auto.method == ("dense" if h.dim <= LANCZOS_CROSSOVER else "lanczos")
-    energy = fr.ground(h, want_vectors=False)
-    assert abs(energy.energy - auto.energy) < 1e-10
-    assert energy.method == ("dense" if h.dim <= ENERGY_CROSSOVER else "lanczos")
-    assert energy.vectors is None
+    energy, solver = _energy_and_solver(monkeypatch, fr.flux_family(spec, basis), spec.flux)
+    assert abs(energy - auto.energy) < 1e-10
+    assert solver == ("dense" if h.dim <= ENERGY_CROSSOVER else "lanczos")
 
 
 def test_auto_degenerate_and_saturated_deflation():
@@ -230,22 +229,26 @@ def test_auto_degenerate_and_saturated_deflation():
     assert fr.ground(h, max_degeneracy=2, method="lanczos").degeneracy == 3
 
 
-def test_energy_only_solves_count_no_level():
-    # the same 4-fold level: an energy alone reports degeneracy 1 and no
-    # gap whichever solver answers, dense included
-    basis = fr.enumerate_sector(6, 4, 0)
-    h, s2 = fr.build_hamiltonian(fr.make_spec(6, 4), basis), fr.build_total_spin(basis)
-    infos = {m: fr.ground(h, want_vectors=False, max_degeneracy=0, method=m)
-             for m in ("dense", "lanczos", "auto")}
-    for m, info in infos.items():
-        assert (info.degeneracy, info.gap, info.vectors) == (1, math.inf, None), m
-        assert abs(info.energy - infos["dense"].energy) <= 1e-12
-        # max_degeneracy counts nothing without vectors
-        assert fr.ground(h, want_vectors=False, method=m) == info
-        assert not info.saturated
-        with pytest.raises(ValueError, match="without vectors"):
-            info.spins(s2)
-    assert [info.method for info in infos.values()] == ["dense", "lanczos", "lanczos"]
+def test_energy_solvers_agree_on_a_degenerate_level(monkeypatch):
+    # the same 4-fold level: its energy alone is the same to rounding
+    # whichever solver answers
+    family = fr.flux_family(fr.make_spec(6, 4), fr.enumerate_sector(6, 4, 0))
+    solves = {m: _energy_and_solver(monkeypatch, family, 0.0, m)
+              for m in ("dense", "lanczos", "auto")}
+    for m, (energy, _) in solves.items():
+        assert abs(energy - solves["dense"][0]) <= 1e-12, m
+    assert [solver for _, solver in solves.values()] == ["dense", "lanczos", "lanczos"]
+
+
+def _energy_and_solver(monkeypatch, family, phi, method="auto"):
+    """_ground_energies of family at phi alone, and the solver that answered:
+    "dense" where any dense solve ran, a fallback included."""
+    dense = []
+    lowest = spectra._lowest_eigenvalue
+    monkeypatch.setattr(spectra, "_lowest_eigenvalue", lambda m: dense.append(m) or lowest(m))
+    (energy,) = spectra._ground_energies(family, [phi], method)
+    monkeypatch.setattr(spectra, "_lowest_eigenvalue", lowest)
+    return energy, "dense" if dense else "lanczos"
 
 
 def _recording_recurrence(monkeypatch):
@@ -331,17 +334,16 @@ def test_slater_consistency_free_case():
     rng = np.random.default_rng(8)
     spec = fr.make_spec(5, 3, rng.uniform(0.5, 2, 5), None, rng.normal(0, 1, 5))
     basis = fr.enumerate_sector(5, 3, 1)
+    family = fr.flux_family(spec, basis)
     for phi in (0.0, 0.8, PI, 4.4):
-        e = fr.ground(fr.build_hamiltonian(fr.with_flux(spec, phi), basis),
-                      want_vectors=False).energy
+        e = spectra._ground_energies(family, [phi])[0]
         split = fr.lowest_sum(spec, 2, phi) + fr.lowest_sum(spec, 1, phi)
         assert abs(e - split) < 1e-10
 
     uniform = fr.make_spec(4, 2)
-    b4 = fr.enumerate_sector(4, 2, 0)
+    family = fr.flux_family(uniform, fr.enumerate_sector(4, 2, 0))
     for phi in (0.0, 1.0, PI):
-        e = fr.ground(fr.build_hamiltonian(fr.with_flux(uniform, phi), b4),
-                      want_vectors=False).energy
+        e = spectra._ground_energies(family, [phi])[0]
         assert abs(e - uniform_slater_energy(4, phi, 1, 1)) < 1e-10
 
 
@@ -349,12 +351,11 @@ def test_reflection_symmetry_of_energy_curve():
     # real couplings and a reflection-symmetric |t| pattern: E(phi) = E(2pi - phi)
     spec = fr.make_spec(5, 3, (1.0, 1.3, 0.7, 0.7, 1.3), None, (0.1, 0.2, 0.3, 0.3, 0.2),
                         1.5)
-    basis = fr.enumerate_sector(5, 3, 1)
+    family = fr.flux_family(spec, fr.enumerate_sector(5, 3, 1))
     for phi in (0.3, 1.1, 2.9):
-        a = fr.ground(fr.build_hamiltonian(fr.with_flux(spec, phi), basis),
-                      want_vectors=False).energy
-        b = fr.ground(fr.build_hamiltonian(fr.with_flux(spec, 2 * PI - phi), basis),
-                      want_vectors=False).energy
+        # each angle alone: a grid holding both would solve the pair once
+        a = spectra._ground_energies(family, [phi])[0]
+        b = spectra._ground_energies(family, [2 * PI - phi])[0]
         assert abs(a - b) < 1e-10
 
 
@@ -594,13 +595,12 @@ def flux_sectors(draw):
 @settings(max_examples=60, deadline=None)
 def test_energy_recurrence_matches_eigvalsh(sector):
     family, phi = sector
-    h = family.hamiltonian(phi)
-    info = fr.ground(h, want_vectors=False, max_degeneracy=0, method="lanczos")
+    h = family.hamiltonian(fr.model.fold_angle(phi))
+    (energy,) = spectra._ground_energies(family, [phi], method="lanczos")
     exact = float(np.linalg.eigvalsh(h.to_dense())[0])
-    assert abs(info.energy - exact) <= 1e-12 * max(1.0, abs(exact))
-    assert (info.degeneracy, info.vectors, info.method) == (1, None, "lanczos")
+    assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
     # the recurrence answered
-    assert info.energy == spectra._lanczos_energies(lambda cols: h, h.dim, 1)[0][0]
+    assert energy == spectra._lanczos_energies(lambda cols: h, h.dim, 1)[0][0]
 
 
 def test_energy_recurrence_keeps_three_vectors():
@@ -647,36 +647,32 @@ def test_lanczos_krylov_basis_grows_with_the_iteration(low):
 
 
 def test_energy_only_solves_never_replay(monkeypatch):
-    basis = fr.enumerate_sector(6, 6, 0)
-    h = fr.build_hamiltonian(fr.make_spec(6, 6, U=2.0), basis)
+    spec, basis = fr.make_spec(6, 6, U=2.0), fr.enumerate_sector(6, 6, 0)
+    h = fr.build_hamiltonian(spec, basis)
     calls = _recording_recurrence(monkeypatch)
-    energy = fr.ground(h, want_vectors=False, max_degeneracy=0)
-    assert energy.method == "lanczos" and len(calls) == 1 and "replay" not in calls
-    # without vectors a degeneracy count asks for nothing more
-    calls.clear()
-    assert fr.ground(h, want_vectors=False) == energy
-    assert len(calls) == 1 and "replay" not in calls
+    energy, solver = _energy_and_solver(monkeypatch, fr.flux_family(spec, basis), 0.0)
+    assert solver == "lanczos" and len(calls) == 1 and "replay" not in calls
     # a level, counted or of one vector, replays for its ground vectors
     for kwargs in ({"max_degeneracy": 0}, {}):
         calls.clear()
         info = fr.ground(h, **kwargs)
-        assert "replay" in calls and abs(info.energy - energy.energy) < 1e-10
+        assert "replay" in calls and abs(info.energy - energy) < 1e-10
     # and its spins are read off it without a further recurrence
     calls.clear()
     assert info.spins(fr.build_total_spin(basis)) == {0.0} and calls == []
 
 
-def test_energy_recurrence_out_of_budget_falls_back_to_dense():
+def test_energy_recurrence_out_of_budget_falls_back_to_dense(monkeypatch):
     # levels (j/299)^2, crowded at the bottom: the recurrence takes about
     # 435 steps, more than the dim = 300 an auto energy solve at dimension
     # 300 allows (and than the 180 below), and fewer than the 600 of an
     # explicit Lanczos solve
     h = SparseHermitian(sparse.diags(np.linspace(0.0, 1.0, 300) ** 2 + 0j).tocsr())
     assert np.isnan(spectra._lanczos_energies(lambda cols: h, h.dim, 1, max_iter=180)[0][0])
-    auto = fr.ground(h, want_vectors=False, max_degeneracy=0)
-    assert (auto.method, auto.energy) == ("dense", 0.0)
-    lanczos = fr.ground(h, want_vectors=False, max_degeneracy=0, method="lanczos")
-    assert lanczos.method == "lanczos" and abs(lanczos.energy) < 1e-12
+    family = FluxFamily(h.mat, np.empty(0, dtype=int), np.empty(0, dtype=int))  # h at any flux
+    assert _energy_and_solver(monkeypatch, family, 0.0) == (0.0, "dense")
+    energy, solver = _energy_and_solver(monkeypatch, family, 0.0, "lanczos")
+    assert solver == "lanczos" and abs(energy) < 1e-12
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -713,7 +709,7 @@ def test_batched_energies_do_not_depend_on_the_batch(case):
     # angle k of a grid of G, past pi when 2k > G, takes the energy of its
     # mirror G - k, bit for bit, where the batch holds both; every other
     # angle is solved, and its energy is the same, bit for bit, alone, in
-    # any split of the batch and through ground
+    # any split of the batch
     family, angles, method, seed = case
     size = len(angles)
     mirrored = np.arange(size)[2 * np.arange(size) > size]
@@ -734,9 +730,6 @@ def test_batched_energies_do_not_depend_on_the_batch(case):
         paired = mirrored[np.isin(mirrored, part) & np.isin(size - mirrored, part)]
         expected[paired] = energies[paired]
     assert _bits(batched) == _bits(expected)
-    single = [fr.ground(family.hamiltonian(fr.model.fold_angle(phi)), want_vectors=False,
-                        max_degeneracy=0, method=method).energy for phi in angles]
-    assert _bits(energies[solved]) == _bits(np.array(single)[solved])
 
 
 def test_batches_hold_at_most_the_stack_budget(monkeypatch):
@@ -765,11 +758,16 @@ def test_batches_hold_at_most_the_stack_budget(monkeypatch):
 
 
 def _solved_columns(monkeypatch):
-    """The operators each _lowest_energies call of _ground_energies solves."""
+    """The angles each _ground_energies call solves, as its mirror plan has it."""
     counts = []
-    lowest = spectra._lowest_energies
-    monkeypatch.setattr(spectra, "_lowest_energies",
-                        lambda count, *a: counts.append(count) or lowest(count, *a))
+    plan = spectra._mirror_plan
+
+    def counting(*args):
+        solved, take = plan(*args)
+        counts.append(len(solved))
+        return solved, take
+
+    monkeypatch.setattr(spectra, "_mirror_plan", counting)
     return counts
 
 
@@ -906,6 +904,6 @@ def test_s2_projected_on_part_of_a_multiplet_sum_is_typed():
     mixed = (vectors[:, 0] + vectors[:, -1]) / math.sqrt(2.0)
     assert values[0] == pytest.approx(0.0, abs=1e-12) and values[-1] == pytest.approx(2.0)
     with pytest.raises(MultipletCut, match="not of the form s\\(s\\+1\\)"):
-        fr.GroundInfo(0.0, 1, 1.0, mixed[:, None], "dense").spins(s2)
+        fr.GroundInfo(0.0, 1.0, mixed[:, None], "dense").spins(s2)
     assert issubclass(MultipletCut, fr.FluxRingError)
-    assert fr.GroundInfo(0.0, 1, 1.0, vectors[:, -1:], "dense").spins(s2) == {1.0}
+    assert fr.GroundInfo(0.0, 1.0, vectors[:, -1:], "dense").spins(s2) == {1.0}
