@@ -21,7 +21,6 @@ from .model import (
     load_model,
     make_spec,
     save_model,
-    validate,
     with_flux,
 )
 from .operators import (
@@ -68,6 +67,6 @@ __all__ = [
     "gen_fixture", "ground", "load_model", "lowest_sum", "make_spec",
     "necklace_period", "negative_envelope", "refine_argmin", "save_model",
     "scan_flux", "solve_sign_gauge", "spiral_state", "thermal_scan",
-    "validate", "verify_block_lemma", "verify_doubling", "verify_even",
+    "verify_block_lemma", "verify_doubling", "verify_even",
     "verify_odd", "verify_relation", "verify_singlet", "with_flux",
 ]

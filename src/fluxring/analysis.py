@@ -25,7 +25,7 @@ from .errors import (
     MethodLimit,
     MultipletCut,
 )
-from .model import ModelSpec, angle_dist, fold_angle, validate
+from .model import ModelSpec, angle_dist, fold_angle
 from .operators import (
     FluxFamily,
     _check_basis,
@@ -322,7 +322,7 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
     """
     if spec.N != spec.L or spec.N % 2 == 0:
         raise HypothesisViolated("requires half filling N = L with N odd")
-    if spec.hardcore or any(u != 0.0 for u in spec.U):
+    if any(u != 0.0 for u in spec.U):
         raise HypothesisViolated("requires U = 0")
     if any(v != 0.0 for v in spec.V):
         raise HypothesisViolated("requires V = 0; potential disorder can move the optimum")
@@ -517,7 +517,7 @@ def _sign_fixed_spec(spec: ModelSpec) -> ModelSpec:
     """Bulk bonds at phase pi, closing bond at 0: the gauge in which the
     hard-core matrix is non-positive; its flux is the pi role on any ring."""
     phases = (math.pi,) * (spec.L - 1) + (0.0,)
-    return validate(ModelSpec(spec.L, spec.N, spec.hop_mag, phases, spec.V, spec.U))
+    return ModelSpec(spec.L, spec.N, spec.hop_mag, phases, spec.V, spec.U)
 
 
 def ferromagnetic_state(spec: ModelSpec, basis: SectorBasis) -> np.ndarray:
@@ -721,7 +721,7 @@ def thermal_scan(spec: ModelSpec, betas=(0.5, 1.0, 2.0),
         raise ValueError("thermal_scan needs at least one beta")
     _require_hopping(spec)
     odd_free_halffill = (
-        spec.N == spec.L and spec.N % 2 == 1 and not spec.hardcore
+        spec.N == spec.L and spec.N % 2 == 1
         and all(u == 0.0 for u in spec.U) and all(v == 0.0 for v in spec.V)
     )
     if spec.N % 2 and not odd_free_halffill:

@@ -16,13 +16,14 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from . import analysis
 from .analysis import VerificationReport
 from .basis import decompose_blocks, enumerate_sector
 from .errors import FluxRingError
 from .fixtures import FIXTURE_NAMES, base_seed, gen_fixture, reseed_hoppings
-from .model import ModelSpec, load_model, parse_angle, save_model, with_flux
+from .model import INFINITY, ModelSpec, load_model, parse_angle, save_model, with_flux
 from .operators import build_hamiltonian, build_total_spin, flux_family
 from .spectra import ground, log_partition_scan
 
@@ -52,13 +53,9 @@ def _load(args) -> ModelSpec:
 
 def cmd_spectrum(args) -> int:
     spec = _load(args)
-    n = args.nup + args.ndown
-    if n != spec.N:
-        spec = ModelSpec(spec.L, n, spec.hop_mag, spec.hop_phase, spec.V, spec.U)
-    hardcore = spec.hardcore or args.hardcore
-    basis = enumerate_sector(spec.L, n, args.nup - args.ndown, hardcore)
-    if hardcore and not spec.hardcore:
-        spec = ModelSpec(spec.L, n, spec.hop_mag, spec.hop_phase, spec.V, float("inf"))
+    spec = replace(spec, N=args.nup + args.ndown,
+                   U=(INFINITY,) * spec.L if args.hardcore else spec.U)
+    basis = enumerate_sector(spec.L, spec.N, args.nup - args.ndown, spec.hardcore)
     method = "dense" if args.dense else ("lanczos" if args.lanczos else "auto")
     info = ground(build_hamiltonian(spec, basis), method=method)
     gap = info.gap if math.isfinite(info.gap) else None

@@ -3,7 +3,9 @@
 A model lives on the ring {1, .., L} (site L+1 == site 1). Bond x connects
 sites x and x+1 and carries a hopping amplitude |t_x| * exp(i theta_x).
 Only the total phase around the ring (the flux) is gauge invariant; the
-per-bond distribution is a gauge choice.
+per-bond distribution is a gauge choice. Each site carries a coupling U_x;
+U_x = +inf on every site is the hard-core mode. A ModelSpec checks itself
+when it is built, so every spec in hand is a valid model.
 """
 
 from __future__ import annotations
@@ -55,10 +57,14 @@ class ModelSpec:
     L        : ring length (>= 3)
     N        : particle number (0 <= N <= 2L, <= L in hard-core mode)
     hop_mag  : length-L positive hopping magnitudes |t_x|
-    hop_phase: length-L bond phases theta_x in [0, 2*pi)
+    hop_phase: length-L bond phases theta_x, folded into [0, 2*pi)
     V        : length-L on-site potentials
-    U        : length-L on-site couplings, or the scalar INFINITY for the
+    U        : length-L on-site couplings; INFINITY on every site is the
                hard-core (no double occupancy) mode
+
+    Every number is finite but U = +inf on all sites. Construction checks
+    this and folds the phases, whether by make_spec, ModelSpec(...) or
+    dataclasses.replace: a broken spec raises ModelError.
     """
 
     L: int
@@ -66,11 +72,40 @@ class ModelSpec:
     hop_mag: tuple[float, ...]
     hop_phase: tuple[float, ...]
     V: tuple[float, ...]
-    U: tuple[float, ...] | float
+    U: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.L < 3:
+            raise ModelError(f"L={self.L}: need L >= 3")
+        for name, seq in (("hop_mag", self.hop_mag), ("hop_phase", self.hop_phase), ("V", self.V)):
+            if len(seq) != self.L:
+                raise ModelError(f"{name} has length {len(seq)}, expected L={self.L}")
+            if not all(map(math.isfinite, seq)):
+                raise ModelError(f"{name} has a non-finite entry")
+        if any(m <= 0.0 for m in self.hop_mag):
+            raise ModelError("every |t_x| must be strictly positive")
+
+        u = self.U
+        if not isinstance(u, tuple):
+            raise ModelError(f"U must be a tuple of L={self.L} numbers, not {u!r}")
+        if len(u) != self.L:
+            raise ModelError(f"U has length {len(u)}, expected L={self.L}")
+        if any(math.isnan(v) or v == -INFINITY for v in u):
+            raise ModelError("U has a NaN or -inf entry: only +inf selects hard-core")
+        infs = [math.isinf(v) for v in u]
+        if any(infs) and not all(infs):
+            raise ModelError("per-site U mixes finite and infinite entries")
+
+        if self.N < 0 or self.N > 2 * self.L:
+            raise ModelError(f"N={self.N} outside [0, 2L]")
+        if self.hardcore and self.N > self.L:
+            raise ModelError(f"N={self.N} > L={self.L} with hard-core interaction")
+        object.__setattr__(self, "hop_phase", tuple(fold_angle(p) for p in self.hop_phase))
 
     @property
     def hardcore(self) -> bool:
-        return not isinstance(self.U, tuple)
+        """U = +inf on every site; construction admits all sites or none."""
+        return self.U[0] == INFINITY
 
     @property
     def flux(self) -> float:
@@ -84,7 +119,7 @@ class ModelSpec:
 
 
 def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
-    """Build and validate a ModelSpec; scalars are broadcast to length L.
+    """Build a ModelSpec; scalars are broadcast to length L.
 
     ``U=INFINITY`` (or any list of all-+inf entries) selects hard-core mode.
     """
@@ -99,53 +134,12 @@ def make_spec(L, N, hop_mag=None, hop_phase=None, V=None, U=0.0) -> ModelSpec:
     mags = _broadcast(hop_mag, 1.0)
     phases = _broadcast(hop_phase, 0.0)
     pots = _broadcast(V, 0.0)
-    if isinstance(U, (int, float)) and U == INFINITY:
-        u: tuple[float, ...] | float = INFINITY
-    else:
-        u = _broadcast(U, 0.0)
-    return validate(ModelSpec(int(L), int(N), mags, phases, pots, u))
-
-
-def validate(raw: ModelSpec) -> ModelSpec:
-    """Check invariants and return the normalized spec (phases folded).
-    Every number is finite but U = +inf on all sites, the hard-core mode."""
-    if raw.L < 3:
-        raise ModelError(f"L={raw.L}: need L >= 3")
-    for name, seq in (("hop_mag", raw.hop_mag), ("hop_phase", raw.hop_phase), ("V", raw.V)):
-        if len(seq) != raw.L:
-            raise ModelError(f"{name} has length {len(seq)}, expected L={raw.L}")
-        if not all(map(math.isfinite, seq)):
-            raise ModelError(f"{name} has a non-finite entry")
-    if any(m <= 0.0 for m in raw.hop_mag):
-        raise ModelError("every |t_x| must be strictly positive")
-
-    u = raw.U
-    if isinstance(u, tuple):
-        if len(u) != raw.L:
-            raise ModelError(f"U has length {len(u)}, expected L={raw.L}")
-        if any(math.isnan(v) or v == -INFINITY for v in u):
-            raise ModelError("U has a NaN or -inf entry: only +inf selects hard-core")
-        infs = [math.isinf(v) for v in u]
-        if all(infs) and infs:
-            u = INFINITY
-        elif any(infs):
-            raise ModelError("per-site U mixes finite and infinite entries")
-    elif u != INFINITY:
-        raise ModelError("scalar U must be INFINITY; use a list for finite couplings")
-
-    hardcore = not isinstance(u, tuple)
-    if raw.N < 0 or raw.N > 2 * raw.L:
-        raise ModelError(f"N={raw.N} outside [0, 2L]")
-    if hardcore and raw.N > raw.L:
-        raise ModelError(f"N={raw.N} > L={raw.L} with hard-core interaction")
-
-    phases = tuple(fold_angle(p) for p in raw.hop_phase)
-    return replace(raw, hop_phase=phases, U=u)
+    return ModelSpec(int(L), int(N), mags, phases, pots, _broadcast(U, 0.0))
 
 
 def with_flux(spec: ModelSpec, phi: float) -> ModelSpec:
-    """Same ring, retuned to total flux phi (canonical gauge), validated."""
-    return validate(replace(spec, hop_phase=(0.0,) * (spec.L - 1) + (float(phi),)))
+    """Same ring, retuned to total flux phi (canonical gauge)."""
+    return replace(spec, hop_phase=(0.0,) * (spec.L - 1) + (float(phi),))
 
 
 def to_dict(spec: ModelSpec) -> dict:
@@ -163,14 +157,16 @@ def to_dict(spec: ModelSpec) -> dict:
     }
 
 
-def _number(value, name: str, integer: bool = False):
-    """value if a JSON number (an integer if asked), else a ModelError naming
-    the field; None stands for a field that is missing or null."""
+def _number(value, name: str, integer: bool = False, finite: bool = False):
+    """value if a JSON number (an integer or finite if asked), else a
+    ModelError naming the field; None is a field missing or null."""
     if value is None:
         raise ModelError(f"model field {name} is missing or null")
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ModelError(f"model field {name} must be {'an integer' if integer else 'a number'}, "
                          f"not {json.dumps(value)}")
+    if finite and not math.isfinite(value):
+        raise ModelError(f"model field {name} must be finite, not {value!r}")
     return value
 
 
@@ -192,7 +188,7 @@ def from_dict(data) -> ModelSpec:
         raise ModelError('model field hop must be a list of {"mag": ..., "theta": ...} objects')
     if len(hop) != L:
         raise ModelError(f"model field hop has {len(hop)} entries, expected L={L}")
-    mags, phases = ([_number(h.get(key), f"hop[{k}].{key}") for k, h in enumerate(hop)]
+    mags, phases = ([_number(h.get(key), f"hop[{k}].{key}", finite=True) for k, h in enumerate(hop)]
                     for key in ("mag", "theta"))
     u = data.get("U", 0.0)
     if isinstance(u, str):

@@ -24,7 +24,7 @@ from scipy.sparse import _sparsetools
 
 from .basis import CSRLayout, SectorBasis, _graph, csr_layout, entry_rows, mode
 from .errors import BasisMismatch, FluxObstruction, HypothesisViolated
-from .model import ModelSpec, fold_angle, unit_phase, validate
+from .model import ModelSpec, fold_angle, unit_phase
 
 
 @dataclass(frozen=True)
@@ -165,22 +165,24 @@ class FluxFamily:
         return h
 
     def hamiltonian(self, phi: float) -> SparseHermitian:
-        return _with_data(self.zero, self._data(self.zero.data.copy(),
-                                                unit_phase(phi * _WINDINGS)))
+        return self.stacked([phi])
 
     def stacked(self, angles) -> SparseHermitian:
         """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
 
-        Each block stores its entries in the order hamiltonian stores them,
+        Each block stores its entries in the order of the family's pattern,
         so a matvec on the stacked vectors (block g at rows g*dim onward)
         is, block for block, hamiltonian(angles[g]).matvec, bit for bit.
         It holds len(angles) copies of the family's entries, int32-indexed:
         a batch holds about spectra._STACK_ENTRIES entries or one angle.
+        One angle shares the family's index arrays.
         """
         m = self.zero
         count, nnz = len(angles), m.nnz
         data = self._data(np.tile(m.data, (count, 1)),
                           unit_phase(np.multiply.outer(angles, _WINDINGS)))
+        if count == 1:
+            return _with_data(m, data[0])
         shift = np.arange(count, dtype=np.int32)[:, None]
         indices = (m.indices + shift * self.dim).ravel()
         indptr = np.append((m.indptr[:-1] + shift * nnz).ravel(), np.int32(count * nnz))
@@ -422,17 +424,15 @@ def extend_ring(spec: ModelSpec) -> ModelSpec:
     The doubled ring carries twice the original flux. Requires U = V = 0, as
     in the doubling identity this feeds.
     """
-    if spec.hardcore or any(u != 0.0 for u in spec.U):
+    if any(u != 0.0 for u in spec.U):
         raise HypothesisViolated("ring extension requires U = 0")
     if any(v != 0.0 for v in spec.V):
         raise HypothesisViolated("ring extension requires V = 0")
-    return validate(
-        ModelSpec(
-            L=spec.L * 2,
-            N=spec.N * 2,
-            hop_mag=spec.hop_mag * 2,
-            hop_phase=spec.hop_phase * 2,
-            V=(0.0,) * (spec.L * 2),
-            U=(0.0,) * (spec.L * 2),
-        )
+    return ModelSpec(
+        L=spec.L * 2,
+        N=spec.N * 2,
+        hop_mag=spec.hop_mag * 2,
+        hop_phase=spec.hop_phase * 2,
+        V=(0.0,) * (spec.L * 2),
+        U=(0.0,) * (spec.L * 2),
     )

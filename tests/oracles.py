@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from fluxring.basis import mode
-from fluxring.model import angle_dist, fold_angle, validate
+from fluxring.model import angle_dist, fold_angle
 
 
 def fourier_levels(L: int, phi: float) -> np.ndarray:
@@ -178,7 +178,7 @@ def regauge(spec, phases):
     """spec with its bond phases replaced by phases, which must carry the
     same flux mod 2*pi (to 1e-12): a pure gauge move."""
     assert angle_dist(fold_angle(math.fsum(phases)), spec.flux) <= 1e-12
-    return validate(replace(spec, hop_phase=tuple(phases)))
+    return replace(spec, hop_phase=tuple(phases))
 
 
 def hermiticity_defect(H) -> float:

@@ -610,11 +610,10 @@ def test_spiral_state_rejects_other_n():
 
 def test_spiral_gauge_alternates_sign_on_cyclic_spin_shifts():
     from fluxring.basis import mode
-    from fluxring.model import validate
     from dataclasses import replace
 
     spec = fr.make_spec(7, 6, U=fr.INFINITY)
-    ferro = validate(replace(spec, hop_phase=(PI,) * 6 + (0.0,)))
+    ferro = replace(spec, hop_phase=(PI,) * 6 + (0.0,))
     basis = fr.enumerate_sector(7, 6, 0, hardcore=True)
     h_ferro = fr.build_hamiltonian(ferro, basis)
     h_zero = fr.build_hamiltonian(fr.with_flux(spec, PI), basis)  # odd ring: pi role is 0
@@ -925,9 +924,8 @@ def free_sector_spiral(spec):
     L, N = spec.L, spec.N
     phi_zero, _ = _flux_roles(L)
     basis0 = sector_basis_for(spec, 0)
-    free_spec = fr.validate(fr.ModelSpec(L, N, spec.hop_mag,
-                                         fr.with_flux(spec, phi_zero).hop_phase,
-                                         spec.V, (0.0,) * L))
+    free_spec = fr.ModelSpec(L, N, spec.hop_mag, fr.with_flux(spec, phi_zero).hop_phase,
+                             spec.V, (0.0,) * L)
     free_basis = fr.enumerate_sector(L, N, 0, hardcore=False)
     h_free = fr.build_hamiltonian(free_spec, free_basis)
     gauge = fr.solve_sign_gauge(fr.negative_envelope(h_free), h_free)
@@ -997,9 +995,8 @@ def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):
     idx = free_basis.locate(basis0.codes)
     out = {}
     for u in couplings:
-        free_spec = fr.validate(fr.ModelSpec(L, N, spec.hop_mag,
-                                             fr.with_flux(spec, phi_zero).hop_phase,
-                                             spec.V, (float(u),) * L))
+        free_spec = fr.ModelSpec(L, N, spec.hop_mag, fr.with_flux(spec, phi_zero).hop_phase,
+                                 spec.V, (float(u),) * L)
         h_free = fr.build_hamiltonian(free_spec, free_basis)
         psi_g = fr.ground(h_free).vectors[:, 0][idx]
         psi_g = psi_g / np.linalg.norm(psi_g)

@@ -108,6 +108,36 @@ def test_spectrum_subcommand(ring4):
         cli._json_text({"gap": math.inf})
 
 
+def test_spectrum_hardcore_flag_matches_a_hardcore_model_file(tmp_path, capsys):
+    # --hardcore on a finite-U ring solves the ring saved with "U": "inf"
+    from fluxring import cli
+
+    rng = np.random.default_rng(4)
+    finite = fr.make_spec(6, 4, rng.uniform(0.5, 2.0, 6), rng.uniform(0, 2 * math.pi, 6),
+                          rng.normal(0, 1, 6), 2.0)
+    hardcore = fr.make_spec(6, 4, finite.hop_mag, finite.hop_phase, finite.V, fr.INFINITY)
+    outputs = []
+    for name, spec, flag in (("finite", finite, ["--hardcore"]), ("hc", hardcore, [])):
+        path = tmp_path / f"{name}.json"
+        fr.save_model(spec, path)
+        assert cli.run(["spectrum", "--model", str(path), "--nup", "2", "--ndown", "2",
+                        *flag]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[1])["energy"] < 0.0
+    assert outputs[0] == outputs[1]
+
+
+def test_spectrum_out_of_range_sector_exits_two(ring4, capsys):
+    from fluxring import cli
+
+    for argv, words in ((["--nup", "5", "--ndown", "4"], "N=9 outside [0, 2L]"),
+                        (["--nup", "3", "--ndown", "2", "--hardcore"],
+                         "N=5 > L=4 with hard-core interaction")):
+        assert cli.run(["spectrum", "--model", ring4, *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and words in err and "internal error" not in err, (argv, err)
+
+
 def test_blocks_subcommand(tmp_path):
     path = tmp_path / "hc.json"
     fr.save_model(fr.make_spec(6, 4, U=fr.INFINITY), path)
@@ -356,7 +386,10 @@ def test_non_finite_numbers_exit_two(ring4, tmp_path, capsys):
     # model files: json reads NaN and -Infinity
     data = fr.model.to_dict(fr.make_spec(4, 2))
     for k, (key, value, words) in enumerate((
-            ("hop", [{"mag": math.nan, "theta": 0.0}] + data["hop"][1:], "hop_mag"),
+            ("hop", [{"mag": math.nan, "theta": 0.0}] + data["hop"][1:],
+             "model field hop[0].mag must be finite, not nan"),
+            ("hop", data["hop"][:2] + [{"mag": 1.0, "theta": math.inf}] + data["hop"][3:],
+             "model field hop[2].theta must be finite, not inf"),
             ("V", [0.0, -math.inf, 0.0, 0.0], "V has a non-finite entry"),
             ("U", -math.inf, "U has a NaN or -inf entry"))):
         path = tmp_path / f"bad{k}.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,11 +62,45 @@ def test_validation_errors():
     with pytest.raises(ModelError, match="L=2: need L >= 3"):
         fr.make_spec(2, 1)
     with pytest.raises(ModelError, match="hop_mag has length 3, expected L=4"):
-        fr.validate(fr.ModelSpec(4, 2, (1.0,) * 3, (0.0,) * 4, (0.0,) * 4, (0.0,) * 4))
+        fr.ModelSpec(4, 2, (1.0,) * 3, (0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
     with pytest.raises(ModelError, match="N=4 > L=3 with hard-core interaction"):
         fr.make_spec(3, 4, U=fr.INFINITY)
     with pytest.raises(ModelError, match="per-site U mixes finite and infinite entries"):
         fr.make_spec(3, 2, U=(1.0, math.inf, 0.0))
+
+
+@pytest.mark.parametrize("change,words", [
+    ({"L": 2}, "L=2: need L >= 3"),
+    ({"hop_mag": (1.0,) * 3}, "hop_mag has length 3, expected L=4"),
+    ({"hop_phase": (0.0, math.nan, 0.0, 0.0)}, "hop_phase has a non-finite entry"),
+    ({"V": (0.0, 0.0, math.inf, 0.0)}, "V has a non-finite entry"),
+    ({"hop_mag": (1.0, 0.0, 1.0, 1.0)}, r"every \|t_x\| must be strictly positive"),
+    ({"U": fr.INFINITY}, "U must be a tuple of L=4 numbers, not inf"),
+    ({"U": [0.0] * 4}, r"U must be a tuple of L=4 numbers, not \[0.0, 0.0, 0.0, 0.0\]"),
+    ({"U": (0.0,) * 3}, "U has length 3, expected L=4"),
+    ({"U": (0.0, math.nan, 0.0, 0.0)}, "U has a NaN or -inf entry"),
+    ({"U": (math.inf, 1.0, math.inf, math.inf)}, "per-site U mixes finite and infinite entries"),
+    ({"N": 9}, r"N=9 outside \[0, 2L\]"),
+    ({"N": -1}, r"N=-1 outside \[0, 2L\]"),
+    ({"N": 5, "U": (math.inf,) * 4}, "N=5 > L=4 with hard-core interaction"),
+])
+def test_every_spec_is_checked_however_it_is_built(change, words):
+    # no ModelSpec exists unchecked: built directly or by dataclasses.replace
+    spec = fr.make_spec(4, 2, (1.0, 1.5, 0.5, 2.0), (0.1, 0.2, 0.3, 0.4), 0.0, 1.0)
+    fields = {name: getattr(spec, name) for name in ("L", "N", "hop_mag", "hop_phase", "V", "U")}
+    with pytest.raises(ModelError, match=words):
+        fr.ModelSpec(**{**fields, **change})
+    with pytest.raises(ModelError, match=words):
+        replace(spec, **change)
+
+
+def test_every_spec_holds_folded_phases():
+    spec = fr.make_spec(4, 2)
+    moved = replace(spec, hop_phase=(0.0, -0.5, 4 * PI, 2 * PI + 0.5))
+    assert moved.hop_phase == (0.0, fold_angle(-0.5), 0.0, fold_angle(2 * PI + 0.5))
+    assert all(0.0 <= p < 2 * PI for p in moved.hop_phase)
+    direct = fr.ModelSpec(4, 2, (1.0,) * 4, (0.0, 0.0, 0.0, 2 * PI + 0.5), (0.0,) * 4, (0.0,) * 4)
+    assert direct.hop_phase == (0.0, 0.0, 0.0, fold_angle(2 * PI + 0.5))
 
 
 def test_all_infinite_list_collapses_to_hardcore():
@@ -83,8 +118,8 @@ def test_non_finite_model_numbers_are_refused():
     for u in (math.nan, -math.inf, (1.0, math.nan, 1.0, 1.0), (-math.inf,) * 4):
         with pytest.raises(ModelError, match="U has a NaN or -inf entry"):
             fr.make_spec(4, 2, U=u)
-    with pytest.raises(ModelError, match="scalar U"):
-        fr.validate(fr.ModelSpec(4, 2, (1.0,) * 4, (0.0,) * 4, (0.0,) * 4, -math.inf))
+    with pytest.raises(ModelError, match=r"U must be a tuple of L=4 numbers, not -inf"):
+        fr.ModelSpec(4, 2, (1.0,) * 4, (0.0,) * 4, (0.0,) * 4, -math.inf)
     assert fr.make_spec(4, 2, U=math.inf).hardcore
 
 
@@ -164,6 +199,7 @@ def test_json_hardcore_spelling():
     assert data["U"] == "inf"
     assert from_dict(data) == spec
     assert from_dict(to_dict(spec)).hardcore
+    assert spec.U == (fr.INFINITY,) * 4
 
 
 @pytest.mark.parametrize("text,value", [

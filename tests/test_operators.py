@@ -12,7 +12,7 @@ import fluxring as fr
 from fluxring import basis as basis_module
 from fluxring.errors import BasisMismatch, FluxObstruction, HypothesisViolated, MethodLimit
 from fluxring.basis import entry_rows, mode
-from fluxring.model import fold_angle, validate
+from fluxring.model import fold_angle
 from fluxring.operators import (
     SparseHermitian,
     _diagonal,
@@ -254,7 +254,7 @@ def hole_particle_down(spec):
     if any(v != 0.0 for v in spec.V):
         raise HypothesisViolated("hole-particle transform requires V = 0")
     phases = tuple(fold_angle(p + math.pi) for p in spec.hop_phase)
-    return validate(replace(spec, hop_phase=phases))
+    return replace(spec, hop_phase=phases)
 
 
 def test_hole_particle_down():
@@ -554,6 +554,21 @@ def test_operators_on_one_basis_share_its_read_only_layout(sector, phi):
         h.mat.eliminate_zeros()
     got = family.hamiltonian(phi).mat
     assert _bits(got.indices) == _bits(ref.indices) and _bits(got.data) == _bits(ref.data)
+
+
+@given(sectors(), st.floats(-20.0, 20.0))
+@settings(max_examples=20, deadline=None)
+def test_one_angle_stack_shares_the_family_index_arrays(sector, phi):
+    # a batch of one angle is the family's evaluation at it, on the
+    # family's own index arrays, not a shifted copy of them
+    spec, basis, _ = _random_sector_spec(sector)
+    family = fr.flux_family(spec, basis)
+    one = family.stacked([phi]).mat
+    assert np.shares_memory(one.indices, family.zero.indices)
+    assert np.shares_memory(one.indptr, family.zero.indptr)
+    assert _bits(one.data) == _bits(_coo_assembly(spec, basis, phi).data)
+    pair = family.stacked([phi, phi + 1.0]).mat
+    assert _bits(pair.data[:family.nnz]) == _bits(one.data)
 
 
 def test_sign_gauge_of_the_free_sector_stays_within_a_few_entries_per_entry():
