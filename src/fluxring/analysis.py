@@ -39,9 +39,11 @@ from .operators import (
     solve_sign_gauge,
 )
 from .spectra import (
+    _MIRROR_TOL,
     GroundInfo,
     _ground_energies,
     _ground_window,
+    _time_reversible,
     ground,
     log_partition_scan,
     log_partition_sweep,
@@ -169,7 +171,9 @@ def scan_flux(family: FluxFamily, grid_size: int = 720, method: str = "auto") ->
 def _current(family: FluxFamily, phi: float, method: str) -> tuple[float, float, float]:
     """Ground energy at phi and the least and greatest persistent current
     dE/dphi there: dH/dphi projected onto the ground vectors
-    (Hellmann-Feynman), whose eigenvalues are the one-sided slopes of E."""
+    (Hellmann-Feynman), whose eigenvalues are the one-sided slopes of E.
+    A Lanczos solve (max_degeneracy=0) returns one vector, so at a
+    degenerate level its two slopes coincide."""
     phi = fold_angle(phi)
     info = ground(family.hamiltonian(phi), max_degeneracy=0, method=method)
     block = info.vectors.conj().T @ family.derivative(phi).matvec(info.vectors)
@@ -214,6 +218,37 @@ def _current_root(current, a: float, b: float, xtol: float) -> tuple[float, floa
     return (a * jb - b * ja) / (jb - ja), min(ea, eb)
 
 
+def _paired_current(family: FluxFamily, method: str):
+    """_current on family, each time-reversal pair of angles solved once.
+
+    With every flux-0 entry real, H(2*pi - phi) = conj H(phi)
+    (spectra._mirror_plan), and dH/dphi flips sign: an angle folded into
+    (pi, 2*pi) takes the result (E, -hi, -lo) of its partner 2*pi - phi,
+    and an angle within _MIRROR_TOL of one already solved reuses its
+    solve. The self-mirror angles 0 and pi are solved like any other: their
+    computed current keeps its rounding sign, which a bracket needs to
+    settle on one side of a double minimum.
+    """
+    mirrored = _time_reversible(family)
+    solved: list[tuple[float, tuple[float, float, float]]] = []
+
+    def current(phi: float) -> tuple[float, float, float]:
+        phi = fold_angle(phi)
+        flip = mirrored and phi > math.pi
+        if flip:
+            phi = TWO_PI - phi
+        for x, result in solved:
+            if abs(x - phi) <= _MIRROR_TOL:
+                break
+        else:
+            result = _current(family, phi, method)
+            solved.append((phi, result))
+        e, lo, hi = result
+        return (e, -hi, -lo) if flip else result
+
+    return current
+
+
 def refine_argmin(values: np.ndarray, family: FluxFamily, method: str = "auto") -> list[float]:
     """All global minimizers of family's scanned energy, refined to REFINE_XTOL in angle.
 
@@ -221,7 +256,10 @@ def refine_argmin(values: np.ndarray, family: FluxFamily, method: str = "auto") 
     them; fewer than 8 raise ValueError. Each grid-local minimum is refined
     to the root of the persistent current dE/dphi between its two grid
     neighbours; one without an upward crossing of the current there keeps
-    its grid angle and scanned energy.
+    its grid angle and scanned energy. Each time-reversal pair of angles is
+    solved once (_paired_current), so a bracket around 0 or pi solves one
+    of its mirror-image ends, and a minimum at 2*pi - x is refined on the
+    solves of the one at x, to rounding its mirror image.
     Refined minima within VALUE_TOL of the global minimum are returned
     (folded, deduplicated). A flat curve returns every grid angle.
     """
@@ -230,8 +268,7 @@ def refine_argmin(values: np.ndarray, family: FluxFamily, method: str = "auto") 
     if float(values.max() - values.min()) <= VALUE_TOL:
         return [float(g) for g in grid]
 
-    current = lambda phi: _current(family, phi, method)
-
+    current = _paired_current(family, method)
     spacing = TWO_PI / n
     candidates = []
     for i in range(n):
@@ -281,7 +318,10 @@ def verify_even(spec: ModelSpec, grid_size: int = 240) -> VerificationReport:
     curve has period 2*pi/N, checked at every grid angle. The scan solves
     each time-reversal pair of grid angles once, so where N divides the
     grid size G, the period residual at the pairs with 2i + G/N = 0 (mod
-    G) compares a value with its own mirror copy (_shifted).
+    G) compares a value with its own mirror copy (_shifted). The
+    refinement solves each time-reversal pair once (_paired_current), so a
+    hard-core minimum 2*pi*k/N with k > N/2 is the mirror copy of the one
+    at 2*pi*(N - k)/N, and costs no solve.
     """
     if spec.N % 2 or spec.N > spec.L:
         raise HypothesisViolated("requires even N <= L")
@@ -319,6 +359,9 @@ def verify_odd(spec: ModelSpec, grid_size: int = 64, method: str = "auto") -> Ve
     solves each time-reversal pair of grid angles once, so the period
     residual at the pairs with 2i + G/2 = 0 (mod G), i = G/4 and 3G/4 when
     4 divides G, compares a value with its own mirror copy (_shifted).
+    The refinement solves each time-reversal pair once (_paired_current),
+    so the minimum at 3*pi/2 is refined on the solves of the one at pi/2,
+    and the two sum to 2*pi to rounding.
     """
     if spec.N != spec.L or spec.N % 2 == 0:
         raise HypothesisViolated("requires half filling N = L with N odd")

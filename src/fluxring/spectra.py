@@ -17,16 +17,18 @@ from its third check on warm-starts the bisection for its lowest Ritz
 value (_lowest_ritz_value). A ground level resolves degeneracy by
 deflation: the ground vectors found so far are locked, projected out of
 the recurrence at every step, until a pass's value clears the degeneracy
-gap. A ground vector costs a replay: the same recurrence runs again from
-the same start and sums the Lanczos vectors with the Ritz coefficients,
-and one more product with H confirms its residual.
+gap. A ground vector is the sum of the pass's Lanczos vectors with the
+Ritz coefficients: within DENSE_LIMIT the pass keeps them, above it a
+replay runs the same recurrence again from the same start and sums them
+as it goes, bit for bit the same vector; one more product with H confirms
+its residual.
 
 method="auto" picks between them by sector dimension, dense up to a
 crossover and Lanczos above, at crossovers measured below: one for
 energies (ENERGY_CROSSOVER = 48) and one for ground levels
 (LANCZOS_CROSSOVER = 220). Between the crossover and DENSE_LIMIT a Lanczos
 attempt that does not converge within its step budget (_plan), whose
-replayed vector misses its residual, or whose deflation saturates, falls
+ground vector misses its residual, or whose deflation saturates, falls
 back to dense, so auto returns what dense would. Above DENSE_LIMIT nothing
 is densified and Lanczos failures raise.
 
@@ -122,7 +124,8 @@ ENERGY_CROSSOVER = 48
 #: and one ties or is dearer). The budget, 3*dim // 5 recurrence steps
 #: for all passes of a solve together (replays not counted, and no pass
 #: past _MAX_STEPS), costs about one dense solve: a step costs 30-50 us up to
-#: dimension 400, mostly fixed Python overhead.
+#: dimension 400, mostly fixed Python overhead. The table timed replayed
+#: vectors; kept ones cost less (CHANGES), which this crossover predates.
 LANCZOS_CROSSOVER = 220
 
 #: Matrix entries a batch of _ground_energies holds at most: about 640 kB
@@ -162,7 +165,11 @@ _STACK_ENTRIES = 2**15
 #: column is checked at every step: with this schedule alone, 16 of 800
 #: ground vectors of random sectors up to dimension 400 under
 #: method="lanczos" missed their residual (all at dimension 40 or less),
-#: with checks every 5 steps 4; with the rule none of 3000 did.
+#: with checks every 5 steps 4; with the rule none of 3000 did. Before
+#: that step each check comes at most half way to it: a check jumping
+#: straight to it let a 36-state free L=4 N=4 sector check at step 20
+#: (residual 3.2e-8) and next at 35, where its vector's true residual had
+#: grown from 3.0e-15 at step 30 to 8.0e-11.
 #:
 #: Warm-started checks cost less, so the late gap was measured again on
 #: the block lemma of the six models of seeds 1-3 of the hardcore_blocks
@@ -271,7 +278,7 @@ def ground(H: SparseHermitian, max_degeneracy: int = 8, method: str = "auto") ->
     method is "dense", "lanczos" or "auto". Auto solves sectors up to
     LANCZOS_CROSSOVER dense and larger ones by Lanczos. Inside DENSE_LIMIT
     it falls back to dense when Lanczos does not converge within its step
-    budget (see _plan; a replayed vector whose true residual misses counts
+    budget (see _plan; a ground vector whose true residual misses counts
     as not converged), or when the deflation saturates (max_degeneracy > 0
     and max_degeneracy + 1 vectors locked, so the degeneracy found is only
     a lower bound). GroundInfo.method names the solver whose answer is
@@ -320,7 +327,8 @@ def _dense_ground(H: SparseHermitian, max_degeneracy: int):
 
 def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
                       resid_tol: float = 1e-8, locked: np.ndarray | None = None,
-                      cut: float = math.inf, replay: np.ndarray | None = None):
+                      cut: float = math.inf, replay: np.ndarray | None = None,
+                      basis: list | None = None):
     """Lowest eigenvalues of count Hermitian operators of dimension dim by
     the plain three-term Lanczos recurrence, run on all of them at once;
     returns (energies, steps, residuals, ritz) with one entry per operator,
@@ -352,10 +360,11 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
     reorthogonalization the Krylov space is never known to be exhausted
     short of a breakdown; from the step where it would be in exact
     arithmetic (dim less the locked rows) a column is checked at every
-    step, since past it the recurrence only repeats converged values and a
-    replayed vector degrades. Under auto's budgets only an energy-only
-    column gets there, at its last step: it may take dim steps, a solve
-    with vectors 3*dim/5.
+    step, since past it the recurrence only repeats converged values and
+    its Ritz vector degrades; before it each check comes at most half way
+    to that step, so the checks close in on it. Under auto's budgets only
+    an energy-only column gets there, at its last step: it may take dim
+    steps, a solve with vectors 3*dim/5.
 
     Each check after a column's second warm-starts its bisection from the
     column's previous Ritz value and last move (_lowest_ritz_value), which
@@ -363,13 +372,16 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
 
     locked rows (orthonormal) are projected out of the start vector and of
     every column at every step, so the recurrence runs in their orthogonal
-    complement; the seed is offset by their number. Given replay, the
-    Ritz coefficients y of a column that stopped with these same arguments
-    (count=1), the recurrence runs again, regenerating the same Lanczos
-    vectors v_k bit for bit, and returns the Ritz vector sum y_k v_k
-    instead (Cullum & Willoughby, Lanczos Algorithms for Large Symmetric
-    Eigenvalue Computations, 1985): a vector costs a second run, never a
-    stored basis.
+    complement; the seed is offset by their number. The Ritz vector of a
+    column (count=1) is sum y_k v_k over its Lanczos vectors v_k (Cullum &
+    Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
+    Computations, 1985), got one of two ways. Given a list basis, the run
+    appends a copy of v_k to it at each step k, for the caller to sum.
+    Given replay, the Ritz coefficients y of a column that stopped with
+    these same arguments, the recurrence runs again, regenerating the same
+    v_k bit for bit, and returns the sum, taken in the same order as it
+    goes: a second run in place of a stored basis. The two vectors agree
+    bit for bit.
 
     Every operation on the stack acts on each row alone: a block of the
     operator, real elementwise arithmetic, a projection of one row, or a
@@ -408,6 +420,8 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
             vector += replay[k] * v[0]
             if k == len(replay) - 1:
                 return vector
+        if basis is not None:
+            basis.append(v[0].copy())
         w = op.matvec(v.ravel()).reshape(v.shape)
         re_v, re_w = v.view(float), w.view(float)  # (columns, 2*dim) real views
         a = np.add.reduce(re_v * re_w, axis=1)
@@ -449,7 +463,7 @@ def _lanczos_energies(stack, dim: int, count: int, max_iter: float = _MAX_STEPS,
             elif not last:
                 theta_last[j], drop[j] = theta, move
                 gap = next(gap for bound, gap in _CHECK_SCHEDULE if not move <= bound * rel)
-                due[j] = min(k + gap, max(k + 1, space - 1))
+                due[j] = min(k + gap, max(k + 1, (k + space) // 2))
                 continue
             steps[cols[j]] = k + 1
             live[j], due[j], scale[j] = False, -1, np.nan
@@ -556,7 +570,7 @@ def _mirror_plan(family: FluxFamily, angles) -> tuple[np.ndarray, np.ndarray]:
     sources = np.arange(len(folded))
     low = np.flatnonzero(folded <= math.pi)
     high = np.flatnonzero(folded > math.pi)
-    if len(low) and len(high) and not family.zero.data.imag.any():
+    if len(low) and len(high) and _time_reversible(family):
         low = low[np.argsort(folded[low], kind="stable")]
         mirror = 2 * math.pi - folded[high]          # fold_angle(-phi) on (pi, 2*pi)
         at = np.minimum(np.searchsorted(folded[low], mirror - _MIRROR_TOL), len(low) - 1)
@@ -564,6 +578,12 @@ def _mirror_plan(family: FluxFamily, angles) -> tuple[np.ndarray, np.ndarray]:
         sources[high[paired]] = low[at[paired]]
     solved = np.flatnonzero(sources == np.arange(len(folded)))
     return solved, np.searchsorted(solved, sources)
+
+
+def _time_reversible(family: FluxFamily) -> bool:
+    """Whether every flux-0 entry of family is real, so that H(2*pi - phi)
+    = conj H(phi) (_mirror_plan)."""
+    return not family.zero.data.imag.any()
 
 
 def _lowest_ritz_value(d: np.ndarray, e: np.ndarray, bound: float = math.nan,
@@ -634,8 +654,13 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
 
     Each pass runs the recurrence of _lanczos_energies in the orthogonal
     complement of the ground vectors found so far, and a pass whose Ritz
-    value lies in the ground window replays it for its vector, which is
-    then locked. The loop stops at the first pass whose value clears the
+    value lies in the ground window sums its Lanczos vectors into its
+    vector, which is then locked. Within DENSE_LIMIT the pass keeps them
+    (at most _MAX_STEPS * dim * 16 bytes, 19.2 MB at DENSE_LIMIT, against
+    the 64 MB of a dense solve there), and drops them once its vector is
+    locked; above it the pass is replayed, holding three vectors. The
+    sector dimension alone picks the path, and both give the same vector
+    bit for bit. The loop stops at the first pass whose value clears the
     window, which gives the gap and needs no vector (or once
     max_degeneracy + 1 vectors are locked, meaning the reported degeneracy
     is a lower bound). Vectors go to verifiers that judge residuals down to
@@ -658,7 +683,8 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
                                 f"after {len(found)} locked vectors")
         args = (lambda cols: H, H.dim, 1, left, 1e-12,
                 np.vstack(found) if found else None, cut)
-        (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args)
+        basis = [] if H.dim <= DENSE_LIMIT else None
+        (theta,), (steps,), (resid,), (y,) = _lanczos_energies(*args, basis=basis)
         left -= steps
         if math.isnan(theta):
             raise NoConvergence(f"Lanczos exhausted {steps} iterations",
@@ -669,11 +695,16 @@ def _lanczos_ground(H: SparseHermitian, max_degeneracy: int, budget: float = mat
         elif theta > cut:
             gap = theta - e0
             break
-        vec = _lanczos_energies(*args, replay=y)
+        if basis is None:
+            vec = _lanczos_energies(*args, replay=y)
+        else:
+            vec = np.zeros(H.dim, dtype=complex)
+            for c, row in zip(y, basis):         # the replay's sum, in its order
+                vec += c * row
         vec /= np.linalg.norm(vec)
         miss = float(np.linalg.norm(H.matvec(vec) - theta * vec))
         if miss > 1e-12 * max(1.0, abs(theta)):
-            raise NoConvergence(f"replayed Lanczos vector has residual {miss:.3g} after "
+            raise NoConvergence(f"Lanczos ground vector has residual {miss:.3g} after "
                                 f"{steps} iterations", residual=miss)
         found.append(vec)
     return float(e0), np.column_stack(found), float(gap)

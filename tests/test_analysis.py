@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import fluxring as fr
 from fluxring import analysis
@@ -17,8 +18,9 @@ from fluxring.errors import (
     MethodLimit,
     MultipletCut,
 )
-from fluxring.model import angle_dist
-from fluxring.spectra import _ground_energies
+from fluxring.model import angle_dist, fold_angle
+from fluxring.operators import FluxFamily
+from fluxring.spectra import _MIRROR_TOL, _ground_energies
 
 from oracles import DenseOracle, filled_sum, hardcore_block_energies, regauge
 
@@ -106,6 +108,9 @@ def test_refine_argmin_flat_curve():
        st.floats(0.0, 2 * PI), st.sampled_from(["dense", "lanczos"]))
 # a 9-state sector whose recurrence runs past its exhausted Krylov space
 @example(3, 3, False, 3, 2.3567667832308348, "lanczos")
+# a 36-state sector whose checks once jumped from step 20 to 35, past the
+# steps where its ground vector met its residual
+@example(4, 4, False, 347419879, 4.75, "lanczos")
 @settings(max_examples=30, deadline=None)
 def test_persistent_current_matches_energy_central_difference(L, N, hardcore, seed, phi,
                                                               method):
@@ -159,7 +164,62 @@ def test_refine_argmin_solves_a_handful_of_points(monkeypatch):
     monkeypatch.setattr(analysis, "ground", lambda *a, **k: calls.append(1) or ground(*a, **k))
     minima = fr.refine_argmin(curve, family)
     assert len(minima) == 1 and angle_dist(minima[0], PI) <= 1e-10
-    assert len(calls) <= 8
+    assert len(calls) <= 6            # the bracket around pi solves one of its ends
+
+
+def _solved_angles(monkeypatch):
+    """Spy on analysis._current: the angle of each solve."""
+    angles = []
+    current = analysis._current
+    monkeypatch.setattr(analysis, "_current", lambda family, phi, method:
+                        angles.append(phi) or current(family, phi, method))
+    return angles
+
+
+@pytest.mark.parametrize("verify, spec", [
+    (fr.verify_odd, fr.make_spec(5, 5, np.random.default_rng(4).uniform(0.5, 2, 5))),
+    (fr.verify_even, fr.make_spec(6, 4, np.random.default_rng(4).uniform(0.5, 2, 6),
+                                  None, None, fr.INFINITY)),
+])
+def test_refinement_solves_each_mirror_pair_once(monkeypatch, verify, spec):
+    # real families: every solve lies in [0, pi] and none repeats another,
+    # so a minimum in (pi, 2*pi), 3*pi/2 here, costs no solve and mirrors
+    # its partner below pi
+    angles = _solved_angles(monkeypatch)
+    report = verify(spec)
+    assert report.passed and angles
+    assert all(0.0 <= x <= PI for x in angles)
+    assert all(abs(x - y) > _MIRROR_TOL for k, x in enumerate(angles) for y in angles[:k])
+    minima = report.measured["argmin"]
+    assert [x for x in minima if x > PI + _MIRROR_TOL] == [max(minima)]
+    assert any(abs(max(minima) + y - 2 * PI) <= _MIRROR_TOL for y in minima)
+
+
+def _triangle(theta):
+    """One particle on a 3-site ring with |t| = 1, bond (0, 1) carrying the
+    phase theta at flux 0 and the flux threading bond (2, 0): its ground
+    energy -2 cos((phi - theta)/3) is least at phi = theta. theta != 0
+    makes a flux-0 entry complex."""
+    # the entries (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), in CSR order
+    data = np.array([-np.exp(1j * theta), -1, -np.exp(-1j * theta), -1, -1, -1])
+    zero = sparse.csr_matrix((data, [1, 2, 0, 2, 0, 1], [0, 2, 4, 6]), shape=(3, 3))
+    return FluxFamily(zero, np.array([1]), np.array([4]))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_refinement_solves_both_ends_without_time_reversal(monkeypatch, theta):
+    # the bracket around the grid minimum 0 runs from -2*pi/64 to 2*pi/64:
+    # a real family solves one end, one with a complex flux-0 entry both
+    family = _triangle(theta)
+    curve = fr.scan_flux(family, grid_size=64)
+    assert int(np.argmin(curve)) == 0
+    angles = _solved_angles(monkeypatch)
+    (minimum,) = fr.refine_argmin(curve, family)
+    assert angle_dist(minimum, theta) <= 1e-10
+    ends = [fold_angle(x) for x in angles
+            if abs(angle_dist(x, 0.0) - 2 * PI / 64) <= _MIRROR_TOL]
+    assert len(ends) == (1 if theta == 0.0 else 2)
+    assert (max(ends) > PI) == (theta != 0.0)
 
 
 def _even_scan_spec(seed, L, N, u):

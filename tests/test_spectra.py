@@ -252,13 +252,16 @@ def _energy_and_solver(monkeypatch, family, phi, method="auto"):
 
 
 def _recording_recurrence(monkeypatch):
-    """Spy on _lanczos_energies: one entry per call, its steps or "replay"."""
+    """Spy on _lanczos_energies: one entry per call, "replay" for a replay,
+    else (steps, kept), kept the number of Lanczos vectors the run kept
+    (None: it kept none)."""
     calls = []
     recurrence = spectra._lanczos_energies
 
-    def recording(*args, replay=None):
-        result = recurrence(*args, replay=replay)
-        calls.append("replay" if replay is not None else int(result[1].sum()))
+    def recording(*args, replay=None, basis=None):
+        result = recurrence(*args, replay=replay, basis=basis)
+        calls.append("replay" if replay is not None else
+                     (int(result[1].sum()), None if basis is None else len(basis)))
         return result
 
     monkeypatch.setattr(spectra, "_lanczos_energies", recording)
@@ -278,9 +281,11 @@ def test_auto_falls_back_when_lanczos_fails_within_budget(monkeypatch):
     assert auto.method == "dense"
     assert (auto.energy, auto.degeneracy, auto.gap) == (dense.energy, dense.degeneracy,
                                                         dense.gap)
-    # the Lanczos attempts together ran no more than 3*dim/5 steps
-    steps = [c for c in calls if c != "replay"]
-    assert steps and sum(steps) <= 3 * h.dim // 5
+    # the Lanczos attempts together ran no more than 3*dim/5 steps, each
+    # keeping its Lanczos vectors (1225 states) and replaying none
+    assert calls and "replay" not in calls
+    assert sum(steps for steps, _ in calls) <= 3 * h.dim // 5
+    assert all(kept == steps for steps, kept in calls)
 
 
 def test_ground_method_argument_checked():
@@ -309,24 +314,38 @@ def test_lanczos_budget_exhaustion(monkeypatch):
     with pytest.raises(NoConvergence) as err:
         spectra._lanczos_ground(h, 0, budget=3)
     assert err.value.residual is not None
-    assert calls == [3]                        # a pass out of budget replays nothing
+    assert calls == [(3, 3)]                   # a pass out of budget sums nothing
 
 
 def test_replayed_vector_that_misses_its_residual_is_never_returned(monkeypatch):
-    # a replay fed the wrong Ritz coefficients (reversed) rebuilds a wrong
-    # vector: its confirmation catches it and raises NoConvergence with the
-    # true residual, and auto falls back to dense
-    basis = fr.enumerate_sector(6, 6, 0)
-    h = fr.build_hamiltonian(fr.make_spec(6, 6, U=2.0), basis)
+    # a pass that returns the wrong Ritz coefficients (reversed) builds a
+    # wrong vector, from its kept Lanczos vectors within DENSE_LIMIT and by
+    # its replay above it: the confirmation catches it and raises
+    # NoConvergence with the true residual, and auto falls back to dense
     recurrence = spectra._lanczos_energies
-    monkeypatch.setattr(spectra, "_lanczos_energies", lambda *a, replay=None: recurrence(
-        *a, replay=None if replay is None else replay[::-1]))
+    replays = []
+
+    def reversed_ritz(*args, replay=None, basis=None):
+        if replay is not None:
+            replays.append(len(replay))
+            return recurrence(*args, replay=replay, basis=basis)
+        energies, steps, resid, ritz = recurrence(*args, basis=basis)
+        return energies, steps, resid, [None if y is None else y[::-1] for y in ritz]
+
+    kept = fr.build_hamiltonian(fr.make_spec(6, 6, U=2.0), fr.enumerate_sector(6, 6, 0))
+    replayed = fr.build_hamiltonian(fr.make_spec(8, 6, U=2.0), fr.enumerate_sector(8, 6, 0))
+    assert kept.dim == 400 and replayed.dim == 3136 > DENSE_LIMIT
+    exact = fr.ground(kept, max_degeneracy=0, method="dense")
+    monkeypatch.setattr(spectra, "_lanczos_energies", reversed_ritz)
     with pytest.raises(NoConvergence) as err:
-        fr.ground(h, max_degeneracy=0, method="lanczos")
-    exact = fr.ground(h, max_degeneracy=0, method="dense")
+        fr.ground(kept, max_degeneracy=0, method="lanczos")
     assert err.value.residual > 1e-12 * max(1.0, abs(exact.energy))
-    auto = fr.ground(h, max_degeneracy=0)
+    assert replays == []
+    auto = fr.ground(kept, max_degeneracy=0)
     assert auto.method == "dense" and auto.energy == exact.energy
+    with pytest.raises(NoConvergence) as err:
+        fr.ground(replayed, max_degeneracy=0)
+    assert len(replays) == 1 and err.value.residual > 1e-9
 
 
 def test_slater_consistency_free_case():
@@ -646,17 +665,62 @@ def test_lanczos_krylov_basis_grows_with_the_iteration(low):
     assert peak / (dim * 16) < 10, (low, peak / (dim * 16))
 
 
+@pytest.mark.parametrize("spec, degeneracy", [
+    (fr.make_spec(6, 4, np.random.default_rng(2).uniform(0.5, 2, 6), None, None, 3.0), 1),
+    (fr.make_spec(6, 4), 4),        # uniform and free at flux 0: deflated four times
+])
+def test_kept_lanczos_vectors_sum_to_the_replayed_vector(monkeypatch, spec, degeneracy):
+    h = fr.build_hamiltonian(spec, fr.enumerate_sector(6, 4, 0))
+    assert h.dim == 225
+    passes, recurrence = [], spectra._lanczos_energies
+
+    def recording(*args, basis):              # a replay (replay=y) raises here
+        passes.append((args, recurrence(*args, basis=basis)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(spectra, "_lanczos_energies", recording)
+    info = fr.ground(h, method="lanczos")
+    assert info.degeneracy == degeneracy and len(passes) == degeneracy + 1
+    for k, (args, (_, _, _, (y,))) in enumerate(passes[:degeneracy]):
+        vector = recurrence(*args, replay=y)
+        vector /= np.linalg.norm(vector)
+        assert _bits(vector) == _bits(info.vectors[:, k])
+
+
+def test_kept_lanczos_vectors_are_bounded_by_the_steps():
+    # within DENSE_LIMIT a vector solve holds one vector per recurrence
+    # step, never more than _MAX_STEPS of them
+    from scipy.linalg import lapack  # noqa: F401  (its import is not the solve's)
+
+    dim = DENSE_LIMIT
+    values = np.linspace(0.0, 1.0, dim)
+    values[0] = -0.01
+    h = SparseHermitian(sparse.diags(values.astype(complex)).tocsr())
+    (_,), (steps,), _, _ = spectra._lanczos_energies(lambda cols: h, dim, 1, resid_tol=1e-12)
+    tracemalloc.start()
+    try:
+        info = fr.ground(h, max_degeneracy=0, method="lanczos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.energy == pytest.approx(-0.01, abs=1e-12)
+    assert steps * dim * 16 < peak <= (steps + 10) * dim * 16
+    assert peak <= (spectra._MAX_STEPS + 10) * dim * 16
+
+
 def test_energy_only_solves_never_replay(monkeypatch):
     spec, basis = fr.make_spec(6, 6, U=2.0), fr.enumerate_sector(6, 6, 0)
     h = fr.build_hamiltonian(spec, basis)
     calls = _recording_recurrence(monkeypatch)
     energy, solver = _energy_and_solver(monkeypatch, fr.flux_family(spec, basis), 0.0)
-    assert solver == "lanczos" and len(calls) == 1 and "replay" not in calls
-    # a level, counted or of one vector, replays for its ground vectors
+    assert solver == "lanczos" and len(calls) == 1 and calls[0][1] is None
+    # a level, counted or of one vector, keeps the Lanczos vectors of each
+    # pass for its ground vectors (400 states) and replays none
     for kwargs in ({"max_degeneracy": 0}, {}):
         calls.clear()
         info = fr.ground(h, **kwargs)
-        assert "replay" in calls and abs(info.energy - energy) < 1e-10
+        assert calls and "replay" not in calls and abs(info.energy - energy) < 1e-10
+        assert all(kept == steps for steps, kept in calls)
     # and its spins are read off it without a further recurrence
     calls.clear()
     assert info.spins(fr.build_total_spin(basis)) == {0.0} and calls == []
