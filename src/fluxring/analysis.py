@@ -18,7 +18,14 @@ from itertools import product
 
 import numpy as np
 
-from .basis import UP_MODES, SectorBasis, decompose_blocks, enumerate_sector
+from .basis import (
+    UP_MODES,
+    NecklaceBlock,
+    SectorBasis,
+    check_vectors,
+    decompose_blocks,
+    enumerate_sector,
+)
 from .errors import (
     DegenerateGround,
     HypothesisViolated,
@@ -466,42 +473,75 @@ def _flux_roles(L: int) -> tuple[float, float]:
     return (0.0, math.pi) if L % 2 == 0 else (math.pi, 0.0)
 
 
+def _block_families(family: FluxFamily,
+                    blocks: list[NecklaceBlock]) -> tuple[list[FluxFamily], list[int]]:
+    """The distinct families among the restrictions of a hard-core sector's
+    family to its blocks, each in its canonical order, and for each block
+    the position of its own among them.
+
+    Two blocks share a family when its flux-0 pattern and entries and its
+    winding entries are equal bit for bit, which every pair of blocks of
+    one period is (decompose_blocks); the period label itself is never
+    consulted. A block whose family differs in any bit gets its own, so
+    a solve shared by copies is one a copy's own solve would repeat: the
+    solver is deterministic.
+    """
+    subs: list[FluxFamily] = []
+    seen: dict[tuple[bytes, ...], int] = {}
+    which = []
+    for b in blocks:
+        sub = family.restrict(b.canonical_indices)
+        m = sub.zero
+        key = tuple(a.tobytes() for a in (m.indptr, m.indices, m.data, sub.up, sub.down))
+        which.append(seen.setdefault(key, len(subs)))
+        if which[-1] == len(subs):
+            subs.append(sub)
+    return subs, which
+
+
 def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[GroundInfo]:
     """The ground level of a hard-core sector's family at each angle,
     solved block by block.
 
     The hard-core operator is block diagonal (decompose_blocks), so its
     ground space is the direct sum of the ground spaces of the blocks that
-    reach the minimum (Aizenman & Lieb, PRL 65, 1470 (1990)). Each block is
-    solved on its restricted family under ground's policy; the blocks
-    within the ground window of the lowest energy keep their vectors,
-    embedded in the sector, where the spins of the joint level are read
+    reach the minimum (Aizenman & Lieb, PRL 65, 1470 (1990)). Each distinct
+    block family (_block_families) is solved once per angle under ground's
+    policy; the blocks within the ground window of the lowest energy keep
+    their family's vectors, each embedded in the sector in its own
+    canonical order, where the spins of the joint level are read
     (GroundInfo.spins: S^2 mixes blocks). A block whose solve ends without
     clearing its ground level (GroundInfo.saturated) raises MultipletCut.
+    Embedded vectors that would take MEMORY_BUDGET, counted with the two
+    temporaries of their size that GroundInfo.spins makes, raise
+    MethodLimit before they are allocated.
     """
     blocks = decompose_blocks(basis)
-    subs = [family.restrict(b.member_indices) for b in blocks]
+    subs, which = _block_families(family, blocks)
     out = []
     for phi in angles:
-        infos = [ground(sub.hamiltonian(phi)) for sub in subs]
-        for b, info in zip(blocks, infos):
+        solved = [ground(sub.hamiltonian(phi)) for sub in subs]
+        for j, info in enumerate(solved):
             if info.saturated:
                 raise MultipletCut(
-                    f"block {b.representative} at phi={phi}: {info.degeneracy} locked "
-                    "ground vectors without clearing the ground level: the multiplet "
-                    "may be cut, so its spin content is undefined")
+                    f"block {blocks[which.index(j)].representative} at phi={phi}: "
+                    f"{info.degeneracy} locked ground vectors without clearing the ground "
+                    "level: the multiplet may be cut, so its spin content is undefined")
+        infos = [solved[j] for j in which]
         e0 = min(info.energy for info in infos)
         cut = e0 + _ground_window(e0)
         low = [k for k, info in enumerate(infos) if info.energy <= cut]
         gap = min([infos[k].energy + infos[k].gap - e0 for k in low]
                   + [info.energy - e0 for info in infos if info.energy > cut])
-        vectors = np.zeros((basis.dim, sum(infos[k].degeneracy for k in low)), dtype=complex)
+        count = sum(infos[k].degeneracy for k in low)
+        check_vectors(basis.dim, count)
+        vectors = np.zeros((basis.dim, count), dtype=complex)
         col = 0
         for k in low:
             deg = infos[k].degeneracy
-            vectors[list(blocks[k].member_indices), col:col + deg] = infos[k].vectors
+            vectors[list(blocks[k].canonical_indices), col:col + deg] = infos[k].vectors
             col += deg
-        method = "+".join(sorted({info.method for info in infos}))
+        method = "+".join(sorted({info.method for info in solved}))
         out.append(GroundInfo(e0, gap, vectors, method))
     return out
 
@@ -688,29 +728,32 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
     at every grid point. On even rings with even N the block minima at the
     pi-role flux agree and bound each block curve from below.
 
-    Each block's curve is solved on its own family by _ground_energies,
-    under the eigensolver policy and DENSE_LIMIT, each time-reversal pair
-    of grid angles once. E(phi_i + 2*pi/p) is read from the curve G/p grid
-    steps on when p divides G, and E(pi) from the grid point equal to pi;
-    else both are solved directly (a shifted grid with 2G/p an integer is
-    mirror-closed and solved on half its angles). Read from the curve, the
-    period residual at the pairs with 2i + G/p = 0 (mod G) compares a value
-    with its own mirror copy (_shifted); every other pair compares
-    separate solves of other matrices.
+    Each distinct block family (_block_families: in canonical order, every
+    block of one period has the same one) is solved once, and each block
+    takes its family's curve. A curve is solved by _ground_energies, under
+    the eigensolver policy and DENSE_LIMIT, each time-reversal pair of grid
+    angles once. E(phi_i + 2*pi/p) is read from the curve G/p grid steps on
+    when p divides G, and E(pi) from the grid point equal to pi; else both
+    are solved directly, once per family (a shifted grid with 2G/p an
+    integer is mirror-closed and solved on half its angles). Read from the
+    curve, the period residual at the pairs with 2i + G/p = 0 (mod G)
+    compares a value with its own mirror copy (_shifted); every other pair
+    compares separate solves of other matrices, and the blocks of different
+    periods compared at pi and across the minimum are separate solves too.
     """
     _require_hardcore(spec)
     _require_hopping(spec)
     basis = sector_basis_for(spec, 0)
     blocks = decompose_blocks(basis)
-    family = flux_family(spec, basis)
-    subs = [family.restrict(b.member_indices) for b in blocks]
+    subs, which = _block_families(flux_family(spec, basis), blocks)
     grid = flux_grid(grid_size)
 
-    curves = np.column_stack([_ground_energies(sub, grid) for sub in subs])  # (G, K)
+    solved = np.column_stack([_ground_energies(sub, grid) for sub in subs])
+    curves = solved[:, which]  # (G, K)
     period_resid = 0.0
-    for k, (b, sub) in enumerate(zip(blocks, subs)):
-        shifted = _shifted(curves[:, k], b.period, sub)
-        period_resid = max(period_resid, float(np.abs(shifted - curves[:, k]).max()))
+    for j, p in sorted({(j, b.period) for j, b in zip(which, blocks)}):
+        shifted = _shifted(solved[:, j], p, subs[j])
+        period_resid = max(period_resid, float(np.abs(shifted - solved[:, j]).max()))
 
     full = [k for k, b in enumerate(blocks) if b.period == spec.N]
     if full:
@@ -728,8 +771,8 @@ def verify_block_lemma(spec: ModelSpec, grid_size: int = 90) -> VerificationRepo
               "full_period_min_gap": (1e-10, [lemma_gap], [])}
     if spec.L % 2 == 0 and spec.N % 2 == 0:
         on_grid = np.flatnonzero(grid == math.pi)
-        at_pi = (curves[on_grid[0]] if len(on_grid)
-                 else np.array([_ground_energies(sub, [math.pi])[0] for sub in subs]))
+        at_pi = (solved[on_grid[0]] if len(on_grid)
+                 else np.array([_ground_energies(sub, [math.pi])[0] for sub in subs]))[which]
         eq_two = float(np.abs(at_pi - at_pi[0]).max())
         eq_three = float(max(0.0, (at_pi[None, :] - curves).max()))
         measured["pi_block_minima_spread"] = eq_two

@@ -16,6 +16,12 @@ shared by every operator on the basis. So is its CSR layout
 (`SectorBasis.layout`): the entry of each hop and of each diagonal term in
 one int32 compressed-row pattern, on which every Hamiltonian of the basis
 is a data array. Arrays shared this way are read-only.
+
+A hard-core sector splits into blocks (decompose_blocks), one per cyclic
+class of spin words. Each block lists its states in ascending order and in
+a canonical order, by charge configuration and then by the rotation of the
+spin word from the class representative; in the canonical order all blocks
+of one period carry the same Hamiltonian, entry for entry.
 """
 
 from __future__ import annotations
@@ -101,6 +107,17 @@ def check_budget(dim: int, hops: int) -> None:
     if need > MEMORY_BUDGET:
         raise MethodLimit(f"{nnz} matrix entries need {need / 2**20:.0f} MiB for their "
                           f"terms, layout and one operator, over the "
+                          f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
+def check_vectors(dim: int, count: int) -> None:
+    """Raise MethodLimit when count complex vectors on dim states, with the
+    two temporaries of their size that GroundInfo.spins makes (their
+    conjugate and S^2 applied to them), would exceed MEMORY_BUDGET."""
+    need = 3 * 16 * dim * count
+    if need > MEMORY_BUDGET:
+        raise MethodLimit(f"{count} ground vectors of {dim} states need {need / 2**20:.0f} MiB "
+                          f"with the temporaries of their spins, over the "
                           f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
 
 
@@ -266,23 +283,30 @@ class NecklaceBlock:
 
     In the Sz = 0 sector the period is always even, except for the empty
     word of N = 0 (period 1); other sectors may produce odd periods (e.g.
-    the fully polarized word has period 1).
+    the fully polarized word has period 1). member_indices are ascending;
+    canonical_indices hold the same states in the block's canonical order
+    (decompose_blocks).
     """
 
     period: int
     representative: str
     member_indices: tuple[int, ...]
+    canonical_indices: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.member_indices)
 
 
-def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
+def _cyclic_classes(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """Per state, the least rotation of its spin word (the spins read along
     the ring in order of increasing occupied site) as an N-bit integer,
     'u' = 1, first letter most significant: integer order is string order,
-    so this is the cyclic-class representative."""
+    so this is the cyclic-class representative. Also per state, the least
+    k >= 0 whose k-fold left rotation carries the word to the
+    representative: less than the word's period, and one more (mod the
+    period) after a particle hops across the last bond forward, which moves
+    the last letter to the front."""
     codes = basis.codes
     word = np.zeros(basis.dim, dtype=np.uint64)
     for x in range(basis.L):
@@ -290,10 +314,12 @@ def _cyclic_classes(basis: SectorBasis) -> np.ndarray:
         occupied = up | ((codes >> mode(x, 1)) & 1)
         word = np.where(occupied == 1, (word << 1) | up, word)
     n, full = basis.N, (1 << basis.N) - 1
-    least = word
+    least, turns = word, np.zeros(basis.dim, dtype=np.int8)
     for k in range(1, n):
-        least = np.minimum(least, ((word << k) | (word >> (n - k))) & full)
-    return least
+        turned = ((word << k) | (word >> (n - k))) & full
+        turns[turned < least] = k
+        least = np.minimum(least, turned)
+    return least, turns
 
 
 def decompose_blocks(basis: SectorBasis) -> list[NecklaceBlock]:
@@ -304,6 +330,16 @@ def decompose_blocks(basis: SectorBasis) -> list[NecklaceBlock]:
     component's, whose necklace period labels it. Membership depends only
     on the sparsity pattern, so it is gauge invariant, and is read off the
     basis alone; a basis that is not hard-core raises BasisMismatch.
+
+    A block of period p holds every charge configuration (the occupied
+    sites) with each of the p rotations of its spin word. Its canonical
+    order sorts its states by charge configuration, then by the rotation
+    that carries the word to the representative (_cyclic_classes). A hop
+    moves the charge and leaves the word, except across the last bond,
+    which turns it by one, and no amplitude, sign or potential depends on
+    the spins: in that order every block of one period restricts to the
+    same flux family, bit for bit, in the U -> infinity limit's charge and
+    spin factorization (Ogata & Shiba, PRB 41, 2326 (1990)).
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -313,7 +349,8 @@ def decompose_blocks(basis: SectorBasis) -> list[NecklaceBlock]:
     _, labels = connected_components(_graph(layout.indices, layout.indptr), directed=False)
     _, first = np.unique(labels, return_index=True)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    classes = _cyclic_classes(basis)
+    classes, turns = _cyclic_classes(basis)
+    charges = (basis.codes | basis.codes >> 1) & UP_MODES
 
     blocks = []
     for root in np.sort(first):
@@ -321,6 +358,8 @@ def decompose_blocks(basis: SectorBasis) -> list[NecklaceBlock]:
         assert np.all(classes[idx] == classes[root]), "hopping connected distinct cyclic classes"
         word = int(classes[root])
         rep = "".join("u" if (word >> k) & 1 else "d" for k in reversed(range(basis.N)))
-        blocks.append(NecklaceBlock(necklace_period(rep), rep, tuple(idx.tolist())))
+        canonical = idx[np.lexsort((turns[idx], charges[idx]))]
+        blocks.append(NecklaceBlock(necklace_period(rep), rep, tuple(idx.tolist()),
+                                    tuple(canonical.tolist())))
     assert sum(b.dimension for b in blocks) == basis.dim
     return blocks

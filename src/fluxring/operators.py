@@ -118,8 +118,9 @@ class FluxFamily:
     Hamiltonian at flux 0 and the entries of the terms that cross the last
     bond forward (up, winding +1) and backward (down, winding -1), which
     pick up exp(+-i phi) at each phi (unit_phase: exactly -1 at pi, so
-    the family is real at 0 and pi). Flux scans evaluate it without
-    re-walking the basis; every evaluation shares the flux-0 index arrays.
+    the family is real at 0 and pi), both ascending. Flux scans evaluate it
+    without re-walking the basis; every evaluation shares the flux-0 index
+    arrays.
     """
 
     zero: sparse.csr_matrix
@@ -197,26 +198,36 @@ class FluxFamily:
                                                 1j * _WINDINGS * unit_phase(phi * _WINDINGS)))
 
     def restrict(self, indices) -> FluxFamily:
-        """The family on a span of ascending state indices closed under
-        hopping (a hard-core block): the rows and columns of those states,
-        with the entries of terms leaving the span dropped."""
+        """The family on a span of states closed under hopping (a hard-core
+        block), in the order given: row and column k are those of state
+        indices[k], each row holds its entries in column order, and the
+        entries of terms leaving the span are dropped. Only the span's rows
+        are read. Ascending indices keep the family's order of rows and
+        entries, so they give the arrays that restricting the ascending
+        span always gave, bit for bit."""
         m = self.zero
         index = m.indptr.dtype
-        idx = np.asarray(indices)
+        idx = np.asarray(indices, dtype=index)
         pos = np.full(self.dim, -1, dtype=index)
         pos[idx] = np.arange(len(idx), dtype=index)
-        rows = pos[entry_rows(m.indptr)]
-        cols = pos[m.indices]
-        keep = (rows >= 0) & (cols >= 0)
+        starts = m.indptr[idx]
+        counts = m.indptr[idx + 1] - starts
+        # the entries of the span's rows, row after row in the order given
+        entry = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        rows = np.repeat(np.arange(len(idx), dtype=index), counts)
+        cols = pos[m.indices[entry]]
+        keep = cols >= 0
+        rows, cols, entry = rows[keep], cols[keep], entry[keep]
+        order = np.lexsort((cols, rows))  # each row's entries in column order
+        entry, cols = entry[order], cols[order]
         indptr = np.zeros(len(idx) + 1, dtype=index)
-        np.cumsum(np.bincount(rows[keep], minlength=len(idx)), out=indptr[1:])
-        cols = cols[keep]
+        np.cumsum(np.bincount(rows, minlength=len(idx)), out=indptr[1:])
         for a in (indptr, cols):
             a.flags.writeable = False
-        moved = np.cumsum(keep, dtype=index) - 1  # an entry's place among the kept
-        return FluxFamily(sparse.csr_matrix((m.data[keep], cols, indptr),
+        return FluxFamily(sparse.csr_matrix((m.data[entry], cols, indptr),
                                             shape=(len(idx), len(idx))),
-                          moved[self.up[keep[self.up]]], moved[self.down[keep[self.down]]])
+                          *(np.flatnonzero(np.isin(entry, w, kind="table")).astype(index)
+                            for w in (self.up, self.down)))
 
 
 def flux_family(spec: ModelSpec, basis: SectorBasis) -> FluxFamily:
@@ -226,8 +237,8 @@ def flux_family(spec: ModelSpec, basis: SectorBasis) -> FluxFamily:
     hops, layout = basis.hops, basis.layout
     zero = _hamiltonian(spec, basis, np.asarray(spec.hop_mag, dtype=float)).mat
     last = hops.bond == spec.L - 1
-    return FluxFamily(zero, layout.hop[last & (hops.direction > 0)],
-                      layout.hop[last & (hops.direction < 0)])
+    return FluxFamily(zero, np.sort(layout.hop[last & (hops.direction > 0)]),
+                      np.sort(layout.hop[last & (hops.direction < 0)]))
 
 
 def build_one_particle(spec: ModelSpec, phi: float | None = None) -> np.ndarray:

@@ -36,9 +36,9 @@ A densified operator whose entries are all real is diagonalized as a real
 matrix. Every Hamiltonian at flux 0 or pi is real: its phase factors are
 exactly +-1 there (model.unit_phase). The choice is read from the data.
 A hard-core sector is block diagonal, and the spin-flux relation solves
-its ground level block by block through ground
-(analysis._hardcore_grounds), so a level of one state per block needs no
-deflation across the whole sector.
+its ground level block by block through ground, each distinct block
+family once (analysis._hardcore_grounds), so a level of one state per
+block needs no deflation across the whole sector.
 """
 
 from __future__ import annotations

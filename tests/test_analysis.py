@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -559,6 +560,59 @@ def test_block_curves_match_the_one_particle_oracle(spec, grid):
         assert np.all(np.abs(curve - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact))), b.period
 
 
+@pytest.mark.parametrize("spec,two_sz", [
+    (_block_lemma_models()[0], 0),
+    (_random_hardcore(8, 6, 3, potentials=True), 0),
+    (_random_hardcore(9, 6, 4, potentials=True), 2),
+    (_random_hardcore(9, 8, 6, potentials=True), 0),
+], ids=["L8N6-model0", "L8N6-V", "L9N6-2Sz2-V", "L9N8-V"])
+def test_block_curves_in_canonical_order_match_ascending_order(spec, two_sz):
+    # a block's curve does not depend on the order of its states, to
+    # rounding: canonical order against the ascending one
+    basis = sector_basis_for(spec, two_sz)
+    family = fr.flux_family(spec, basis)
+    grid = analysis.flux_grid(90)
+    for b in fr.decompose_blocks(basis):
+        curve = _ground_energies(family.restrict(b.canonical_indices), grid)
+        ascending = _ground_energies(family.restrict(b.member_indices), grid)
+        assert np.all(np.abs(curve - ascending) <= 1e-12 * np.maximum(1.0, np.abs(ascending)))
+
+
+def test_block_lemma_groups_families_by_content(monkeypatch):
+    # one period-6 copy of hard-core L=8 N=6 with its diagonal raised by
+    # 1e-6: it no longer equals the others, so it is solved alone, and its
+    # curve shows in the spread of the block minima at pi
+    spec = _block_lemma_models()[0]
+    blocks = fr.decompose_blocks(sector_basis_for(spec, 0))
+    target = [b for b in blocks if b.period == 6][1].canonical_indices
+    restrict = FluxFamily.restrict
+
+    def perturbed(family, indices):
+        sub = restrict(family, indices)
+        if tuple(indices) != target:
+            return sub
+        m = sub.zero
+        data = m.data.copy()
+        data[fr.basis.entry_rows(m.indptr) == m.indices] += 1e-6
+        return FluxFamily(sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape),
+                          sub.up, sub.down)
+
+    scans = []
+    energies = analysis._ground_energies
+    monkeypatch.setattr(analysis, "_ground_energies",
+                        lambda family, angles, *a: scans.append(len(angles))
+                        or energies(family, angles, *a))
+    clean = fr.verify_block_lemma(spec)
+    assert clean.passed and scans == [90, 90]
+    monkeypatch.setattr(FluxFamily, "restrict", perturbed)
+    scans.clear()
+    r = fr.verify_block_lemma(spec)
+    assert scans == [90, 90, 90]
+    assert not r.passed
+    assert abs(r.measured["pi_block_minima_spread"] - 1e-6) < 1e-9
+    assert r.measured["period_residual"] < 1e-12
+
+
 def test_finite_coupling_curve_matches_the_dense_oracle():
     # the 64-angle curve of a random-V, U=3 L=6 N=4 sector (dimension 225,
     # on the recurrence), half of it mirrored, against the lowest level of
@@ -581,7 +635,8 @@ def test_finite_coupling_curve_matches_the_dense_oracle():
 def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     # hard-core L=11 N=10: 26 blocks with one ground state each at both
     # roles, more than the 8 that a deflation over the whole sector locks
-    # (it raised MultipletCut); each block is solved on its own
+    # (it raised MultipletCut); each block is solved on its own, once per
+    # distinct family: one of period 10 (25 blocks) and one of period 2
     spec = _random_hardcore(11, 10, 5)
     dims = []
     solve = analysis.ground
@@ -593,8 +648,32 @@ def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     assert r.measured["ground_spins_pi"] == [0.0, 1.0, 2.0, 3.0, 5.0]
     assert max(r.measured["energy_equality_residual"],
                r.measured["energy_vs_levelsum_residual"]) < 1e-13
-    assert len(dims) == 2 * 26
+    assert len(dims) == 2 * 2
     assert all(dim < 2772 and k == {} for dim, k in dims)   # ground's defaults
+
+
+def test_hardcore_grounds_refuse_vectors_over_the_memory_budget(monkeypatch):
+    # the embedded ground vectors, with the conjugate and the S^2 product
+    # that GroundInfo.spins makes of them, are held to MEMORY_BUDGET before
+    # they are allocated: refused one byte short of their need
+    spec = _random_hardcore(11, 10, 5)
+    basis = sector_basis_for(spec, 0)
+    family = fr.flux_family(spec, basis)
+    (g,) = analysis._hardcore_grounds(basis, family, [0.0])
+    need = 3 * g.vectors.nbytes
+    monkeypatch.setattr(fr.basis, "MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MethodLimit, match=f"{g.degeneracy} ground vectors of "
+                                              f"{basis.dim} states"):
+            analysis._hardcore_grounds(basis, family, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.vectors.nbytes / 2, (peak, g.vectors.nbytes)
+    monkeypatch.setattr(fr.basis, "MEMORY_BUDGET", need)
+    (again,) = analysis._hardcore_grounds(basis, family, [0.0])
+    assert again.energy == g.energy and again.vectors.shape == g.vectors.shape
 
 
 def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
@@ -729,7 +808,8 @@ def test_verify_block_lemma_small_and_l7(monkeypatch):
 
 def test_verify_block_lemma_shift_off_the_grid(monkeypatch):
     # 64 grid steps: the period-2 shift is 32 steps, read from the curve;
-    # the period-6 shift is not a whole number of steps and is solved
+    # the period-6 shift is not a whole number of steps and is solved, once
+    # for the one family the three period-6 blocks share
     phis = []
     energies = fr.analysis._ground_energies
 
@@ -745,8 +825,8 @@ def test_verify_block_lemma_shift_off_the_grid(monkeypatch):
     assert sorted(b["period"] for b in r.measured["blocks"]) == [2, 6, 6, 6]
     assert r.measured["period_residual"] < 1e-12
     off_grid = [p for p in phis if abs(p * grid / (2 * PI) - round(p * grid / (2 * PI))) > 1e-6]
-    assert len(off_grid) == 3 * grid  # one solve per grid point for each period-6 block
-    assert len(phis) == 4 * grid + 3 * grid
+    assert len(off_grid) == grid  # one solve per grid point for the period-6 family
+    assert len(phis) == 2 * grid + grid
 
 
 def test_verify_block_lemma_obeys_the_dense_limit(monkeypatch):

@@ -289,3 +289,21 @@ def test_empty_hardcore_sector_is_one_block():
     basis = fr.enumerate_sector(4, 0, 0, hardcore=True)
     blocks = fr.decompose_blocks(basis)
     assert [(b.period, b.representative, b.member_indices) for b in blocks] == [(1, "", (0,))]
+
+
+
+@pytest.mark.parametrize("L,N,two_sz", [(8, 6, 0), (9, 6, 2), (10, 7, 1), (12, 8, 0)])
+def test_canonical_order_is_charge_then_rotation(L, N, two_sz):
+    # a block of period p holds every charge configuration with each of the
+    # p rotations of its word, listed by charge, then by the left rotation
+    # that carries the word to the representative
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
+    for b in fr.decompose_blocks(basis):
+        assert sorted(b.canonical_indices) == list(b.member_indices)
+        assert b.dimension == comb(L, N) * b.period
+        keys = []
+        for i in b.canonical_indices:
+            code, w = int(basis.codes[i]), spin_word(int(basis.codes[i]), L)
+            charge = sum(1 << x for x in range(L) if (code >> mode(x, 0)) & 3)
+            keys.append((charge, next(k for k in range(N) if w[k:] + w[:k] == b.representative)))
+        assert keys == sorted(set(keys))

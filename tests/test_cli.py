@@ -359,6 +359,22 @@ def test_sector_over_the_memory_budget_exits_two(ring4, monkeypatch, capsys):
     assert "budget" in err and "internal error" not in err
 
 
+def test_relation_ground_vectors_over_the_memory_budget_exit_two(tmp_path, monkeypatch,
+                                                                 capsys):
+    # hard-core L=11 N=10: its layout fits 2 MiB, the 25 or more embedded
+    # ground vectors of 2772 states with their spins' temporaries do not
+    from fluxring import basis, cli
+
+    path = tmp_path / "hc.json"
+    fr.save_model(fr.make_spec(11, 10, np.random.default_rng(5).uniform(0.5, 2, 11), None,
+                               None, fr.INFINITY), path)
+    monkeypatch.setattr(basis, "MEMORY_BUDGET", 2**21)
+    assert cli.run(["verify", "relation", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ground vectors of 2772 states" in err and "budget" in err
+    assert "internal error" not in err
+
+
 def test_verify_thermo_extreme_beta(ring4):
     # P = Tr exp(-beta H) overflows a float at beta = 300; log P does not
     res = run_cli("verify", "thermo", "--model", ring4, "--beta", "300", "--grid", "12")

@@ -470,6 +470,45 @@ def test_flux_family_csr_equals_coo_assembly_bit_for_bit(sector, phi, restrict):
         assert _bits(family.dense(angle)) == _bits(ref.toarray())
 
 
+@given(sectors(), st.floats(-20.0, 20.0))
+@settings(max_examples=30, deadline=None)
+def test_restrict_in_any_order_permutes_the_family(sector, phi):
+    # a span in any order: row and column k are those of its k-th state,
+    # every row in column order, the same entries bit for bit
+    spec, basis, rng = _random_sector_spec(sector)
+    family = fr.flux_family(spec, basis)
+    keep = rng.permutation(np.flatnonzero(rng.random(basis.dim) < 0.5))
+    keep = keep if len(keep) else np.array([0])
+    sub = family.restrict(keep)
+    assert sub.zero.has_sorted_indices
+    for a in (sub.up, sub.down):
+        assert np.all(np.diff(a) > 0)
+    for angle in (phi, PI):
+        assert _bits(sub.dense(angle)) == _bits(family.dense(angle)[np.ix_(keep, keep)])
+        assert _bits(sub.hamiltonian(angle).to_dense()) == _bits(sub.dense(angle))
+
+
+@pytest.mark.parametrize("L,N,two_sz,seed", [(8, 6, 0, 1), (9, 6, 2, 2), (10, 7, 1, 3),
+                                             (11, 10, 0, 4), (12, 8, 0, 5), (12, 8, 4, 6)])
+def test_blocks_of_one_period_restrict_to_one_family_bit_for_bit(L, N, two_sz, seed):
+    # in canonical order a block's family depends on its period alone:
+    # random |t|, phases (discarded by the family) and potentials
+    rng = np.random.default_rng(seed)
+    spec = fr.make_spec(L, N, rng.uniform(0.5, 2.0, L), rng.uniform(0, 2 * PI, L),
+                        rng.normal(0.0, 1.0, L), fr.INFINITY)
+    basis = fr.enumerate_sector(L, N, two_sz, hardcore=True)
+    family = fr.flux_family(spec, basis)
+    blocks = fr.decompose_blocks(basis)
+    by_period = {}
+    for b in blocks:
+        sub = family.restrict(b.canonical_indices)
+        m = sub.zero
+        by_period.setdefault(b.period, set()).add(
+            tuple(_bits(a) for a in (m.indptr, m.indices, m.data, sub.up, sub.down)))
+    assert len(blocks) > len(by_period)   # some period has several blocks
+    assert all(len(families) == 1 for families in by_period.values())
+
+
 def _random_sector_spec(sector):
     L, N, two_sz, hardcore, seed = sector
     rng = np.random.default_rng(seed)
