@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -22,9 +21,11 @@ from .basis import (
     UP_MODES,
     NecklaceBlock,
     SectorBasis,
-    check_vectors,
+    check_memory,
     decompose_blocks,
+    entry_rows,
     enumerate_sector,
+    word_codes,
 )
 from .errors import (
     DegenerateGround,
@@ -34,7 +35,9 @@ from .errors import (
 )
 from .model import ModelSpec, angle_dist, fold_angle
 from .operators import (
+    _ROW_BLOCK,
     FluxFamily,
+    SparseHermitian,
     _check_basis,
     build_hamiltonian,
     build_total_spin,
@@ -47,7 +50,7 @@ from .operators import (
 )
 from .spectra import (
     _MIRROR_TOL,
-    GroundInfo,
+    _gram_spins,
     _ground_energies,
     _ground_window,
     _time_reversible,
@@ -499,7 +502,102 @@ def _block_families(family: FluxFamily,
     return subs, which
 
 
-def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[GroundInfo]:
+def _word_spin(basis: SectorBasis,
+               blocks: list[NecklaceBlock]) -> tuple[SparseHermitian, list[np.ndarray]]:
+    """S^2 on the spin words of a hard-core sector, and for each of its
+    blocks the words of its canonical rotations as indices in it.
+
+    In canonical order (decompose_blocks) a block's states are its C(L, N)
+    charge configurations, each with the p rotations of its spin word. S^2
+    acts on the spins alone, as one operator M on the spin words of every
+    charge configuration: S^2 = 1_charge (x) M, where M is build_total_spin
+    on the one-site-set sector enumerate_sector(N, N, two_sz, hardcore=True)
+    and a state's word is placed in it by word_codes (a spin exchange moves
+    no particle, so it carries no sign).
+    """
+    words = enumerate_sector(basis.N, basis.N, basis.two_sz, hardcore=True)
+    charges = math.comb(basis.L, basis.N)
+    first = [b.canonical_indices[:b.dimension // charges] for b in blocks]
+    at = words.locate(word_codes(basis, np.concatenate(first)))
+    return build_total_spin(words), np.split(at, np.cumsum([len(f) for f in first[:-1]]))
+
+
+def _spin_gram(s2: SparseHermitian, words: list[np.ndarray], which,
+               vectors: list[np.ndarray]) -> np.ndarray:
+    """<u|S^2|v> over the columns of vectors held block by block on a
+    hard-core sector, with nothing of the sector's size: M = s2 and words
+    from _word_spin, the columns of block k being vectors[which[k]] (the
+    block's dimension by their count, in its canonical order), block after
+    block.
+
+    Block k's vectors are a (C(L, N), p, count) array Y_k, so
+    <k d|S^2|l e> = sum over rotations i, j of M[w_k(i), w_l(j)]
+    (Y_k^+ Y_l)[i d, j e], with w_k = words[k]: one product Y^+ Y over the
+    distinct arrays, then M's entries, _ROW_BLOCK rows at a time. The
+    temporaries are counted against MEMORY_BUDGET before they are
+    allocated (MethodLimit).
+    """
+    m, dim = s2.mat, s2.dim
+    charges = len(vectors[which[0]]) // len(words[0])
+    counts = np.array([v.shape[1] for v in vectors])
+    starts = np.cumsum([0] + [v.size // charges for v in vectors])  # rows of Y^+ Y
+    cols = np.cumsum([0] + [counts[j] for j in which])              # columns of the Gram
+    width, n = int(starts[-1]), int(cols[-1])
+    entries = max(int(m.indptr[min(lo + _ROW_BLOCK, dim)] - m.indptr[lo])
+                  for lo in range(0, dim, _ROW_BLOCK))
+    check_memory(16 * (2 * charges * width + width * width + n * n + 2 * dim) + 128 * entries,
+                 f"the spin Gram of {n} vectors")
+    z = np.concatenate([v.reshape(charges, -1) for v in vectors], axis=1)
+    a = z.conj().T @ z
+    del z
+    # per word: its block's first column of the Gram, their count, and its row of Y^+ Y
+    col, deg, row = (np.full(dim, -1) for _ in range(3))
+    for k, (w, j) in enumerate(zip(words, which)):
+        col[w], deg[w], row[w] = cols[k], counts[j], starts[j] + counts[j] * np.arange(len(w))
+    gram = np.zeros((n, n), dtype=complex)
+    for lo in range(0, dim, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, dim)
+        span = slice(m.indptr[lo], m.indptr[hi])
+        r = entry_rows(m.indptr[lo:hi + 1] - m.indptr[lo]) + lo
+        c = m.indices[span]
+        live = (deg[r] > 0) & (deg[c] > 0)
+        r, c, v = r[live], c[live], m.data.real[span][live]
+        for d in range(counts.max()):
+            for e in range(counts.max()):
+                on = (deg[r] > d) & (deg[c] > e)
+                ro, co = r[on], c[on]
+                np.add.at(gram, (col[ro] + d, col[co] + e), v[on] * a[row[ro] + d, row[co] + e])
+    return gram
+
+
+@dataclass(frozen=True)
+class _BlockLevel:
+    """A ground level of a hard-core sector solved block by block
+    (_hardcore_grounds): its energy, gap and solvers, the blocks that reach
+    it with their words, and for block k the ground vectors vectors[which[k]]
+    of its family, in its canonical order, one array shared by every copy
+    of the family; s2 is S^2 on the sector's spin words (_word_spin)."""
+
+    energy: float
+    gap: float
+    method: str
+    blocks: list[NecklaceBlock]
+    words: list[np.ndarray]
+    which: list[int]
+    vectors: list[np.ndarray]
+    s2: SparseHermitian
+
+    @property
+    def degeneracy(self) -> int:
+        return sum(self.vectors[j].shape[1] for j in self.which)
+
+    def spins(self) -> set[float]:
+        """Spins of the level: the eigenvalues of S^2 on its span, read off
+        its spin Gram (_spin_gram)."""
+        return _gram_spins(_spin_gram(self.s2, self.words, self.which, self.vectors))
+
+
+def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[_BlockLevel]:
     """The ground level of a hard-core sector's family at each angle,
     solved block by block.
 
@@ -508,16 +606,14 @@ def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[Gr
     reach the minimum (Aizenman & Lieb, PRL 65, 1470 (1990)). Each distinct
     block family (_block_families) is solved once per angle under ground's
     policy; the blocks within the ground window of the lowest energy keep
-    their family's vectors, each embedded in the sector in its own
-    canonical order, where the spins of the joint level are read
-    (GroundInfo.spins: S^2 mixes blocks). A block whose solve ends without
-    clearing its ground level (GroundInfo.saturated) raises MultipletCut.
-    Embedded vectors that would take MEMORY_BUDGET, counted with the two
-    temporaries of their size that GroundInfo.spins makes, raise
-    MethodLimit before they are allocated.
+    their family's vectors, unembedded: the level holds each distinct
+    family's once (_BlockLevel), and its spins are read in word space
+    (_spin_gram). A block whose solve ends without clearing its ground
+    level (GroundInfo.saturated) raises MultipletCut.
     """
     blocks = decompose_blocks(basis)
     subs, which = _block_families(family, blocks)
+    s2, words = _word_spin(basis, blocks)
     out = []
     for phi in angles:
         solved = [ground(sub.hamiltonian(phi)) for sub in subs]
@@ -533,16 +629,11 @@ def _hardcore_grounds(basis: SectorBasis, family: FluxFamily, angles) -> list[Gr
         low = [k for k, info in enumerate(infos) if info.energy <= cut]
         gap = min([infos[k].energy + infos[k].gap - e0 for k in low]
                   + [info.energy - e0 for info in infos if info.energy > cut])
-        count = sum(infos[k].degeneracy for k in low)
-        check_vectors(basis.dim, count)
-        vectors = np.zeros((basis.dim, count), dtype=complex)
-        col = 0
-        for k in low:
-            deg = infos[k].degeneracy
-            vectors[list(blocks[k].canonical_indices), col:col + deg] = infos[k].vectors
-            col += deg
+        kept = sorted({which[k] for k in low})
         method = "+".join(sorted({info.method for info in solved}))
-        out.append(GroundInfo(e0, gap, vectors, method))
+        out.append(_BlockLevel(e0, gap, method, [blocks[k] for k in low],
+                               [words[k] for k in low], [kept.index(which[k]) for k in low],
+                               [solved[j].vectors for j in kept], s2))
     return out
 
 
@@ -555,8 +646,13 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
     Both sides of the biconditional are evaluated independently: spin
     content via S^2 projected onto the ground space, which is solved block
     by block (_hardcore_grounds), the level sums from the one-particle
-    problem. Since the absence always holds, the biconditional asks for
-    the strict drop, a gap judged against the strictness tolerance.
+    problem. The projection is the Gram of the block vectors in the space
+    of spin words, S^2 = 1_charge (x) M (_spin_gram): no vector of the
+    sector's size and no S^2 on the sector is built. The energies are
+    solves of the sector's own block families, so the factorization holds
+    nothing by construction. Since the absence always holds, the
+    biconditional asks for the strict drop, a gap judged against the
+    strictness tolerance.
     """
     _require_hardcore(spec)
     if spec.N % 2 or spec.N >= spec.L:
@@ -564,8 +660,7 @@ def verify_relation(spec: ModelSpec) -> VerificationReport:
     phi0, phi1 = _flux_roles(spec.L)
     basis = sector_basis_for(spec, 0)
     g0, g1 = _hardcore_grounds(basis, flux_family(spec, basis), (phi0, phi1))
-    s2 = build_total_spin(basis)
-    spins0, spins1 = g0.spins(s2), g1.spins(s2)
+    spins0, spins1 = g0.spins(), g1.spins()
 
     s_max = spec.N / 2.0
     has_ferro_0 = s_max in spins0
@@ -643,9 +738,12 @@ def spiral_state(spec: ModelSpec):
     both operators are real, so they are unique up to one sign per block.
     The claim is that some choice of those block constants turns the
     ferromagnet into a singlet. That choice is found by exact enumeration
-    of per-block sign patterns, and the winner is certified by the
-    measured S^2 expectation, the eigenvalue residual, and the
-    conjugation property of the assembled gauge. Returns (state, report);
+    of per-block sign patterns s, each scored as its S^2 expectation
+    s^T G s, where G is the K x K Gram under S^2 of the gauged
+    ferromagnet's parts on the K blocks, formed in the space of spin words
+    (_spin_gram); the first least pattern wins, and is certified by that
+    expectation, the eigenvalue residual, and the conjugation property of
+    the assembled gauge. Returns (state, report);
     the state lives in the Sz = 0 hard-core basis. A sector of more than
     SIGN_SEARCH_BLOCKS blocks raises MethodLimit once that basis, its
     hopping table and its layout are built to find the blocks, before any
@@ -671,7 +769,7 @@ def spiral_state(spec: ModelSpec):
     family0 = flux_family(spec, basis0)
     h_zero = family0.hamiltonian(phi_zero)
     e0 = float(_ground_energies(family0, [phi_zero])[0])
-    del family0  # its flux-0 entries, before S^2 is built
+    del family0  # its flux-0 entries, before the spin Gram is built
     envelope = negative_envelope(h_zero)
     # both operands are data arrays on the layout of basis0
     envelope_gap = float(np.abs(h_ferro.mat.data - envelope.mat.data).max())
@@ -683,19 +781,22 @@ def spiral_state(spec: ModelSpec):
     # Any per-block constant is itself a gauge of the block-diagonal
     # operator, so the phases are fixed up to the signs searched below.
     phases = solve_sign_gauge(envelope, h_zero)
-    s2 = build_total_spin(basis0)
     base_state = phases * ferro
+    count = len(blocks)
+    gram = _spin_gram(*_word_spin(basis0, blocks), range(count),
+                      [base_state[list(b.canonical_indices)][:, None] for b in blocks]).real
+    # every pattern of signs s, in the order of itertools.product((1, -1)),
+    # scored as s^T G s; the first least one wins
+    patterns = 1.0 - 2.0 * (np.arange(2**count)[:, None] >> np.arange(count)[::-1] & 1)
+    scores = np.einsum("sk,kl,sl->s", patterns, gram, patterns)
+    best = int(np.argmin(scores))
+    best_signs, best_s2 = patterns[best], float(scores[best])
     block_of = np.empty(basis0.dim, dtype=np.intp)
     for k, b in enumerate(blocks):
         block_of[list(b.member_indices)] = k
-    best_signs, best_s2, state = None, math.inf, None
-    for signs in product((1.0, -1.0), repeat=len(blocks)):
-        cand = np.array(signs)[block_of] * base_state
-        s2_val = float(np.real(np.vdot(cand, s2.matvec(cand))))
-        if s2_val < best_s2:
-            best_signs, best_s2, state = signs, s2_val, cand
+    state = best_signs[block_of] * base_state
 
-    gauge = np.array(best_signs)[block_of] * phases
+    gauge = best_signs[block_of] * phases
     conj_resid = conjugation_residual(gauge, h_ferro, h_zero)
 
     residual = float(np.linalg.norm(h_zero.matvec(state) - e0 * state))
@@ -706,7 +807,7 @@ def spiral_state(spec: ModelSpec):
         "gauge_conjugation_residual": conj_resid,
         "pf_min_entry": pf_min_entry,
         "pf_imag_max": pf_imag,
-        "block_signs": list(best_signs),
+        "block_signs": best_signs.tolist(),
         "spin_expectation": best_s2,
         "energy_residual": residual,
         "ground_energy": e0,

@@ -21,7 +21,9 @@ A hard-core sector splits into blocks (decompose_blocks), one per cyclic
 class of spin words. Each block lists its states in ascending order and in
 a canonical order, by charge configuration and then by the rotation of the
 spin word from the class representative; in the canonical order all blocks
-of one period carry the same Hamiltonian, entry for entry.
+of one period carry the same Hamiltonian, entry for entry. A state's spin
+word is also a state of the one-site-set sector of N sites (word_codes),
+on which the spins of a hard-core sector are read.
 """
 
 from __future__ import annotations
@@ -110,15 +112,11 @@ def check_budget(dim: int, hops: int) -> None:
                           f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
 
 
-def check_vectors(dim: int, count: int) -> None:
-    """Raise MethodLimit when count complex vectors on dim states, with the
-    two temporaries of their size that GroundInfo.spins makes (their
-    conjugate and S^2 applied to them), would exceed MEMORY_BUDGET."""
-    need = 3 * 16 * dim * count
+def check_memory(need: int, what: str) -> None:
+    """Raise MethodLimit when what, taking need bytes, would exceed MEMORY_BUDGET."""
     if need > MEMORY_BUDGET:
-        raise MethodLimit(f"{count} ground vectors of {dim} states need {need / 2**20:.0f} MiB "
-                          f"with the temporaries of their spins, over the "
-                          f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+        raise MethodLimit(f"{what} need {need / 2**20:.2f} MiB, over the "
+                          f"{MEMORY_BUDGET / 2**20:.2f} MiB budget")
 
 
 def csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray) -> CSRLayout:
@@ -296,6 +294,19 @@ class NecklaceBlock:
     @property
     def dimension(self) -> int:
         return len(self.member_indices)
+
+
+def word_codes(basis: SectorBasis, indices) -> np.ndarray:
+    """The spin word of each state indices of a hard-core basis, as a code of
+    the one-site-set sector enumerate_sector(N, N, two_sz, hardcore=True):
+    the state's occupied sites closed up, in ring order, onto sites 0..N-1."""
+    codes = basis.codes[np.asarray(indices, dtype=np.intp)]
+    out, filled = np.zeros_like(codes), np.zeros_like(codes)
+    for x in range(basis.L):
+        pair = (codes >> mode(x, 0)) & 3   # 1: up alone, 2: down alone, 0: empty
+        out |= pair << 2 * filled
+        filled += pair != 0
+    return out
 
 
 def _cyclic_classes(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:

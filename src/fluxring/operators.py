@@ -166,7 +166,10 @@ class FluxFamily:
         return h
 
     def hamiltonian(self, phi: float) -> SparseHermitian:
-        return self.stacked([phi])
+        """H(phi): one data array on the family's index arrays, shared; the
+        block of stacked([phi]), bit for bit."""
+        m = self.zero
+        return _with_data(m, self._data(m.data.copy(), unit_phase(phi * _WINDINGS)))
 
     def stacked(self, angles) -> SparseHermitian:
         """The block-diagonal operator whose g-th block is hamiltonian(angles[g]).
@@ -277,7 +280,7 @@ def build_total_spin(basis: SectorBasis) -> SparseHermitian:
     flips = np.array([3 << mode(x, 0) for x in range(L)], dtype=np.uint64)
     sz = 0.5 * basis.two_sz
     diag = sz * sz + sz + lone[1].sum(axis=0, dtype=np.uint8)  # counts <= L: no int64 copy
-    rows, cols = [], []
+    rows, cols = [np.empty(0, np.int32)], [np.empty(0, np.int32)]  # none on 0 sites
     for y in range(L):
         # S-_x S+_y for every x (x = y finds no state); images are in the basis
         xs, src = np.divmod(np.flatnonzero(lone[0] & lone[1][y]), basis.dim)

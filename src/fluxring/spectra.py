@@ -38,7 +38,9 @@ exactly +-1 there (model.unit_phase). The choice is read from the data.
 A hard-core sector is block diagonal, and the spin-flux relation solves
 its ground level block by block through ground, each distinct block
 family once (analysis._hardcore_grounds), so a level of one state per
-block needs no deflation across the whole sector.
+block needs no deflation across the whole sector. Its vectors stay in
+their blocks: their spins are the eigenvalues of their Gram under S^2
+(_gram_spins), formed in the space of spin words (analysis._spin_gram).
 """
 
 from __future__ import annotations
@@ -256,9 +258,15 @@ class GroundInfo:
             raise MultipletCut(
                 f"{self.degeneracy} ground vectors locked without clearing the ground "
                 "level: the multiplet may be cut, so its spin content is undefined")
-        block = self.vectors.conj().T @ s2.matvec(self.vectors)
-        vals = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        return {_spin_from_s2(float(v)) for v in vals}
+        return _gram_spins(self.vectors.conj().T @ s2.matvec(self.vectors))
+
+
+def _gram_spins(gram: np.ndarray) -> set[float]:
+    """The spins whose s(s+1) are the eigenvalues of gram, the Gram matrix
+    <u|S^2|v> of orthonormal vectors spanning whole multiplets; an
+    eigenvalue of no such form raises MultipletCut."""
+    vals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    return {_spin_from_s2(float(v)) for v in vals}
 
 
 def _spin_from_s2(value: float) -> float:

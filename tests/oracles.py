@@ -10,6 +10,12 @@ hardcore_block_energies gives the ground energies of a hard-core Sz = 0
 block from one-particle levels alone, each from its own L x L eigensolve,
 with no call into fluxring's sectors, operators or spectra.
 
+embedded_vectors, embedded_gram and embedded_spins read a hard-core
+ground level solved block by block (fluxring.analysis._hardcore_grounds)
+on the whole sector: its block vectors embedded at their states, and S^2
+(total_spin_coo) projected onto them, the reference for the package's
+spin Gram in word space.
+
 regauge and hermiticity_defect are reference checks on package objects
 that several test modules share and the package itself never calls.
 from_coo and total_spin_coo assemble operators through scipy's COO -> CSR
@@ -213,3 +219,34 @@ def total_spin_coo(basis) -> sparse.csr_matrix:
     return from_coo(dim, np.concatenate([diag, lower_raise.row]),
                     np.concatenate([diag, lower_raise.col]),
                     np.concatenate([np.full(dim, sz * sz + sz), lower_raise.data]))
+
+
+def embedded_vectors(basis, level) -> np.ndarray:
+    """The vectors of a hard-core level solved block by block, embedded in
+    its sector: each low block's family vectors at the block's canonical
+    indices, block after block."""
+    out = np.zeros((basis.dim, level.degeneracy), dtype=complex)
+    col = 0
+    for block, j in zip(level.blocks, level.which):
+        vectors = level.vectors[j]
+        out[list(block.canonical_indices), col:col + vectors.shape[1]] = vectors
+        col += vectors.shape[1]
+    return out
+
+
+def embedded_gram(basis, level) -> np.ndarray:
+    """<u|S^2|v> over the embedded vectors of a level, S^2 on the whole sector."""
+    vectors = embedded_vectors(basis, level)
+    return vectors.conj().T @ (total_spin_coo(basis) @ vectors)
+
+
+def embedded_spins(basis, level) -> set[float]:
+    """The spins of a level from its embedded Gram: each eigenvalue is
+    s(s+1) of a half-integer s, to 1e-8."""
+    gram = embedded_gram(basis, level)
+    spins = set()
+    for value in np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)):
+        s = 0.5 * (math.sqrt(1.0 + 4.0 * max(float(value), 0.0)) - 1.0)
+        assert abs(2.0 * s - round(2.0 * s)) < 1e-8, value
+        spins.add(round(2.0 * s) / 2.0)
+    return spins

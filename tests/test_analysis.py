@@ -23,7 +23,15 @@ from fluxring.model import angle_dist, fold_angle
 from fluxring.operators import FluxFamily
 from fluxring.spectra import _MIRROR_TOL, _ground_energies
 
-from oracles import DenseOracle, filled_sum, hardcore_block_energies, regauge
+from oracles import (
+    DenseOracle,
+    embedded_gram,
+    embedded_spins,
+    embedded_vectors,
+    filled_sum,
+    hardcore_block_energies,
+    regauge,
+)
 
 PI = math.pi
 
@@ -324,7 +332,9 @@ def test_verify_even_hardcore_period_on_every_grid_point(monkeypatch):
 
 def test_each_verification_builds_its_sector_once(monkeypatch):
     # the scan, the refinement and both flux roles all evaluate one flux
-    # family of one sector basis (hard-core verify_even: the test above)
+    # family of one sector basis (hard-core verify_even: the test above);
+    # the relation also enumerates, once, the one-site-set sector of its
+    # spin words (N sites), where both roles read their spins
     rng = np.random.default_rng(3)
     even = fr.make_spec(6, 4, rng.uniform(0.5, 2, 6), None, rng.normal(0, 1, 6), 3.0)
     relation = fr.make_spec(8, 6, rng.uniform(0.5, 2, 8), None, None, fr.INFINITY)
@@ -332,10 +342,10 @@ def test_each_verification_builds_its_sector_once(monkeypatch):
             lambda: fr.verify_odd(fr.gen_fixture("random-hop", seed=2, L=5), grid_size=32),
             lambda: fr.verify_relation(relation)]
     builds = _count_builds(monkeypatch)
-    for run in runs:
+    for run, words in zip(runs, (0, 0, 1)):
         builds.update(dict.fromkeys(builds, 0))
         assert run().passed
-        assert builds == {"enumerate_sector": 1, "flux_family": 1, "build_hamiltonian": 0}
+        assert builds == {"enumerate_sector": 1 + words, "flux_family": 1, "build_hamiltonian": 0}
 
 
 def test_verify_even_rejects_filled_hardcore_ring():
@@ -518,19 +528,25 @@ def test_hardcore_grounds_match_the_one_particle_oracle(spec):
         e0 = float(sums.min())
         assert abs(g.energy - e0) <= 1e-12 * max(1.0, abs(e0))
         assert g.degeneracy == np.count_nonzero(sums <= e0 + 1e-9 * max(1.0, abs(e0))) > 1
-        assert g.vectors.shape == (basis.dim, g.degeneracy)
-        assert np.abs(g.vectors.conj().T @ g.vectors - np.eye(g.degeneracy)).max() < 1e-12
+        vectors = embedded_vectors(basis, g)
+        assert vectors.shape == (basis.dim, g.degeneracy)
+        assert np.abs(vectors.conj().T @ vectors - np.eye(g.degeneracy)).max() < 1e-12
         h = family.hamiltonian(phi)
-        assert np.abs(h.matvec(g.vectors) - g.energy * g.vectors).max() < 1e-10
+        assert np.abs(h.matvec(vectors) - g.energy * vectors).max() < 1e-10
+
+
+def _pool_models(seed, k):
+    # the two models of verification k of the hardcore_blocks benchmark pool
+    # of a seed: per model it draws |t| for a blocks (k = 0, L=8), a spiral
+    # (1, L=10) and a relation (2, L=8) verification in turn
+    rng = np.random.default_rng([seed, 4])
+    draws = [rng.uniform(0.5, 2.0, L) for _ in range(2) for L in (8, 10, 8)]
+    return [fr.make_spec(len(t), 6, t, None, None, fr.INFINITY) for t in draws[k::3]]
 
 
 def _block_lemma_models():
-    # the two block-lemma models of the hardcore_blocks benchmark pool of
-    # seed 1: per model it draws |t| for a blocks (L=8), a spiral (L=10) and
-    # a relation (L=8) verification in turn
-    rng = np.random.default_rng([1, 4])
-    draws = [rng.uniform(0.5, 2.0, L) for _ in range(2) for L in (8, 10, 8)]
-    return [fr.make_spec(8, 6, t, None, None, fr.INFINITY) for t in draws[::3]]
+    # the two block-lemma models of the hardcore_blocks benchmark pool of seed 1
+    return _pool_models(1, 0)
 
 
 @pytest.mark.parametrize("spec,grid", [
@@ -652,28 +668,91 @@ def test_verify_relation_passes_past_the_whole_sector_deflation(monkeypatch):
     assert all(dim < 2772 and k == {} for dim, k in dims)   # ground's defaults
 
 
+@pytest.mark.parametrize("spec,angles,expected", [
+    *((spec, None, None) for seed in (1, 2, 3) for spec in _pool_models(seed, 2)),
+    (_random_hardcore(11, 10, 5), None,
+     ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 5.0])),
+    (_random_hardcore(12, 8, 5), None, None),
+    # a two-fold level of the period-4 block beside the period-2 block's one
+    (fr.make_spec(7, 4, U=fr.INFINITY), (PI / 4,), ([0.0, 1.0, 2.0],)),
+], ids=[*(f"pool-seed{seed}-model{r}" for seed in (1, 2, 3) for r in (0, 1)),
+        "L11N10", "L12N8", "L7N4-two-fold"])
+def test_spin_gram_equals_the_embedded_reference(spec, angles, expected):
+    # the spins of both flux roles (or the angles given) read in word
+    # space, off the Gram of the block vectors under 1_charge (x) M, against
+    # S^2 on the whole sector projected onto the embedded vectors: the Gram
+    # entry for entry, and the spins
+    basis = sector_basis_for(spec, 0)
+    levels = analysis._hardcore_grounds(basis, fr.flux_family(spec, basis),
+                                        angles or _flux_roles(spec.L))
+    for g in levels:
+        gram = analysis._spin_gram(g.s2, g.words, g.which, g.vectors)
+        assert np.abs(gram - embedded_gram(basis, g)).max() < 1e-12
+        assert g.spins() == embedded_spins(basis, g)
+    if expected is not None:
+        assert [sorted(g.spins()) for g in levels] == list(expected)
+
+
 def test_hardcore_grounds_refuse_vectors_over_the_memory_budget(monkeypatch):
-    # the embedded ground vectors, with the conjugate and the S^2 product
-    # that GroundInfo.spins makes of them, are held to MEMORY_BUDGET before
-    # they are allocated: refused one byte short of their need
+    # the spin Gram's temporaries are held to MEMORY_BUDGET before they are
+    # allocated: refused one byte short of their counted need, which bounds
+    # the peak they take when admitted; no vector of the sector's size is
+    # built (embedded, the level held three times its 26 ground vectors of
+    # 2,772 states)
     spec = _random_hardcore(11, 10, 5)
     basis = sector_basis_for(spec, 0)
-    family = fr.flux_family(spec, basis)
-    (g,) = analysis._hardcore_grounds(basis, family, [0.0])
-    need = 3 * g.vectors.nbytes
+    (g,) = analysis._hardcore_grounds(basis, fr.flux_family(spec, basis), [0.0])
+    needs = []
+    check = analysis.check_memory
+    monkeypatch.setattr(analysis, "check_memory",
+                        lambda need, what: needs.append(need) or check(need, what))
+    spins = g.spins()
+    (need,) = needs
+    assert need < 16 * basis.dim * g.degeneracy
     monkeypatch.setattr(fr.basis, "MEMORY_BUDGET", need - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(MethodLimit, match=f"{g.degeneracy} ground vectors of "
-                                              f"{basis.dim} states"):
-            analysis._hardcore_grounds(basis, family, [0.0])
+        with pytest.raises(MethodLimit, match=f"spin Gram of {g.degeneracy} vectors"):
+            g.spins()
+        refused = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(fr.basis, "MEMORY_BUDGET", need)
+        tracemalloc.reset_peak()
+        assert g.spins() == spins
+        admitted = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 16 * basis.dim, (refused, need)
+    assert admitted <= need, (admitted, need)
+
+
+def test_relation_and_spiral_build_s2_on_the_spin_words_alone(monkeypatch):
+    # S^2 is built on the one-site-set sector of N sites (20 words at N = 6)
+    # and never on the ring's sector; the relation's spins take less than
+    # one of its embedded levels (26 ground vectors of 16,632 states at
+    # hard-core L=12 N=10), which is never built
+    built = []
+    total_spin = analysis.build_total_spin
+    monkeypatch.setattr(analysis, "build_total_spin",
+                        lambda basis: built.append((basis.L, basis.N, basis.dim))
+                        or total_spin(basis))
+    assert fr.verify_relation(_pool_models(1, 2)[0]).passed
+    assert built == [(6, 6, 20)]
+    built.clear()
+    _, r = fr.spiral_state(_random_hardcore(10, 6, 1))
+    assert r.passed and built == [(6, 6, 20)]
+
+    spec = _random_hardcore(12, 10, 6)
+    basis = sector_basis_for(spec, 0)
+    levels = analysis._hardcore_grounds(basis, fr.flux_family(spec, basis), (0.0, PI))
+    tracemalloc.start()
+    try:
+        spins = [g.spins() for g in levels]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < g.vectors.nbytes / 2, (peak, g.vectors.nbytes)
-    monkeypatch.setattr(fr.basis, "MEMORY_BUDGET", need)
-    (again,) = analysis._hardcore_grounds(basis, family, [0.0])
-    assert again.energy == g.energy and again.vectors.shape == g.vectors.shape
+    assert spins == [{0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 1.0, 2.0, 3.0, 5.0}]
+    assert [g.degeneracy for g in levels] == [26, 26]
+    assert peak < 16 * basis.dim * 26 / 4, peak
 
 
 def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
@@ -683,8 +762,8 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
     basis = sector_basis_for(spec, 0)
     family = fr.flux_family(spec, basis)
     (g,) = analysis._hardcore_grounds(basis, family, [PI / 4])
-    assert g.degeneracy == 3 and not g.saturated
-    s2 = fr.build_total_spin(basis)
+    assert g.degeneracy == 3 and math.isfinite(g.gap)
+    assert g.spins() == embedded_spins(basis, g)
     # Lanczos with no dense fallback, as above DENSE_LIMIT: room for three
     # vectors clears the two-fold level, room for two saturates on it
     solve = fr.ground
@@ -692,7 +771,7 @@ def test_hardcore_grounds_raise_on_a_saturated_block(monkeypatch):
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=2, **k))
     (lanczos,) = analysis._hardcore_grounds(basis, family, [PI / 4])
     assert lanczos.method == "lanczos" and lanczos.degeneracy == 3
-    assert lanczos.spins(s2) == g.spins(s2)
+    assert lanczos.spins() == g.spins()
     assert abs(lanczos.energy - g.energy) < 1e-12
     monkeypatch.setattr(analysis, "ground",
                         lambda h, **k: solve(h, method="lanczos", max_degeneracy=1, **k))
@@ -705,6 +784,15 @@ def test_verify_relation_odd_ring_swaps_roles():
     assert r.passed
     assert r.measured["zero_role_flux"] == pytest.approx(PI)
     assert r.measured["energy_equality_residual"] < 1e-10
+
+
+def test_verify_relation_reads_the_empty_word_on_an_empty_ring():
+    # N = 0: the spins are read on the one-site-set sector of no sites, whose
+    # one state, the empty word, has S^2 = 0
+    s2 = fr.build_total_spin(fr.enumerate_sector(0, 0, 0, hardcore=True))
+    assert s2.to_dense().tolist() == [[0.0]]
+    r = fr.verify_relation(fr.make_spec(4, 0, U=fr.INFINITY))
+    assert r.measured["ground_spins_zero"] == r.measured["ground_spins_pi"] == [0.0]
 
 
 def test_verify_relation_hypotheses():
@@ -1052,7 +1140,8 @@ def test_spiral_walks_each_hardcore_sector_once(monkeypatch):
     monkeypatch.setattr(analysis, "build_hamiltonian", build)
     _, r = fr.spiral_state(fr.make_spec(7, 6, U=fr.INFINITY))
     assert r.passed
-    assert sorted(walks) == [(7, 6, 0, True), (7, 6, 6, True)]
+    # and the one-site-set sector of N sites, the spin words, its S^2
+    assert sorted(walks) == [(6, 6, 0, True), (7, 6, 0, True), (7, 6, 6, True)]
     assert built_on and all(built_on)
 
 
@@ -1097,6 +1186,18 @@ def test_spiral_state_equals_the_free_sector_construction(spec):
     assert r.passed, r.measured
     ref = free_sector_spiral(spec)
     assert min(np.abs(state - ref).max(), np.abs(state + ref).max()) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [*(spec for seed in (1, 2, 3) for spec in _pool_models(seed, 1)),
+                                  fr.make_spec(7, 6, U=fr.INFINITY), _random_ring(8, 6, 4)],
+                         ids=[*(f"pool-seed{seed}-model{r}" for seed in (1, 2, 3) for r in (0, 1)),
+                              "L7N6", "L8N6-random"])
+def test_spiral_spin_expectation_is_that_of_its_state(spec):
+    # the winning pattern's s^T G s, off the Gram in word space, against the
+    # state's <S^2> with S^2 on the whole Sz = 0 sector
+    state, r = fr.spiral_state(spec)
+    s2 = fr.build_total_spin(sector_basis_for(spec, 0))
+    assert abs(r.measured["spin_expectation"] - np.vdot(state, s2.matvec(state)).real) < 1e-12
 
 
 def finite_coupling_overlap(spec, couplings=(10.0, 100.0, 1000.0, 10000.0)):

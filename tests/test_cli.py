@@ -361,17 +361,23 @@ def test_sector_over_the_memory_budget_exits_two(ring4, monkeypatch, capsys):
 
 def test_relation_ground_vectors_over_the_memory_budget_exit_two(tmp_path, monkeypatch,
                                                                  capsys):
-    # hard-core L=11 N=10: its layout fits 2 MiB, the 25 or more embedded
-    # ground vectors of 2772 states with their spins' temporaries do not
-    from fluxring import basis, cli
+    # hard-core L=11 N=10: its sector's layout fits, the spin Gram of its 26
+    # ground vectors one byte short of its counted need does not
+    from fluxring import analysis, basis, cli
 
     path = tmp_path / "hc.json"
     fr.save_model(fr.make_spec(11, 10, np.random.default_rng(5).uniform(0.5, 2, 11), None,
                                None, fr.INFINITY), path)
-    monkeypatch.setattr(basis, "MEMORY_BUDGET", 2**21)
+    needs = []
+    check = analysis.check_memory
+    monkeypatch.setattr(analysis, "check_memory",
+                        lambda need, what: needs.append(need) or check(need, what))
+    assert cli.run(["verify", "relation", "--model", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(basis, "MEMORY_BUDGET", max(needs) - 1)
     assert cli.run(["verify", "relation", "--model", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "ground vectors of 2772 states" in err and "budget" in err
+    assert out == "" and "spin Gram of 26 vectors" in err and "budget" in err
     assert "internal error" not in err
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 import fluxring as fr
 from fluxring import basis as basis_module
 from fluxring.errors import BasisMismatch, FluxObstruction, HypothesisViolated, MethodLimit
-from fluxring.basis import entry_rows, mode
+from fluxring.basis import entry_rows, mode, word_codes
 from fluxring.model import fold_angle
 from fluxring.operators import (
     SparseHermitian,
@@ -119,6 +119,24 @@ def test_total_spin_content_l4_free_sector():
     oracle = DenseOracle(4, [1.0] * 4, [0.0] * 4, [0.0] * 4)
     theirs = np.sort(np.linalg.eigvalsh(oracle.total_spin(1, 1)))
     assert np.abs(vals - theirs).max() < 1e-10
+
+
+@pytest.mark.parametrize("L,N", [(6, 4), (7, 6), (8, 6), (9, 8)])
+def test_hardcore_total_spin_is_one_word_spin_on_every_site_set(L, N):
+    # S^2 on a hard-core Sz = 0 sector joins only states of one site set,
+    # and on each it is M, S^2 of the one-site-set sector of N sites, entry
+    # for entry at the words that word_codes places there: S^2 = 1 (x) M
+    basis = fr.enumerate_sector(L, N, 0, hardcore=True)
+    words = fr.enumerate_sector(N, N, 0, hardcore=True)
+    s2 = fr.build_total_spin(basis).mat
+    m = fr.build_total_spin(words).to_dense()
+    sites = (basis.codes | basis.codes >> 1) & 0x5555555555555555
+    word = words.locate(word_codes(basis, range(basis.dim)))
+    assert word.min() >= 0 and len(set(zip(sites.tolist(), word.tolist()))) == basis.dim
+    rows = entry_rows(s2.indptr)
+    assert np.array_equal(sites[rows], sites[s2.indices])
+    assert np.array_equal(s2.data, m[word[rows], word[s2.indices]])
+    assert s2.nnz == math.comb(L, N) * np.count_nonzero(m)
 
 
 @pytest.mark.parametrize("seed,hardcore", [(1, False), (2, False), (3, True)])
@@ -608,6 +626,7 @@ def test_one_angle_stack_shares_the_family_index_arrays(sector, phi):
     assert _bits(one.data) == _bits(_coo_assembly(spec, basis, phi).data)
     pair = family.stacked([phi, phi + 1.0]).mat
     assert _bits(pair.data[:family.nnz]) == _bits(one.data)
+    assert _bits(family.hamiltonian(phi).mat.data) == _bits(one.data)
 
 
 def test_sign_gauge_of_the_free_sector_stays_within_a_few_entries_per_entry():
